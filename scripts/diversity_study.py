@@ -48,7 +48,7 @@ def main() -> None:
             corpus, _ = generate(spec)
             for i, (train, test) in enumerate(make_kfold(corpus, 2, seed=seed).folds):
                 result = search_weights(train, policy, grid)
-                _, counts = classify_corpus(test, result.model)
+                counts = classify_corpus(test, result.model)
                 f2 = f_beta(counts, 2)
                 base = all_vulnerable_f2(len(test.vulnerable), len(test.benign))
                 rows.append([overlap, seed, i + 1, f"{float(f2):.6f}", f"{float(base):.6f}"])

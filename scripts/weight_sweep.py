@@ -23,7 +23,7 @@ def mean_cv_f2(corpus, weight, policy, k, seed, cutoff_step):
     total, folds = Fraction(0), 0
     for train, test in make_kfold(corpus, k, seed).folds:
         result = search_weights(train, policy, grid)
-        _, counts = classify_corpus(test, result.model)
+        counts = classify_corpus(test, result.model)
         total += f_beta(counts, 2)
         folds += 1
     return total / folds

@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -65,13 +66,18 @@ def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _open_out(out: str | None):
-    """stdout for None or '-', else the file (parent dirs created)."""
+def _write_csv(out: str | Path | None, header: list[str], rows) -> None:
+    """Write a CSV to stdout for None or '-', else to the file (parent dirs created)."""
     if out in (None, "-"):
-        return sys.stdout
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", newline="", encoding="utf-8")
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        target = path.open("w", newline="", encoding="utf-8")
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_weights(text: str | None):
@@ -102,6 +108,16 @@ def _resolve(args, config: dict, key: str, default):
     return config.get(key, default)
 
 
+def _digest(path) -> dict:
+    return {"path": str(path), "sha256": sha256_file(path)}
+
+
+def _load_pair(vuln, benign, label) -> tuple[LabeledCorpus, dict]:
+    """Load and clean two list files; also return their input digests."""
+    raw = load_lists(vuln, benign, source_label=label)
+    return clean(raw), {"vulnerable": _digest(vuln), "benign": _digest(benign)}
+
+
 def _corpus_inputs(args, config) -> tuple[LabeledCorpus, dict]:
     """Load and clean the corpus named by --csv or --vuln/--benign."""
     csv_path = _resolve(args, config, "csv", None)
@@ -109,17 +125,10 @@ def _corpus_inputs(args, config) -> tuple[LabeledCorpus, dict]:
     benign = _resolve(args, config, "benign", None)
     label = _resolve(args, config, "label", None)
     if csv_path:
-        raw = load_csv(csv_path, source_label=label)
-        digests = {"csv": {"path": str(csv_path), "sha256": sha256_file(csv_path)}}
-    elif vuln and benign:
-        raw = load_lists(vuln, benign, source_label=label)
-        digests = {
-            "vulnerable": {"path": str(vuln), "sha256": sha256_file(vuln)},
-            "benign": {"path": str(benign), "sha256": sha256_file(benign)},
-        }
-    else:
-        raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
-    return clean(raw), digests
+        return clean(load_csv(csv_path, source_label=label)), {"csv": _digest(csv_path)}
+    if vuln and benign:
+        return _load_pair(vuln, benign, label)
+    raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
 
 
 def _parse_step(value) -> Fraction:
@@ -129,13 +138,24 @@ def _parse_step(value) -> Fraction:
         raise DataError(f"cannot parse number {value!r}") from exc
 
 
-def _grid_options(args, config) -> tuple[SearchGrid, MinScorePolicy, Fraction, str, dict]:
+def _parse_int(value, what: str, minimum: int | None = None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be an integer, got {value!r}") from exc
+    if minimum is not None and number < minimum:
+        raise DataError(f"{what} must be >= {minimum}, got {number}")
+    return number
+
+
+def _grid_options(args, config) -> tuple[SearchGrid, MinScorePolicy, Fraction, dict]:
     policy = MinScorePolicy.parse(_resolve(args, config, "policy", "zero"))
     weights = _parse_weights(_resolve(args, config, "weights", None))
-    cutoff_step = int(_resolve(args, config, "cutoff_step", 100))
+    cutoff_step = _parse_int(_resolve(args, config, "cutoff_step", 100), "cutoff step")
     threshold_step = _resolve(args, config, "threshold_step", "0.05")
     beta = _parse_step(_resolve(args, config, "beta", "2"))
-    mode = _resolve(args, config, "mode", "exhaustive")
+    if beta <= 0:
+        raise DataError(f"beta must be positive, got {beta}")
     try:
         thresholds = threshold_values(_parse_step(threshold_step))
         grid = SearchGrid(cutoff_step=cutoff_step, thresholds=thresholds, weights=weights)
@@ -147,9 +167,10 @@ def _grid_options(args, config) -> tuple[SearchGrid, MinScorePolicy, Fraction, s
         "cutoff_step": cutoff_step,
         "threshold_step": str(threshold_step),
         "beta": float(beta),
-        "mode": mode,
+        # The search is always exhaustive; the key keeps reports comparable.
+        "mode": "exhaustive",
     }
-    return grid, policy, beta, mode, options
+    return grid, policy, beta, options
 
 
 def _fold_metrics(counts, beta) -> dict:
@@ -166,22 +187,30 @@ def _fold_metrics(counts, beta) -> dict:
     }
 
 
-def _write_trace(path: Path, traces) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"])
-        for weight, cells in traces:
-            for cell in cells or ():
-                writer.writerow([
-                    weight.tag() if weight else "",
-                    cell.cutoff,
-                    str(float(cell.threshold)),
-                    cell.counts.tp,
-                    cell.counts.fp,
-                    cell.counts.fn,
-                    cell.counts.tn,
-                    f"{float(cell.f2):.6f}",
-                ])
+def _trace_rows(traces):
+    for weight, cells in traces:
+        for cell in cells or ():
+            yield [
+                weight.tag() if weight else "",
+                cell.cutoff,
+                str(float(cell.threshold)),
+                cell.counts.tp,
+                cell.counts.fp,
+                cell.counts.fn,
+                cell.counts.tn,
+                f"{float(cell.f2):.6f}",
+            ]
+
+
+def _tune(train, external_table, policy, grid, beta, traces: list | None = None):
+    """One search over an external table's ranking, else the weight sweep."""
+    if external_table is None:
+        return search_weights(train, policy, grid, beta=beta, trace_collector=traces)
+    result = find_best(rank(external_table, policy), train, grid, beta=beta,
+                       want_trace=traces is not None)
+    if traces is not None:
+        traces.append((None, result.grid_trace))
+    return result
 
 
 def cmd_split(args, config) -> int:
@@ -192,22 +221,14 @@ def cmd_split(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     corpus, digests = _corpus_inputs(args, config)
-    grid, policy, beta, mode, options = _grid_options(args, config)
+    grid, policy, beta, options = _grid_options(args, config)
     scores_path = _resolve(args, config, "scores", None)
+    external_table = load_external_scores(scores_path) if scores_path else None
     traces: list | None = [] if args.trace else None
+    result = _tune(corpus, external_table, policy, grid, beta, traces)
     if scores_path:
-        table = load_external_scores(scores_path)
-        dangerous = rank(table, policy)
-        result = find_best(dangerous, corpus, grid, mode=mode, beta=beta,
-                           want_trace=traces is not None)
-        if traces is not None:
-            traces.append((None, result.grid_trace))
-        digests["scores"] = {"path": str(scores_path), "sha256": sha256_file(scores_path)}
-        options["scorer"] = "external"
-    else:
-        result = search_weights(corpus, policy, grid, mode=mode, beta=beta,
-                                trace_collector=traces)
-        options["scorer"] = "frequency"
+        digests["scores"] = _digest(scores_path)
+    options["scorer"] = "external" if scores_path else "frequency"
     warnings = []
     if len(result.model.dangerous) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
@@ -221,7 +242,8 @@ def cmd_train(args, config) -> int:
         words_path.parent.mkdir(parents=True, exist_ok=True)
         write_word_list_csv(result.model.dangerous, words_path)
     if args.trace:
-        _write_trace(Path(args.trace), traces)
+        _write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
+                   _trace_rows(traces))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"model written to {out} (train F2 {format_rate(result.train_f2)}, "
@@ -230,14 +252,10 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def _eval_fold(fold_id, train, test, policy, grid, mode, beta, external_table):
-    if external_table is not None:
-        dangerous = rank(external_table, policy)
-        result = find_best(dangerous, train, grid, mode=mode, beta=beta)
-    else:
-        result = search_weights(train, policy, grid, mode=mode, beta=beta)
+def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
+    result = _tune(train, external_table, policy, grid, beta)
     model = result.model
-    _, counts = classify_corpus(test, model)
+    counts = classify_corpus(test, model)
     v, b = len(test.vulnerable), len(test.benign)
     row = {
         "fold": fold_id,
@@ -269,7 +287,7 @@ def _eval_fold(fold_id, train, test, policy, grid, mode, beta, external_table):
 
 
 def cmd_eval(args, config) -> int:
-    grid, policy, beta, mode, options = _grid_options(args, config)
+    grid, policy, beta, options = _grid_options(args, config)
     loo_dirs = _resolve(args, config, "loo", None)
     scores_path = _resolve(args, config, "scores", None)
     external_table = load_external_scores(scores_path) if scores_path else None
@@ -277,23 +295,16 @@ def cmd_eval(args, config) -> int:
     if loo_dirs:
         corpora = []
         digests = {}
-        for d in loo_dirs:
-            d = Path(d)
-            raw = load_lists(d / "vulnerable.txt", d / "benign.txt", source_label=d.name)
-            corpora.append(clean(raw))
-            digests[d.name] = {
-                "vulnerable": {"path": str(d / "vulnerable.txt"),
-                               "sha256": sha256_file(d / "vulnerable.txt")},
-                "benign": {"path": str(d / "benign.txt"),
-                           "sha256": sha256_file(d / "benign.txt")},
-            }
+        for d in map(Path, loo_dirs):
+            corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
+            corpora.append(corpus)
         plan = make_leave_one_out(corpora)
         protocol = {"kind": "leave_one_out", "projects": [c.source_label for c in corpora]}
         fold_ids = [test.source_label for _, test in plan.folds]
     else:
         corpus, digests = _corpus_inputs(args, config)
-        k = int(_resolve(args, config, "kfold", 5))
-        seed = int(_resolve(args, config, "seed", 0))
+        k = _parse_int(_resolve(args, config, "kfold", 5), "kfold")
+        seed = _parse_int(_resolve(args, config, "seed", 0), "seed")
         plan = make_kfold(corpus, k, seed)
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
@@ -301,7 +312,7 @@ def cmd_eval(args, config) -> int:
     folds = []
     sums: dict[str, Fraction] = {}
     for fold_id, (train, test) in zip(fold_ids, plan.folds):
-        row, exact = _eval_fold(fold_id, train, test, policy, grid, mode, beta, external_table)
+        row, exact = _eval_fold(fold_id, train, test, policy, grid, beta, external_table)
         folds.append(row)
         for key, value in exact.items():
             sums[key] = sums.get(key, Fraction(0)) + value
@@ -319,26 +330,22 @@ def cmd_eval(args, config) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report, out_dir / "eval_report.json")
-    with (out_dir / "folds.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "fold", "train_vuln", "train_benign", "test_vuln", "test_benign",
-            "weight", "cutoff", "threshold", "tp", "fp", "fn", "tn",
-            "precision", "recall", "f1", "f2", "all_vulnerable_f2", "random_f2",
-        ])
-        for row in folds:
-            writer.writerow([
-                row["fold"],
-                row["train"]["vulnerable"], row["train"]["benign"],
-                row["test"]["vulnerable"], row["test"]["benign"],
-                row["model"]["weight"] or row["model"]["source"] or "",
-                row["model"]["cutoff"], row["model"]["threshold"],
-                row["metrics"]["tp"], row["metrics"]["fp"],
-                row["metrics"]["fn"], row["metrics"]["tn"],
-                row["metrics"]["precision"], row["metrics"]["recall"],
-                row["metrics"]["f1"], row["metrics"]["f2"],
-                row["baselines"]["all_vulnerable_f2"], row["baselines"]["random_f2"],
-            ])
+    _write_csv(out_dir / "folds.csv", [
+        "fold", "train_vuln", "train_benign", "test_vuln", "test_benign",
+        "weight", "cutoff", "threshold", "tp", "fp", "fn", "tn",
+        "precision", "recall", "f1", "f2", "all_vulnerable_f2", "random_f2",
+    ], ([
+        row["fold"],
+        row["train"]["vulnerable"], row["train"]["benign"],
+        row["test"]["vulnerable"], row["test"]["benign"],
+        row["model"]["weight"] or row["model"]["source"] or "",
+        row["model"]["cutoff"], row["model"]["threshold"],
+        row["metrics"]["tp"], row["metrics"]["fp"],
+        row["metrics"]["fn"], row["metrics"]["tn"],
+        row["metrics"]["precision"], row["metrics"]["recall"],
+        row["metrics"]["f1"], row["metrics"]["f2"],
+        row["baselines"]["all_vulnerable_f2"], row["baselines"]["random_f2"],
+    ] for row in folds))
     print(f"evaluated {n} folds; mean F2 {means['f2']} "
           f"(all-vulnerable {means['all_vulnerable_f2']}, random {means['random_f2']}); "
           f"reports in {out_dir}")
@@ -348,7 +355,10 @@ def cmd_eval(args, config) -> int:
 def _read_names(path: Path) -> list[str]:
     if not path.exists():
         raise DataError(f"names file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
     first = text.splitlines()[0].strip().lower() if text.strip() else ""
     if first.startswith("name,"):
         names = []
@@ -374,55 +384,34 @@ def cmd_predict(args, config) -> int:
             f"{float(pred.percentage):.6f}",
             ";".join(sorted(pred.matched_terms)),
         ])
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "label", "percentage", "matched_terms"])
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)
     return 0
 
 
 def cmd_roc(args, config) -> int:
     corpus, _digests = _corpus_inputs(args, config)
-    threshold_step = _resolve(args, config, "threshold_step", "0.05")
-    thresholds = threshold_values(_parse_step(threshold_step))
+    grid, policy, _beta, _options = _grid_options(args, config)
     if args.model:
-        model = load_model(args.model)
-        dangerous = model.dangerous
+        dangerous = load_model(args.model).dangerous
     else:
         weight_text = _resolve(args, config, "weight", None)
         if not weight_text:
             raise DataError("provide --model FILE or --weight PLUS-MINUS")
-        policy = MinScorePolicy.parse(_resolve(args, config, "policy", "zero"))
         dangerous = rank(score_frequency(corpus, Weight.parse(weight_text)), policy)
     if len(dangerous) == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs:
-        cutoffs = [int(c) for c in args.cutoffs.split(",") if c.strip()]
+        cutoffs = [_parse_int(c, "cutoff", 1) for c in args.cutoffs.split(",") if c.strip()]
     else:
-        step = int(_resolve(args, config, "cutoff_step", 100))
-        cutoffs = list(SearchGrid(cutoff_step=step).cutoff_values(len(dangerous)))
+        cutoffs = grid.cutoff_values(len(dangerous))
     include_zero = bool(args.include_zero_endpoint)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["cutoff", "threshold", "tpr", "fpr"])
-        for cutoff in cutoffs:
-            curve = roc(dangerous, cutoff, corpus, thresholds=thresholds,
-                        include_zero_endpoint=include_zero)
-            for point in curve.points:
-                writer.writerow([
-                    cutoff,
-                    str(float(point.threshold)),
-                    f"{float(point.tpr):.6f}",
-                    f"{float(point.fpr):.6f}",
-                ])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = (
+        [cutoff, str(float(point.threshold)), f"{float(point.tpr):.6f}", f"{float(point.fpr):.6f}"]
+        for cutoff in cutoffs
+        for point in roc(dangerous, cutoff, corpus, thresholds=grid.thresholds,
+                         include_zero_endpoint=include_zero).points
+    )
+    _write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows)
     return 0
 
 
@@ -456,15 +445,8 @@ def cmd_harvest(args, config) -> int:
     names, warnings = harvest([Path(p) for p in args.paths])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "file", "line"])
-        for item in names:
-            writer.writerow([item.name, item.file, item.line])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["name", "file", "line"],
+               ([item.name, item.file, item.line] for item in names))
     return 0
 
 
@@ -519,15 +501,18 @@ def build_parser() -> _Parser:
         p.add_argument("--cutoff-step", dest="cutoff_step", type=int, help="cutoff grid step (default 100)")
         p.add_argument("--threshold-step", dest="threshold_step", help="threshold grid step (default 0.05)")
         p.add_argument("--beta", help="F-beta objective for tuning (default 2)")
-        p.add_argument("--mode", choices=["exhaustive", "greedy"], help="search mode (default exhaustive)")
-        p.add_argument("--config", help="JSON file of option defaults; flags win")
 
-    p = sub.add_parser("split", help="print an identifier's terms, one per line")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file of option defaults; flags win")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("split", cmd_split, "print an identifier's terms, one per line")
     p.add_argument("name")
     p.add_argument("--fold-case", dest="fold_case", action="store_true", default=None)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="tune a model on a labeled corpus and save it as JSON")
+    p = command("train", cmd_train, "tune a model on a labeled corpus and save it as JSON")
     add_corpus_flags(p)
     add_grid_flags(p)
     p.add_argument("--scores", help="external term,score CSV; replaces frequency scoring")
@@ -535,9 +520,8 @@ def build_parser() -> _Parser:
     p.add_argument("--words-csv", dest="words_csv",
                    help="also export the winning dangerous-word list as rank,term,score CSV")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="cross-validated evaluation with per-fold reports")
+    p = command("eval", cmd_eval, "cross-validated evaluation with per-fold reports")
     add_corpus_flags(p)
     add_grid_flags(p)
     p.add_argument("--kfold", type=int, help="number of stratified folds (default 5)")
@@ -546,16 +530,13 @@ def build_parser() -> _Parser:
                    help="leave-one-out over project dirs holding vulnerable.txt/benign.txt")
     p.add_argument("--scores", help="external term,score CSV; replaces frequency scoring")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="classify names with a saved model")
+    p = command("predict", cmd_predict, "classify names with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--names", required=True, help="plain list or harvest CSV")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("roc", help="TPR/FPR sweep over thresholds for one or more cutoffs")
+    p = command("roc", cmd_roc, "TPR/FPR sweep over thresholds for one or more cutoffs")
     add_corpus_flags(p)
     p.add_argument("--model", help="use a saved model's dangerous word list")
     p.add_argument("--weight", help="PLUS-MINUS pair to rank the corpus itself")
@@ -567,27 +548,19 @@ def build_parser() -> _Parser:
                    action="store_true", default=None,
                    help="append the degenerate threshold-0 point (1,1)")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.set_defaults(func=cmd_roc)
 
-    p = sub.add_parser("baseline", help="all-vulnerable and random baseline report")
+    p = command("baseline", cmd_baseline, "all-vulnerable and random baseline report")
     add_corpus_flags(p)
     p.add_argument("--counts", nargs=2, type=int, metavar=("VULN", "BENIGN"))
     p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("harvest", help="extract function-definition names from C/C++ files")
+    p = command("harvest", cmd_harvest, "extract function-definition names from C/C++ files")
     p.add_argument("paths", nargs="+")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.set_defaults(func=cmd_harvest)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with planted ground truth")
+    p = command("synth", cmd_synth, "generate a synthetic corpus with planted ground truth")
     p.add_argument("--spec", required=True, help="synth spec JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.set_defaults(func=cmd_synth)
 
     return parser
 

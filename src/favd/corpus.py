@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DataError, InfeasibleError
+from .splitter import split
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,67 @@ class LabeledCorpus:
     def size(self) -> int:
         return len(self.vulnerable) + len(self.benign)
 
+    @cached_property
+    def encoded(self) -> "EncodedCorpus":
+        """The corpus split into term ids, computed on first use and kept."""
+        return encode(self)
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedCorpus:
+    """Each name's unique terms as ids into the sorted vocabulary, in CSR layout.
+
+    Rows are the sorted vulnerable names, then the sorted benign names; row i
+    holds `indices[indptr[i]:indptr[i + 1]]`. Term ids follow sorted term
+    order, so comparing two ids compares the terms' text.
+    """
+
+    vocabulary: dict[str, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    n_vulnerable: int
+
+    def term_counts(self) -> tuple[list[int], list[int]]:
+        """Per term id, the number of vulnerable and of benign names holding it."""
+        end = self.indptr[self.n_vulnerable]
+        size = len(self.vocabulary)
+        vuln = np.bincount(self.indices[:end], minlength=size)
+        benign = np.bincount(self.indices[end:], minlength=size)
+        return vuln.tolist(), benign.tolist()
+
+
+def encode(corpus: LabeledCorpus) -> EncodedCorpus:
+    """Split every name once; see EncodedCorpus for the layout.
+
+    Terms get provisional ids in order of first appearance while the names
+    are walked, so no name's term set outlives its row; the ids are
+    renumbered into sorted term order at the end. Terms are interned, so the
+    encodings of overlapping corpora, such as k-fold parts, share their
+    strings.
+    """
+    first_seen: dict[str, int] = {}
+    flat: list[int] = []
+    sizes: list[int] = [0]
+    for name in chain(sorted(corpus.vulnerable), sorted(corpus.benign)):
+        terms = dict.fromkeys(map(sys.intern, split(name)))
+        flat.extend(first_seen.setdefault(term, len(first_seen)) for term in terms)
+        sizes.append(len(terms))
+    terms = sorted(first_seen)
+    renumber = np.empty(len(terms), dtype=np.int32)
+    renumber[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    return EncodedCorpus(
+        vocabulary={term: i for i, term in enumerate(terms)},
+        indptr=np.cumsum(sizes, dtype=np.int64),
+        indices=renumber[np.array(flat, dtype=np.int64)],
+        n_vulnerable=len(corpus.vulnerable),
+    )
+
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Ordered (train, test) pairs plus a description of how they were made."""
+    """Ordered (train, test) pairs."""
 
     folds: tuple[tuple[LabeledCorpus, LabeledCorpus], ...]
-    kind: str
-    k: int | None = None
-    seed: int | None = None
-    labels: tuple[str, ...] = field(default=())
 
 
 class CorpusStats(NamedTuple):
@@ -141,15 +198,6 @@ def clean(raw: RawLists) -> LabeledCorpus:
     return LabeledCorpus(vulnerable=vulnerable, benign=benign, source_label=raw.source_label)
 
 
-def as_raw(corpus: LabeledCorpus) -> RawLists:
-    """Natural embedding of a cleaned corpus back into raw lists."""
-    return RawLists(
-        vulnerable=tuple(sorted(corpus.vulnerable)),
-        benign=tuple(sorted(corpus.benign)),
-        source_label=corpus.source_label,
-    )
-
-
 def _chunks(names: list[str], k: int) -> list[list[str]]:
     # First (len % k) chunks get one extra element; sizes differ by at most 1.
     n = len(names)
@@ -196,7 +244,7 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
             source_label=f"{corpus.source_label}[train {i + 1}/{k}]",
         )
         folds.append((train, test))
-    return FoldPlan(folds=tuple(folds), kind="kfold", k=k, seed=seed)
+    return FoldPlan(folds=tuple(folds))
 
 
 def make_leave_one_out(corpora: list[LabeledCorpus]) -> FoldPlan:
@@ -219,7 +267,7 @@ def make_leave_one_out(corpora: list[LabeledCorpus]) -> FoldPlan:
             source_label=f"all-but-{test.source_label}",
         )
         folds.append((clean(union), test))
-    return FoldPlan(folds=tuple(folds), kind="leave_one_out", labels=tuple(labels))
+    return FoldPlan(folds=tuple(folds))
 
 
 def vulnerable_fraction(vuln_count: int, benign_count: int) -> Fraction:

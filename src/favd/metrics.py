@@ -7,15 +7,14 @@ keeps degenerate folds and baselines well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import LabeledCorpus
 from .errors import DataError
-from .predictor import ConfusionCounts
+from .predictor import ConfusionCounts, count_flagged
 from .ranking import DangerousWordList
 from .rational import exact_fraction
-from .splitter import split
 
 
 def precision(c: ConfusionCounts) -> Fraction:
@@ -71,7 +70,6 @@ class RocPoint:
 class RocCurve:
     points: tuple[RocPoint, ...]
     cutoff: int
-    metadata: dict = field(default_factory=dict)
 
 
 def default_thresholds() -> tuple[Fraction, ...]:
@@ -98,31 +96,12 @@ def roc(
     if thresholds is None:
         thresholds = default_thresholds()
     n_pos, n_neg = len(corpus.vulnerable), len(corpus.benign)
-    top = dangerous.top_terms(min(cutoff, len(dangerous)))
-
-    # (matched, total) per name; the per-threshold rule m/t > p/q is evaluated
-    # as m*q > p*t, identical to classify()'s Fraction comparison.
-    def ratios(names: frozenset[str]) -> list[tuple[int, int]]:
-        out = []
-        for name in sorted(names):
-            terms = set(split(name))
-            out.append((len(terms & top), len(terms)))
-        return out
-
-    pos_ratios = ratios(corpus.vulnerable)
-    neg_ratios = ratios(corpus.benign)
-    points: list[RocPoint] = []
-    for threshold in sorted(set(thresholds), reverse=True):
-        if threshold == 0:
-            continue
-        p, q = threshold.numerator, threshold.denominator
-        tp = sum(1 for m, t in pos_ratios if m * q > p * t)
-        fp = sum(1 for m, t in neg_ratios if m * q > p * t)
-        points.append(
-            RocPoint(threshold=threshold, tpr=Fraction(tp, n_pos), fpr=Fraction(fp, n_neg))
-        )
+    kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
+    tp, fp = count_flagged(dangerous, corpus, [cutoff], kept)
+    points = [
+        RocPoint(threshold=threshold, tpr=Fraction(int(t), n_pos), fpr=Fraction(int(f), n_neg))
+        for threshold, t, f in zip(kept, tp[:, 0], fp[:, 0])
+    ]
     if include_zero_endpoint:
         points.append(RocPoint(Fraction(0), Fraction(1), Fraction(1)))
-    meta = {"weight": dangerous.weight.tag() if dangerous.weight else None,
-            "policy": dangerous.policy.tag()}
-    return RocCurve(points=tuple(points), cutoff=cutoff, metadata=meta)
+    return RocCurve(points=tuple(points), cutoff=cutoff)

@@ -4,12 +4,19 @@ The rule: split the identifier, take the fraction of its unique terms that
 appear among the first `cutoff` dangerous words, and predict vulnerable when
 that fraction strictly exceeds `threshold`. The strict inequality makes a
 threshold of 1.0 unsatisfiable and anchors ROC curves at (0, 0).
+
+`classify` applies the rule to one name. `count_flagged` applies it to a
+whole corpus at many (cutoff, threshold) pairs at once; tuning, ROC curves
+and corpus evaluation all go through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .corpus import LabeledCorpus
 from .ranking import DangerousWordList, MinScorePolicy, Weight
@@ -52,10 +59,12 @@ class TunedModel:
             raise ValueError(
                 f"cutoff {self.cutoff} outside [1, {len(self.dangerous)}]"
             )
+        if not 0 <= self.threshold <= 1:
+            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
 
     def top_terms(self) -> frozenset[str]:
         if self._top is None:
-            self._top = self.dangerous.top_terms(self.cutoff)
+            self._top = frozenset(term for term, _ in self.dangerous.words[: self.cutoff])
         return self._top
 
 
@@ -78,28 +87,52 @@ def classify(identifier: str, model: TunedModel) -> Prediction:
     return Prediction(identifier, label, percentage, matched)
 
 
-def classify_corpus(
-    corpus: LabeledCorpus, model: TunedModel
-) -> tuple[list[Prediction], ConfusionCounts]:
-    """Classify every name in the corpus and tally the confusion counts.
+def count_flagged(
+    dangerous: DangerousWordList,
+    corpus: LabeledCorpus,
+    cutoffs: Sequence[int],
+    thresholds: Sequence[Fraction],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vulnerable (tp) and benign (fp) names flagged at each threshold and cutoff.
 
-    Names are visited in sorted order per class (vulnerable first) so the
-    prediction list is deterministic.
+    Both arrays have shape (len(thresholds), len(cutoffs)) and hold what
+    classify() gives name by name; thresholds must lie in [0, 1]. A name with
+    t unique terms is flagged at threshold p/q once more than p*t/q of its
+    terms rank within the cutoff, that is from the rank of its
+    (floor(p*t/q) + 1)-th best-ranked term on.
     """
-    predictions: list[Prediction] = []
-    tp = fp = fn = tn = 0
-    for name in sorted(corpus.vulnerable):
-        pred = classify(name, model)
-        predictions.append(pred)
-        if pred.label == VULNERABLE:
-            tp += 1
-        else:
-            fn += 1
-    for name in sorted(corpus.benign):
-        pred = classify(name, model)
-        predictions.append(pred)
-        if pred.label == VULNERABLE:
-            fp += 1
-        else:
-            tn += 1
-    return predictions, ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    encoded = corpus.encoded
+    unranked = len(dangerous) + 1
+    rank_of = np.full(len(encoded.vocabulary), unranked, dtype=np.int64)
+    for position, (term, _) in enumerate(dangerous.words, start=1):
+        term_id = encoded.vocabulary.get(term)
+        if term_id is not None:
+            rank_of[term_id] = position
+    sizes = np.diff(encoded.indptr)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    ranks = rank_of[encoded.indices]
+    ranks = ranks[np.lexsort((ranks, rows))]  # each name's term ranks, best first
+    starts = encoded.indptr[:-1]
+    limits = [min(cutoff, len(dangerous)) for cutoff in cutoffs]
+    n_vuln = encoded.n_vulnerable
+    tp = np.empty((len(thresholds), len(limits)), dtype=np.int64)
+    fp = np.empty_like(tp)
+    for i, threshold in enumerate(thresholds):
+        p, q = threshold.numerator, threshold.denominator
+        needed = np.array([p * t // q + 1 for t in range(sizes.max(initial=0) + 1)])[sizes]
+        reachable = needed <= sizes
+        flips = np.full(len(sizes), unranked)
+        flips[reachable] = ranks[starts[reachable] + needed[reachable] - 1]
+        # Names flagged at cutoff c are those whose flip rank is at most c.
+        tp[i] = np.cumsum(np.bincount(flips[:n_vuln], minlength=unranked + 1))[limits]
+        fp[i] = np.cumsum(np.bincount(flips[n_vuln:], minlength=unranked + 1))[limits]
+    return tp, fp
+
+
+def classify_corpus(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
+    """Confusion counts of the model over the corpus, vulnerable as positive."""
+    tp, fp = count_flagged(model.dangerous, corpus, [model.cutoff], [model.threshold])
+    tp, fp = int(tp[0, 0]), int(fp[0, 0])
+    return ConfusionCounts(
+        tp=tp, fp=fp, fn=len(corpus.vulnerable) - tp, tn=len(corpus.benign) - fp
+    )

@@ -1,9 +1,10 @@
 """Term dangerousness scoring and ranked dangerous-word lists.
 
-Frequency scoring walks the training names once: every unique term of a
-vulnerable name gains `plus`, every unique term of a benign name loses
-`minus`. A term therefore scores plus*V_t - minus*B_t where V_t and B_t count
-the names (not occurrences) containing it. External per-term scores in
+Frequency scoring gives every unique term of a vulnerable name `plus` and
+every unique term of a benign name `-minus`. A term therefore scores
+plus*V_t - minus*B_t where V_t and B_t count the names (not occurrences)
+containing it; both counts come from the corpus encoding, so trying another
+weight does not split the names again. External per-term scores in
 [0, 1] can be loaded from CSV instead; they plug into the same rank step, so
 any offline scorer can drive the rest of the pipeline.
 """
@@ -18,7 +19,6 @@ from pathlib import Path
 from .corpus import LabeledCorpus
 from .errors import DataError
 from .rational import exact_fraction
-from .splitter import split
 
 Score = int | Fraction
 
@@ -128,23 +128,19 @@ class DangerousWordList:
     def __len__(self) -> int:
         return len(self.words)
 
-    def top_terms(self, cutoff: int) -> frozenset[str]:
-        return frozenset(term for term, _ in self.words[:cutoff])
-
 
 def score_frequency(train: LabeledCorpus, weight: Weight) -> TermScoreTable:
     """Frequency-based scores over the unique terms of each training name."""
     if not train.vulnerable and not train.benign:
         raise DataError("cannot score an empty training corpus")
+    encoded = train.encoded
+    vuln, benign = encoded.term_counts()
     scores: dict[str, int] = {}
     vuln_counts: dict[str, int] = {}
-    for name in sorted(train.vulnerable):
-        for term in set(split(name)):
-            scores[term] = scores.get(term, 0) + weight.plus
-            vuln_counts[term] = vuln_counts.get(term, 0) + 1
-    for name in sorted(train.benign):
-        for term in set(split(name)):
-            scores[term] = scores.get(term, 0) - weight.minus
+    for term, v, b in zip(encoded.vocabulary, vuln, benign):
+        scores[term] = weight.plus * v - weight.minus * b
+        if v:
+            vuln_counts[term] = v
     return TermScoreTable(scores=scores, origin=FREQUENCY, weight=weight, vuln_counts=vuln_counts)
 
 
@@ -177,24 +173,27 @@ def load_external_scores(path: str | Path, source: str | None = None) -> TermSco
     if not path.exists():
         raise DataError(f"score file not found: {path}")
     scores: dict[str, Fraction] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected term,score")
-            term = row[0].strip()
-            try:
-                score = Fraction(row[1].strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
-            if not 0 <= score <= 1:
-                raise DataError(f"{path}:{lineno}: score {row[1]} outside [0, 1]")
-            if term in scores:
-                raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
-            scores[term] = score
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
+                    continue
+                if len(row) < 2:
+                    raise DataError(f"{path}:{lineno}: expected term,score")
+                term = row[0].strip()
+                try:
+                    score = Fraction(row[1].strip())
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
+                if not 0 <= score <= 1:
+                    raise DataError(f"{path}:{lineno}: score {row[1]} outside [0, 1]")
+                if term in scores:
+                    raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
+                scores[term] = score
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
     return TermScoreTable(scores=scores, origin=EXTERNAL, source=source or str(path))
 
 

@@ -15,8 +15,6 @@ digits, nor underscores never introduce a boundary.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 
 def _boundary(prev: str, cur: str) -> bool:
     if prev.islower() and cur.isupper():
@@ -57,10 +55,3 @@ def split(identifier: str, fold_case: bool = False) -> list[str]:
         terms = [t.lower() for t in terms]
     return terms
 
-
-def unique_terms(identifiers: Iterable[str]) -> set[str]:
-    """Union of split() results over a collection of identifiers."""
-    out: set[str] = set()
-    for ident in identifiers:
-        out.update(split(ident))
-    return out

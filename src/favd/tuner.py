@@ -1,11 +1,11 @@
 """Search for the best (cutoff, threshold) pair, and optionally the weight.
 
-The default search is an exhaustive sweep of the cutoff x threshold grid; at
-the corpus sizes this tool targets that is tractable and leaves no search
-nondeterminism. A greedy coordinate-ascent mode is available behind a flag
-for comparison. All F-scores are exact rationals, so argmax ties resolve
-identically on every run: better score first, then smaller cutoff, then
-larger threshold, and for weight sweeps the earlier grid entry.
+The search is an exhaustive sweep of the cutoff x threshold grid: one call to
+`predictor.count_flagged` counts every cell at once, so every cell gets its
+exact F-score and no search nondeterminism is left. All F-scores are exact
+rationals, so argmax ties resolve identically on every run: better score
+first, then smaller cutoff, then larger threshold, and for weight sweeps the
+earlier grid entry.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .corpus import LabeledCorpus
 from .metrics import default_thresholds, f_beta
-from .predictor import ConfusionCounts, TunedModel
+from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
     MinScorePolicy,
@@ -27,7 +25,6 @@ from .ranking import (
     score_frequency,
 )
 from .rational import exact_fraction
-from .splitter import split
 
 DEFAULT_BETA = Fraction(2)
 
@@ -88,86 +85,38 @@ class TuneResult:
     grid_trace: tuple[GridCell, ...] | None = None
 
 
-def _degenerate_result(dangerous: DangerousWordList) -> TuneResult:
-    model = TunedModel(
-        dangerous=dangerous,
-        cutoff=0,
-        threshold=Fraction(1),
-        policy=dangerous.policy,
-        weight=dangerous.weight,
-        source=dangerous.source,
-    )
-    return TuneResult(model=model, train_f2=Fraction(0), grid_trace=())
-
-
-class _CellEvaluator:
-    """Matched-term counts for every name at every cutoff, evaluated lazily.
-
-    For name i with t_i unique terms, m_ij of which sit in the first c_j
-    dangerous words, the prediction at threshold p/q is m_ij*q > p*t_i. That
-    integer comparison is exactly Fraction(m, t) > Fraction(p, q).
-    """
-
-    def __init__(self, dangerous: DangerousWordList, train: LabeledCorpus, cutoffs):
-        position = {term: i + 1 for i, (term, _) in enumerate(dangerous.words)}
-        vuln = sorted(train.vulnerable)
-        benign = sorted(train.benign)
-        self.n_pos = len(vuln)
-        self.n_neg = len(benign)
-        self.cutoffs = np.asarray(cutoffs, dtype=np.int64)
-        n = len(vuln) + len(benign)
-        self.matched = np.zeros((n, len(cutoffs)), dtype=np.int64)
-        self.totals = np.zeros(n, dtype=np.int64)
-        for i, name in enumerate(vuln + benign):
-            terms = set(split(name))
-            self.totals[i] = len(terms)
-            ranks = sorted(position[t] for t in terms if t in position)
-            if ranks:
-                self.matched[i] = np.searchsorted(np.asarray(ranks), self.cutoffs, side="right")
-
-    def counts_per_cutoff(self, threshold: Fraction) -> tuple[np.ndarray, np.ndarray]:
-        p, q = threshold.numerator, threshold.denominator
-        predicted = self.matched * q > (p * self.totals)[:, None]
-        tp = predicted[: self.n_pos].sum(axis=0)
-        fp = predicted[self.n_pos :].sum(axis=0)
-        return tp, fp
-
-    def cell(self, cutoff_index: int, threshold: Fraction, beta) -> GridCell:
-        tp, fp = self.counts_per_cutoff(threshold)
-        counts = ConfusionCounts(
-            tp=int(tp[cutoff_index]),
-            fp=int(fp[cutoff_index]),
-            fn=self.n_pos - int(tp[cutoff_index]),
-            tn=self.n_neg - int(fp[cutoff_index]),
-        )
-        return GridCell(int(self.cutoffs[cutoff_index]), threshold, counts, f_beta(counts, beta))
-
-
 def find_best(
     dangerous: DangerousWordList,
     train: LabeledCorpus,
     grid: SearchGrid,
-    mode: str = "exhaustive",
     beta=DEFAULT_BETA,
     want_trace: bool = False,
 ) -> TuneResult:
     """Pick the (cutoff, threshold) cell maximizing training F-beta.
 
     An empty dangerous list yields the degenerate all-benign model with
-    score 0. Exhaustive mode walks every cell; greedy mode runs coordinate
-    ascent seeded from the threshold columns at both ends of the cutoff axis.
+    score 0.
     """
-    if len(dangerous) == 0:
-        return _degenerate_result(dangerous)
     cutoffs = grid.cutoff_values(len(dangerous))
     thresholds = tuple(sorted(set(grid.thresholds), reverse=True))
-    evaluator = _CellEvaluator(dangerous, train, cutoffs)
-    if mode == "exhaustive":
-        best, trace = _exhaustive(evaluator, cutoffs, thresholds, beta, want_trace)
-    elif mode == "greedy":
-        best, trace = _greedy(evaluator, cutoffs, thresholds, beta, want_trace)
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
+    tp, fp = (counts.tolist() for counts in count_flagged(dangerous, train, cutoffs, thresholds))
+    n_pos, n_neg = len(train.vulnerable), len(train.benign)
+    best: GridCell | None = None
+    trace: list[GridCell] = []
+    # Canonical order (cutoff ascending, threshold descending) plus strict
+    # improvement gives the tie-break: smaller cutoff, then larger threshold.
+    for j, cutoff in enumerate(cutoffs):
+        for i, threshold in enumerate(thresholds):
+            counts = ConfusionCounts(
+                tp=tp[i][j], fp=fp[i][j], fn=n_pos - tp[i][j], tn=n_neg - fp[i][j]
+            )
+            cell = GridCell(cutoff, threshold, counts, f_beta(counts, beta))
+            if want_trace:
+                trace.append(cell)
+            if best is None or cell.f2 > best.f2:
+                best = cell
+    if best is None:
+        best = GridCell(0, Fraction(1), ConfusionCounts(fn=n_pos, tn=n_neg), Fraction(0))
     model = TunedModel(
         dangerous=dangerous,
         cutoff=best.cutoff,
@@ -176,87 +125,13 @@ def find_best(
         weight=dangerous.weight,
         source=dangerous.source,
     )
-    return TuneResult(model=model, train_f2=best.f2, grid_trace=trace)
-
-
-def _exhaustive(evaluator, cutoffs, thresholds, beta, want_trace):
-    per_threshold = [evaluator.counts_per_cutoff(t) for t in thresholds]
-    best: GridCell | None = None
-    trace: list[GridCell] = []
-    # Canonical order (cutoff ascending, threshold descending) plus strict
-    # improvement gives the tie-break: smaller cutoff, then larger threshold.
-    for j, cutoff in enumerate(cutoffs):
-        for t_idx, threshold in enumerate(thresholds):
-            tp_arr, fp_arr = per_threshold[t_idx]
-            tp, fp = int(tp_arr[j]), int(fp_arr[j])
-            counts = ConfusionCounts(
-                tp=tp, fp=fp, fn=evaluator.n_pos - tp, tn=evaluator.n_neg - fp
-            )
-            cell = GridCell(cutoff, threshold, counts, f_beta(counts, beta))
-            if want_trace:
-                trace.append(cell)
-            if best is None or cell.f2 > best.f2:
-                best = cell
-    return best, tuple(trace) if want_trace else None
-
-
-def _greedy(evaluator, cutoffs, thresholds, beta, want_trace):
-    trace: list[GridCell] = []
-
-    def scan_thresholds(cutoff_index: int) -> GridCell:
-        best = None
-        for threshold in thresholds:
-            cell = evaluator.cell(cutoff_index, threshold, beta)
-            if want_trace:
-                trace.append(cell)
-            if best is None or cell.f2 > best.f2:
-                best = cell
-        return best
-
-    def scan_cutoffs(threshold: Fraction) -> GridCell:
-        tp_arr, fp_arr = evaluator.counts_per_cutoff(threshold)
-        best = None
-        for j, cutoff in enumerate(cutoffs):
-            tp, fp = int(tp_arr[j]), int(fp_arr[j])
-            counts = ConfusionCounts(
-                tp=tp, fp=fp, fn=evaluator.n_pos - tp, tn=evaluator.n_neg - fp
-            )
-            cell = GridCell(cutoff, threshold, counts, f_beta(counts, beta))
-            if want_trace:
-                trace.append(cell)
-            if best is None or cell.f2 > best.f2:
-                best = cell
-        return best
-
-    def ascend(start: GridCell) -> GridCell:
-        current = start
-        while True:
-            by_cutoff = scan_cutoffs(current.threshold)
-            moved = by_cutoff.f2 > current.f2
-            if moved:
-                current = by_cutoff
-            by_threshold = scan_thresholds(cutoffs.index(current.cutoff))
-            if by_threshold.f2 > current.f2:
-                current = by_threshold
-                moved = True
-            if not moved:
-                return current
-
-    # Ascend from both ends of the cutoff axis; local maxima near one end are
-    # often global near the other, and this stays a small subset of the grid.
-    best = ascend(scan_thresholds(0))
-    if len(cutoffs) > 1:
-        other = ascend(scan_thresholds(len(cutoffs) - 1))
-        if other.f2 > best.f2:
-            best = other
-    return best, tuple(trace) if want_trace else None
+    return TuneResult(model, best.f2, tuple(trace) if want_trace else None)
 
 
 def search_weights(
     train: LabeledCorpus,
     policy: MinScorePolicy,
     grid: SearchGrid,
-    mode: str = "exhaustive",
     beta=DEFAULT_BETA,
     want_trace: bool = False,
     trace_collector: list | None = None,
@@ -271,7 +146,7 @@ def search_weights(
         table = score_frequency(train, weight)
         dangerous = rank(table, policy)
         result = find_best(
-            dangerous, train, grid, mode=mode, beta=beta,
+            dangerous, train, grid, beta=beta,
             want_trace=want_trace or trace_collector is not None,
         )
         if trace_collector is not None:
@@ -282,9 +157,3 @@ def search_weights(
         best = TuneResult(model=best.model, train_f2=best.train_f2, grid_trace=None)
     return best
 
-
-def train_upper_bound(
-    train: LabeledCorpus, policy: MinScorePolicy, grid: SearchGrid, beta=DEFAULT_BETA
-) -> Fraction:
-    """Best achievable training-set score: a ceiling indicator per dataset."""
-    return search_weights(train, policy, grid, beta=beta).train_f2

@@ -98,35 +98,45 @@ def _small_corpus(seed: int) -> LabeledCorpus:
     return corpus
 
 
+def _check_oracle_equivalence(policy: MinScorePolicy) -> None:
+    started = time.time()
+    weights = (
+        Weight(1, 1), Weight(3, 2), Weight(2, 3), Weight(1, 10),
+        Weight(10, 1), Weight(1, 1000), Weight(1000, 1),
+    )
+    grid = SearchGrid(cutoff_step=3, weights=weights)
+    for seed in range(25):
+        corpus = _small_corpus(1000 + seed)
+        assert len(corpus.vulnerable) + len(corpus.benign) <= 50
+        terms = {t for n in corpus.vulnerable | corpus.benign for t in split(n)}
+        assert len(terms) <= 30
+        best, cells = oracle_sweep(corpus, weights, 3, grid.thresholds,
+                                   keep_all=policy == POLICY_ALL)
+        collector = []
+        result = search_weights(corpus, policy, grid, trace_collector=collector)
+        lib_cells = {
+            (w.tag(), cell.cutoff, cell.threshold): cell.f2
+            for w, trace in collector
+            for cell in trace
+        }
+        assert lib_cells == cells, f"cell table differs on seed {seed}"
+        f2, w_index, cutoff, threshold = best
+        assert result.train_f2 == f2
+        assert result.model.weight == weights[w_index]
+        assert result.model.cutoff == cutoff
+        if cutoff:
+            assert result.model.threshold == threshold
+    assert time.time() - started < 10.0
+
+
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "exhaustive tuner equals brute-force oracle on 25 corpora"):
-        started = time.time()
-        weights = (
-            Weight(1, 1), Weight(3, 2), Weight(2, 3), Weight(1, 10),
-            Weight(10, 1), Weight(1, 1000), Weight(1000, 1),
-        )
-        grid = SearchGrid(cutoff_step=3, weights=weights)
-        for seed in range(25):
-            corpus = _small_corpus(1000 + seed)
-            assert len(corpus.vulnerable) + len(corpus.benign) <= 50
-            terms = {t for n in corpus.vulnerable | corpus.benign for t in split(n)}
-            assert len(terms) <= 30
-            best, cells = oracle_sweep(corpus, weights, 3, grid.thresholds)
-            collector = []
-            result = search_weights(corpus, POLICY_ZERO, grid, trace_collector=collector)
-            lib_cells = {
-                (w.tag(), cell.cutoff, cell.threshold): cell.f2
-                for w, trace in collector
-                for cell in trace
-            }
-            assert lib_cells == cells, f"cell table differs on seed {seed}"
-            f2, w_index, cutoff, threshold = best
-            assert result.train_f2 == f2
-            assert result.model.weight == weights[w_index]
-            assert result.model.cutoff == cutoff
-            if cutoff:
-                assert result.model.threshold == threshold
-        assert time.time() - started < 10.0
+        _check_oracle_equivalence(POLICY_ZERO)
+
+
+def test_criterion_4_oracle_equivalence_policy_none():
+    with criterion(4, "exhaustive tuner equals brute-force oracle, policy none"):
+        _check_oracle_equivalence(POLICY_ALL)
 
 
 # --- 5 -----------------------------------------------------------------
@@ -154,7 +164,7 @@ def test_criterion_5_baseline_predictor_identity():
                 dangerous=words, cutoff=len(words), threshold=Fraction(0),
                 policy=POLICY_ALL, weight=Weight(1, 1),
             )
-            _, counts = classify_corpus(corpus, model)
+            counts = classify_corpus(corpus, model)
             v, b = len(corpus.vulnerable), len(corpus.benign)
             assert f_beta(counts, 2) == all_vulnerable_f2(v, b), corpus.source_label
 
@@ -224,7 +234,7 @@ def test_criterion_7_separability_and_null():
         corpus, _ = generate(spec)
         for train, test in make_kfold(corpus, 2, seed=103).folds:
             result = search_weights(train, POLICY_ZERO, SearchGrid(cutoff_step=1))
-            _, counts = classify_corpus(test, result.model)
+            counts = classify_corpus(test, result.model)
             assert f_beta(counts, 2) == 1
 
         # no signal at all: tuned mean tracks the all-vulnerable mean
@@ -239,7 +249,7 @@ def test_criterion_7_separability_and_null():
             null_corpus, _ = generate(spec)
             for train, test in make_kfold(null_corpus, 2, seed=seed).folds:
                 result = search_weights(train, POLICY_ZERO, grid)
-                _, counts = classify_corpus(test, result.model)
+                counts = classify_corpus(test, result.model)
                 tuned_sum += f_beta(counts, 2)
                 base_sum += all_vulnerable_f2(len(test.vulnerable), len(test.benign))
                 folds += 1
@@ -322,7 +332,7 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
             dangerous=words, cutoff=len(words), threshold=Fraction(0),
             policy=POLICY_ALL, source=words.source,
         )
-        _, counts = classify_corpus(corpus, model)
+        counts = classify_corpus(corpus, model)
         assert f_beta(counts, 2) == all_vulnerable_f2(
             len(corpus.vulnerable), len(corpus.benign)
         )
@@ -353,7 +363,7 @@ def test_criterion_9_replication_data_reproduction():
             top10_hits = 0
             for train, test in plan.folds:
                 result = search_weights(train, POLICY_ZERO, grid)
-                _, counts = classify_corpus(test, result.model)
+                counts = classify_corpus(test, result.model)
                 fold_f2.append(f_beta(counts, 2))
                 if project == "LibPNG":
                     top10 = {t for t, _ in result.model.dangerous.words[:10]}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,49 @@ def test_csv_corpus_input(tmp_path):
     assert rc == 0
     doc = json.loads(model.read_text())
     assert "csv" in doc["provenance"]["inputs"]
+
+
+BAD_INPUTS = {
+    "predict-names-not-utf8": ["predict", "--model", "m.json", "--names", "latin1.txt"],
+    "train-scores-not-utf8": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                              "--scores", "latin1.txt", "--out", "x.json"],
+    "roc-cutoffs-text": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                         "--cutoffs", "x"],
+    "roc-cutoffs-zero": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                         "--cutoffs", "0"],
+    "roc-cutoffs-negative": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                             "--cutoffs", "-3"],
+    "roc-cutoff-step-zero": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                             "--cutoff-step", "0"],
+    "roc-threshold-step-zero": ["roc", "--vuln", "v.txt", "--benign", "b.txt",
+                                "--weight", "1-1", "--threshold-step", "0"],
+    "train-beta-zero": ["train", "--vuln", "v.txt", "--benign", "b.txt", "--beta", "0",
+                        "--out", "x.json"],
+    "config-cutoff-step-text": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                "--config", "cutoff_step.json", "--out", "x.json"],
+    "config-kfold-text": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                          "--config", "kfold.json", "--out-dir", "ev"],
+    "config-seed-text": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                         "--config", "seed.json", "--out-dir", "ev"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, argv):
+    vuln, benign = corpus_files
+    assert main(["train", "--vuln", str(vuln), "--benign", str(benign),
+                 "--cutoff-step", "1", "--out", str(tmp_path / "m.json")]) == 0
+    (tmp_path / "v.txt").write_text(vuln.read_text())
+    (tmp_path / "b.txt").write_text(benign.read_text())
+    (tmp_path / "latin1.txt").write_bytes("lecture_donn\xe9es,0.5\n".encode("latin-1"))
+    (tmp_path / "cutoff_step.json").write_text(json.dumps({"cutoff_step": "a"}))
+    (tmp_path / "kfold.json").write_text(json.dumps({"kfold": "x"}))
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("favd: data error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1

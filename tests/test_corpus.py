@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from favd.corpus import (
     LabeledCorpus,
     RawLists,
-    as_raw,
     clean,
     corpus_stats,
     load_csv,
@@ -107,7 +106,7 @@ class TestClean:
         raw = RawLists(tuple(vuln), tuple(benign))
         once = clean(raw)
         assert not once.vulnerable & once.benign
-        twice = clean(as_raw(once))
+        twice = clean(RawLists(tuple(sorted(once.vulnerable)), tuple(sorted(once.benign))))
         assert (twice.vulnerable, twice.benign) == (once.vulnerable, once.benign)
 
 

@@ -1,0 +1,85 @@
+"""Golden report bytes, checked across hash seeds.
+
+Each CLI command runs in a fresh interpreter under a fixed PYTHONHASHSEED,
+from relative paths inside a temporary directory, on a fixed synthetic
+corpus. The SHA-256 digest of every written file must equal its pin, so
+set iteration order cannot leak into reports and refactors cannot change a
+byte of output. After a deliberate output change, regenerate the pins with
+`python tests/test_golden.py DIR`, which prints the digests of one run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from favd.synth import SynthSpec, generate, write_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS = ["--vuln", "c/vulnerable.txt", "--benign", "c/benign.txt"]
+COMMANDS = [
+    ["eval", *CORPUS, "--kfold", "3", "--seed", "0", "--cutoff-step", "2",
+     "--weights", "1-1,2-1,1-1000", "--out-dir", "ev"],
+    ["train", *CORPUS, "--policy", "none", "--weights", "1-1,3-2", "--cutoff-step", "1",
+     "--trace", "out/trace.csv", "--words-csv", "out/words.csv", "--out", "out/model.json"],
+    ["train", *CORPUS, "--scores", "scores.csv", "--policy", "1/2", "--cutoff-step", "1",
+     "--threshold-step", "1/7", "--out", "out/external.json"],
+    ["roc", *CORPUS, "--weight", "1-1", "--policy", "none", "--cutoffs", "1,5,1000000",
+     "--threshold-step", "1/7", "--include-zero-endpoint", "--out", "out/roc.csv"],
+]
+PINNED = {
+    "ev/eval_report.json": "393e9d34540a22517517af6657c71b498aa38131cffd4c739109b003a63e4b00",
+    "ev/folds.csv": "ba0a0634168071956dcabcd6de32f5966caf9aaff70d558f205f0fcaefd58518",
+    "out/model.json": "272494673e1969a651a651e675d42c115cbdbfe3cd2d78af8b1b24d0ddae206b",
+    "out/trace.csv": "f8aee50246446e99261d9e80e124b01a6b0c1732290864a9e96644d4c7ba7fa2",
+    "out/words.csv": "7af9944a866f1bf78a9d8e97a768999f71032fb19a6365e6b9fc96ea252afc0c",
+    "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
+    "out/roc.csv": "8cff5a4ffc35da645d072c7daf249266073ebc14c69151debfb736d59ddfc9d1",
+}
+
+
+def make_inputs(root: Path) -> None:
+    spec = SynthSpec(
+        seed=7, n_vulnerable=12, n_benign=30, planted_dangerous=frozenset({"alpha", "omega"}),
+        vocab_size=14, terms_per_name=(1, 3), signal_strength=0.7, vocab_overlap=0.5,
+        camel_case=True,
+    )
+    corpus, _ = generate(spec)
+    vuln, benign = write_corpus(corpus, root / "c")
+    # Names made only of underscores have no terms.
+    with vuln.open("a", encoding="utf-8") as fh:
+        fh.write("___\n")
+    with benign.open("a", encoding="utf-8") as fh:
+        fh.write("__\n")
+    (root / "scores.csv").write_text(
+        "term,score\nalpha,0.9\nomega,1/2\nabsentterm,1\nnowhere,0.75\n", encoding="utf-8"
+    )
+
+
+def run_commands(root: Path, hash_seed: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in PINNED}
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_reports_match_pinned_bytes(tmp_path, hash_seed):
+    make_inputs(tmp_path)
+    assert run_commands(tmp_path, hash_seed) == PINNED
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    make_inputs(out)
+    for name, digest in run_commands(out, "0").items():
+        print(f'    "{name}": "{digest}",')

@@ -15,7 +15,7 @@ from favd.metrics import (
     recall,
     roc,
 )
-from favd.predictor import ConfusionCounts, TunedModel, classify_corpus
+from favd.predictor import VULNERABLE, ConfusionCounts, TunedModel, classify
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 
 # Published per-dataset (vulnerable, benign, theoretical F2) triples.
@@ -173,9 +173,10 @@ class TestRoc:
                 dangerous=words, cutoff=2, threshold=point.threshold,
                 policy=words.policy, weight=words.weight,
             )
-            _, counts = classify_corpus(separable_corpus, model)
-            assert point.tpr == Fraction(counts.tp, n_pos)
-            assert point.fpr == Fraction(counts.fp, n_neg)
+            tp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.vulnerable)
+            fp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.benign)
+            assert point.tpr == Fraction(tp, n_pos)
+            assert point.fpr == Fraction(fp, n_neg)
 
     def test_one_sided_corpus_rejected(self):
         corpus = clean(RawLists(("read_file",), ()))

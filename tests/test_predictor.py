@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from favd.corpus import LabeledCorpus, RawLists, clean
+from favd.metrics import f_beta, roc
 from favd.predictor import (
     BENIGN,
     VULNERABLE,
@@ -12,7 +13,16 @@ from favd.predictor import (
     classify,
     classify_corpus,
 )
-from favd.ranking import DangerousWordList, MinScorePolicy, Weight, rank, score_frequency
+from favd.ranking import (
+    EXTERNAL,
+    DangerousWordList,
+    MinScorePolicy,
+    TermScoreTable,
+    Weight,
+    rank,
+    score_frequency,
+)
+from favd.tuner import SearchGrid, find_best
 
 
 def _model(words, cutoff, threshold) -> TunedModel:
@@ -77,6 +87,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             _model(["read"], cutoff=0, threshold=0.0)
 
+    def test_threshold_must_lie_in_unit_interval(self):
+        with pytest.raises(ValueError):
+            _model(["read"], cutoff=1, threshold=1.5)
+        with pytest.raises(ValueError):
+            _model(["read"], cutoff=1, threshold=-0.25)
+
     def test_empty_list_needs_cutoff_zero(self):
         dangerous = DangerousWordList(words=(), policy=MinScorePolicy.all_terms())
         model = TunedModel(
@@ -94,7 +110,7 @@ class TestClassifyCorpus:
             dangerous=words, cutoff=1, threshold=Fraction(0), policy=words.policy,
             weight=words.weight,
         )
-        _, counts = classify_corpus(separable_corpus, model)
+        counts = classify_corpus(separable_corpus, model)
         assert counts == ConfusionCounts(tp=3, fp=0, fn=0, tn=3)
 
     def test_empty_dangerous_list_predicts_all_benign(self, separable_corpus):
@@ -102,7 +118,7 @@ class TestClassifyCorpus:
         model = TunedModel(
             dangerous=dangerous, cutoff=0, threshold=Fraction(1), policy=dangerous.policy
         )
-        _, counts = classify_corpus(separable_corpus, model)
+        counts = classify_corpus(separable_corpus, model)
         assert counts == ConfusionCounts(
             tp=0, fp=0, fn=len(separable_corpus.vulnerable), tn=len(separable_corpus.benign)
         )
@@ -111,12 +127,12 @@ class TestClassifyCorpus:
         corpus = clean(RawLists(("read_file", "net_poll"), ("write_log",)))
         model = _model(["read", "write"], cutoff=2, threshold=0.4)
         # read_file: 1/2 > 0.4 -> TP; net_poll: 0 -> FN; write_log: 1/2 -> FP
-        _, counts = classify_corpus(corpus, model)
+        counts = classify_corpus(corpus, model)
         assert counts == ConfusionCounts(tp=1, fp=1, fn=1, tn=0)
 
     def test_counts_respect_class_totals(self, toy_corpus):
         model = _model(["read"], cutoff=1, threshold=0.2)
-        _, counts = classify_corpus(toy_corpus, model)
+        counts = classify_corpus(toy_corpus, model)
         assert counts.tp + counts.fn == len(toy_corpus.vulnerable)
         assert counts.fp + counts.tn == len(toy_corpus.benign)
 
@@ -126,7 +142,7 @@ class TestClassifyCorpus:
         a = clean(RawLists(names_v, names_b))
         b = clean(RawLists(tuple(reversed(names_v)), tuple(reversed(names_b))))
         model = _model(["read", "parse", "open"], cutoff=3, threshold=0.3)
-        assert classify_corpus(a, model)[1] == classify_corpus(b, model)[1]
+        assert classify_corpus(a, model) == classify_corpus(b, model)
 
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
@@ -161,3 +177,68 @@ def test_higher_threshold_shrinks_predicted_set(idents, thresholds):
     flagged_low = {i for i in idents if classify(i, model_low).label == VULNERABLE}
     flagged_high = {i for i in idents if classify(i, model_high).label == VULNERABLE}
     assert flagged_high <= flagged_low
+
+
+# Batch paths (classify_corpus, roc, find_best) against a loop of classify().
+KERNEL_THRESHOLDS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                     Fraction(2, 3), Fraction(1))
+EXTERNAL_TABLE = TermScoreTable(
+    scores={"alpha": Fraction(1), "absent": Fraction(9, 10), "Bravo": Fraction(1, 2),
+            "nowhere": Fraction(1, 3), "x1": Fraction(1, 5)},
+    origin=EXTERNAL,
+)
+kernel_name = st.one_of(
+    st.sampled_from(["__", "___"]),
+    st.builds(
+        lambda words, joiner: joiner.join(words),
+        st.lists(st.sampled_from(["alpha", "Bravo", "charlie", "x1", "y", "alpha2"]),
+                 min_size=1, max_size=4),
+        st.sampled_from(["_", ""]),
+    ),
+)
+kernel_corpus = st.builds(
+    lambda vuln, benign: clean(RawLists(tuple(vuln), tuple(benign))),
+    st.sets(kernel_name, min_size=1, max_size=8),
+    st.sets(kernel_name, max_size=8),
+)
+
+
+def _looped_counts(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
+    tp = sum(classify(name, model).label == VULNERABLE for name in corpus.vulnerable)
+    fp = sum(classify(name, model).label == VULNERABLE for name in corpus.benign)
+    return ConfusionCounts(tp, fp, len(corpus.vulnerable) - tp, len(corpus.benign) - fp)
+
+
+def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedModel:
+    return TunedModel(dangerous=words, cutoff=min(cutoff, len(words)), threshold=threshold,
+                      policy=words.policy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=kernel_corpus, weight=st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3)]))
+def test_batch_counts_equal_classify_loop(corpus, weight):
+    lists = [rank(score_frequency(corpus, weight), MinScorePolicy.parse(policy))
+             for policy in ("zero", "none", "1/2")]
+    lists.append(rank(EXTERNAL_TABLE, MinScorePolicy.all_terms()))
+    grid = SearchGrid(cutoff_step=2, thresholds=KERNEL_THRESHOLDS)
+    for words in lists:
+        if len(words) == 0:
+            model = TunedModel(dangerous=words, cutoff=0, threshold=Fraction(1),
+                               policy=words.policy)
+            assert classify_corpus(corpus, model) == _looped_counts(corpus, model)
+            continue
+        for cutoff in range(1, len(words) + 1):
+            for threshold in KERNEL_THRESHOLDS:
+                model = _rule(words, cutoff, threshold)
+                assert classify_corpus(corpus, model) == _looped_counts(corpus, model)
+        for cell in find_best(words, corpus, grid, want_trace=True).grid_trace:
+            counts = _looped_counts(corpus, _rule(words, cell.cutoff, cell.threshold))
+            assert cell.counts == counts
+            assert cell.f2 == f_beta(counts, 2)
+        if not corpus.benign:
+            continue
+        for cutoff in range(1, len(words) + 3):
+            for point in roc(words, cutoff, corpus, thresholds=KERNEL_THRESHOLDS).points:
+                counts = _looped_counts(corpus, _rule(words, cutoff, point.threshold))
+                assert point.tpr == Fraction(counts.tp, len(corpus.vulnerable))
+                assert point.fpr == Fraction(counts.fp, len(corpus.benign))

@@ -16,7 +16,11 @@ from favd.ranking import (
     score_frequency,
     write_word_list_csv,
 )
-from favd.splitter import unique_terms
+from favd.splitter import split
+
+
+def unique_terms(names) -> set[str]:
+    return {term for name in names for term in split(name)}
 
 
 class TestWeight:

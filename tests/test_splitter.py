@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, assume, strategies as st
 
-from favd.splitter import split, unique_terms
+from favd.splitter import split
 
 # Sample words from the per-project most/least dangerous lists; each must
 # survive splitting unchanged when it appears as an underscore-delimited
@@ -86,12 +86,6 @@ def test_case_folding_flag():
 
 def test_symbols_do_not_split():
     assert split("a$b") == ["a$b"]
-
-
-def test_unique_terms_examples():
-    assert unique_terms({"read_file", "read_net"}) == {"read", "file", "net"}
-    assert unique_terms(set()) == set()
-    assert unique_terms({"a_b", "aB"}) == {"a", "b", "B"}
 
 
 identifiers = st.text(alphabet="abcXYZ019_", min_size=1, max_size=24)

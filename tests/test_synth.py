@@ -96,7 +96,7 @@ class TestEndToEnd:
             result = search_weights(
                 train, MinScorePolicy.at_least(0), SearchGrid(cutoff_step=1)
             )
-            _, counts = classify_corpus(test, result.model)
+            counts = classify_corpus(test, result.model)
             assert f_beta(counts, 2) == 1
 
     def test_planted_corpus_beats_all_vulnerable_baseline_under_5fold(self):
@@ -108,7 +108,7 @@ class TestEndToEnd:
         f2_sum, base_sum = Fraction(0), Fraction(0)
         for train, test in make_kfold(corpus, 5, seed=11).folds:
             result = search_weights(train, MinScorePolicy.at_least(0), grid)
-            _, counts = classify_corpus(test, result.model)
+            counts = classify_corpus(test, result.model)
             f2_sum += f_beta(counts, 2)
             base_sum += all_vulnerable_f2(len(test.vulnerable), len(test.benign))
         assert f2_sum >= base_sum
@@ -131,7 +131,7 @@ class TestEndToEnd:
                 corpus, _ = generate(spec)
                 for train, test in make_kfold(corpus, 2, seed=seed).folds:
                     result = search_weights(train, policy, grid)
-                    _, counts = classify_corpus(test, result.model)
+                    counts = classify_corpus(test, result.model)
                     total += f_beta(counts, 2)
                     folds += 1
             return float(total / folds)

@@ -13,7 +13,6 @@ from favd.tuner import (
     find_best,
     search_weights,
     threshold_values,
-    train_upper_bound,
 )
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
@@ -81,7 +80,7 @@ class TestFindBest:
         result = find_best(words, separable_corpus, small_grid())
         assert result.train_f2 == 0
         assert result.model.cutoff == 0
-        _, counts = classify_corpus(separable_corpus, result.model)
+        counts = classify_corpus(separable_corpus, result.model)
         assert counts.tp == 0 and counts.fp == 0
 
     def test_trace_contains_every_cell_and_argmax_dominates(self, separable_corpus):
@@ -95,7 +94,7 @@ class TestFindBest:
     def test_reported_f2_matches_fresh_classification(self, separable_corpus):
         words = rank(score_frequency(separable_corpus, Weight(2, 3)), POLICY_ZERO)
         result = find_best(words, separable_corpus, small_grid())
-        _, counts = classify_corpus(separable_corpus, result.model)
+        counts = classify_corpus(separable_corpus, result.model)
         assert f_beta(counts, 2) == result.train_f2
 
     def test_tie_break_prefers_smaller_cutoff_then_larger_threshold(self):
@@ -112,11 +111,6 @@ class TestFindBest:
         a = find_best(words, separable_corpus, small_grid(), want_trace=True)
         b = find_best(words, separable_corpus, small_grid(), want_trace=True)
         assert a == b
-
-    def test_unknown_mode_rejected(self, separable_corpus):
-        words = rank(score_frequency(separable_corpus, Weight(1, 1)), POLICY_ZERO)
-        with pytest.raises(ValueError):
-            find_best(words, separable_corpus, small_grid(), mode="simulated-annealing")
 
 
 class TestSearchWeights:
@@ -200,29 +194,13 @@ class TestSearchWeights:
                 assert result.model.threshold == threshold
 
 
-class TestGreedy:
-    def test_never_beats_exhaustive_and_stays_close(self):
-        grid = SearchGrid(cutoff_step=3)
-        for seed in range(10):
-            spec = SynthSpec(
-                seed=2000 + seed, n_vulnerable=10, n_benign=15,
-                planted_dangerous=frozenset({"alpha", "omega"}), vocab_size=10,
-                terms_per_name=(1, 3), signal_strength=0.6, vocab_overlap=0.5,
-            )
-            corpus, _ = generate(spec)
-            exhaustive = search_weights(corpus, POLICY_ZERO, grid, mode="exhaustive")
-            greedy = search_weights(corpus, POLICY_ZERO, grid, mode="greedy")
-            assert greedy.train_f2 <= exhaustive.train_f2
-            assert float(exhaustive.train_f2 - greedy.train_f2) <= 0.05
-
-
 class TestUpperBound:
     def test_separable_corpus_reaches_one(self, separable_corpus):
-        assert train_upper_bound(separable_corpus, POLICY_ZERO, small_grid()) == 1
+        assert search_weights(separable_corpus, POLICY_ZERO, small_grid()).train_f2 == 1
 
     def test_all_benign_corpus_is_zero(self):
         corpus = LabeledCorpus(
             vulnerable=frozenset(), benign=frozenset({"safe_a", "calm_b"})
         )
-        assert train_upper_bound(corpus, POLICY_ZERO, small_grid()) == 0
-        assert train_upper_bound(corpus, MinScorePolicy.all_terms(), small_grid()) == 0
+        assert search_weights(corpus, POLICY_ZERO, small_grid()).train_f2 == 0
+        assert search_weights(corpus, MinScorePolicy.all_terms(), small_grid()).train_f2 == 0
