@@ -359,17 +359,13 @@ def _read_names(path: Path) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
-    first = text.splitlines()[0].strip().lower() if text.strip() else ""
-    if first.startswith("name,"):
-        names = []
+    lines = text.splitlines()
+    if lines and lines[0].strip().lower().startswith("name,"):
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if row and row[0].strip():
-                    names.append(row[0].strip())
-        return names
-    return [line.rstrip() for line in text.splitlines() if line.rstrip()]
+            rows = csv.reader(fh)
+            next(rows)
+            return [row[0].strip() for row in rows if row and row[0].strip()]
+    return [line.rstrip() for line in lines if line.rstrip()]
 
 
 def cmd_predict(args, config) -> int:
@@ -508,9 +504,10 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    p = command("split", cmd_split, "print an identifier's terms, one per line")
+    p = sub.add_parser("split", help="print an identifier's terms, one per line")
     p.add_argument("name")
     p.add_argument("--fold-case", dest="fold_case", action="store_true", default=None)
+    p.set_defaults(func=cmd_split)
 
     p = command("train", cmd_train, "tune a model on a labeled corpus and save it as JSON")
     add_corpus_flags(p)

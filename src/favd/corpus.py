@@ -80,6 +80,19 @@ class EncodedCorpus:
         benign = np.bincount(self.indices[end:], minlength=size)
         return vuln.tolist(), benign.tolist()
 
+    def sorted_row_values(
+        self, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's term values in ascending order, given a value per term id.
+
+        Returns (sizes, starts, flat): row i holds sizes[i] terms, and their
+        values, smallest first, are flat[starts[i]:starts[i] + sizes[i]].
+        """
+        sizes = np.diff(self.indptr)
+        flat = values[self.indices]
+        flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sizes)), sizes)))]
+        return sizes, self.indptr[:-1], flat
+
 
 def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     """Split every name once; see EncodedCorpus for the layout.

@@ -96,11 +96,13 @@ def count_flagged(
     """Vulnerable (tp) and benign (fp) names flagged at each threshold and cutoff.
 
     Both arrays have shape (len(thresholds), len(cutoffs)) and hold what
-    classify() gives name by name; thresholds must lie in [0, 1]. A name with
-    t unique terms is flagged at threshold p/q once more than p*t/q of its
-    terms rank within the cutoff, that is from the rank of its
+    classify() gives name by name; a threshold outside [0, 1] is a ValueError.
+    A name with t unique terms is flagged at threshold p/q once more than
+    p*t/q of its terms rank within the cutoff, that is from the rank of its
     (floor(p*t/q) + 1)-th best-ranked term on.
     """
+    if not all(0 <= threshold <= 1 for threshold in thresholds):
+        raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
     encoded = corpus.encoded
     unranked = len(dangerous) + 1
     rank_of = np.full(len(encoded.vocabulary), unranked, dtype=np.int64)
@@ -108,11 +110,7 @@ def count_flagged(
         term_id = encoded.vocabulary.get(term)
         if term_id is not None:
             rank_of[term_id] = position
-    sizes = np.diff(encoded.indptr)
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    ranks = rank_of[encoded.indices]
-    ranks = ranks[np.lexsort((ranks, rows))]  # each name's term ranks, best first
-    starts = encoded.indptr[:-1]
+    sizes, starts, ranks = encoded.sorted_row_values(rank_of)  # term ranks, best first
     limits = [min(cutoff, len(dangerous)) for cutoff in cutoffs]
     n_vuln = encoded.n_vulnerable
     tp = np.empty((len(thresholds), len(limits)), dtype=np.int64)

@@ -44,6 +44,7 @@ def test_split_fold_case(capsys):
 def test_usage_error_exits_one():
     assert main(["split"]) in (1,)  # missing positional
     assert main(["no-such-command"]) == 1
+    assert main(["split", "--config", "c.json", "read_file"]) == 1  # split reads no config
 
 
 def test_train_predict_roundtrip(tmp_path, corpus_files, capsys):

@@ -184,6 +184,11 @@ class TestRoc:
         with pytest.raises(DataError):
             roc(words, 1, corpus)
 
+    @pytest.mark.parametrize("threshold", [Fraction(-1, 4), Fraction(5, 4)])
+    def test_threshold_outside_unit_interval_rejected(self, separable_corpus, threshold):
+        with pytest.raises(ValueError):
+            roc(self._ranked(separable_corpus), 3, separable_corpus, thresholds=(threshold,))
+
     def test_default_threshold_grid(self):
         grid = default_thresholds()
         assert len(grid) == 21
