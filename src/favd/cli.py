@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    FoldPlan,
     LabeledCorpus,
     clean,
     corpus_stats,
@@ -83,6 +84,8 @@ def _write_csv(out: str | Path | None, header: list[str], rows) -> None:
 def _parse_weights(text: str | None):
     if not text:
         return default_weight_grid()
+    if not isinstance(text, str):
+        raise DataError(f"weights must be a comma list of PLUS-MINUS pairs, got {text!r}")
     return tuple(Weight.parse(part) for part in text.split(",") if part.strip())
 
 
@@ -189,17 +192,17 @@ def _fold_metrics(counts, beta) -> dict:
 
 def _trace_rows(traces):
     for weight, cells in traces:
+        tag = weight.tag() if weight else ""
+        # Keyed by id, as hashing a Fraction is slow: the cells share the
+        # grid's threshold objects, which all live as long as `cells` does.
+        labels: dict[int, str] = {}
         for cell in cells or ():
-            yield [
-                weight.tag() if weight else "",
-                cell.cutoff,
-                str(float(cell.threshold)),
-                cell.counts.tp,
-                cell.counts.fp,
-                cell.counts.fn,
-                cell.counts.tn,
-                f"{float(cell.f2):.6f}",
-            ]
+            label = labels.get(id(cell.threshold))
+            if label is None:
+                label = labels[id(cell.threshold)] = str(float(cell.threshold))
+            # Int true division rounds correctly, as float(Fraction) does.
+            yield [tag, cell.cutoff, label, cell.tp, cell.fp, cell.fn, cell.tn,
+                   f"{cell.num / cell.den:.6f}"]
 
 
 def _tune(train, external_table, policy, grid, beta, traces: list | None = None):
@@ -286,6 +289,16 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
     return row, exact
 
 
+def _loo_plan(dirs) -> tuple[FoldPlan, dict]:
+    """Leave-one-out plan over project dirs; the plan holds the only corpora."""
+    corpora = []
+    digests = {}
+    for d in dirs:
+        corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
+        corpora.append(corpus)
+    return make_leave_one_out(corpora), digests
+
+
 def cmd_eval(args, config) -> int:
     grid, policy, beta, options = _grid_options(args, config)
     loo_dirs = _resolve(args, config, "loo", None)
@@ -293,14 +306,9 @@ def cmd_eval(args, config) -> int:
     external_table = load_external_scores(scores_path) if scores_path else None
     options["scorer"] = "external" if external_table is not None else "frequency"
     if loo_dirs:
-        corpora = []
-        digests = {}
-        for d in map(Path, loo_dirs):
-            corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
-            corpora.append(corpus)
-        plan = make_leave_one_out(corpora)
-        protocol = {"kind": "leave_one_out", "projects": [c.source_label for c in corpora]}
+        plan, digests = _loo_plan(map(Path, loo_dirs))
         fold_ids = [test.source_label for _, test in plan.folds]
+        protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
         corpus, digests = _corpus_inputs(args, config)
         k = _parse_int(_resolve(args, config, "kfold", 5), "kfold")
@@ -309,9 +317,14 @@ def cmd_eval(args, config) -> int:
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
 
+    # Take each fold out of the plan as it is run, so its corpora and their
+    # encodings are freed when the next fold is taken.
+    pending = list(zip(fold_ids, plan.folds))
+    del plan
     folds = []
     sums: dict[str, Fraction] = {}
-    for fold_id, (train, test) in zip(fold_ids, plan.folds):
+    while pending:
+        fold_id, (train, test) = pending.pop(0)
         row, exact = _eval_fold(fold_id, train, test, policy, grid, beta, external_table)
         folds.append(row)
         for key, value in exact.items():
@@ -400,12 +413,13 @@ def cmd_roc(args, config) -> int:
         cutoffs = [_parse_int(c, "cutoff", 1) for c in args.cutoffs.split(",") if c.strip()]
     else:
         cutoffs = grid.cutoff_values(len(dangerous))
-    include_zero = bool(args.include_zero_endpoint)
+    curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
+                 include_zero_endpoint=bool(args.include_zero_endpoint))
     rows = (
-        [cutoff, str(float(point.threshold)), f"{float(point.tpr):.6f}", f"{float(point.fpr):.6f}"]
-        for cutoff in cutoffs
-        for point in roc(dangerous, cutoff, corpus, thresholds=grid.thresholds,
-                         include_zero_endpoint=include_zero).points
+        [curve.cutoff, str(float(point.threshold)), f"{float(point.tpr):.6f}",
+         f"{float(point.fpr):.6f}"]
+        for curve in curves
+        for point in curve.points
     )
     _write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows)
     return 0

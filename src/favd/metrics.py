@@ -3,10 +3,15 @@
 Everything is computed in exact rational arithmetic. The zero-denominator
 convention is: precision, recall, and F-scores are 0 whenever TP is 0, which
 keeps degenerate folds and baselines well defined.
+
+`f_beta_terms`, the one copy of the F-beta formula, gives an integer
+numerator and denominator, which the tuner compares by cross-multiplying;
+`f_beta` makes a Fraction of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,15 +34,30 @@ def recall(c: ConfusionCounts) -> Fraction:
     return Fraction(c.tp, c.tp + c.fn)
 
 
-def f_beta(c: ConfusionCounts, beta) -> Fraction:
-    """(1 + b^2) TP / ((1 + b^2) TP + b^2 FN + FP); 0 when TP is 0."""
+def beta_squared(beta) -> tuple[int, int]:
+    """beta^2 as the integers (r, s) of r/s in lowest terms; beta must be positive."""
     b = exact_fraction(beta)
     if b <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if c.tp == 0:
-        return Fraction(0)
     b2 = b * b
-    return (1 + b2) * c.tp / ((1 + b2) * c.tp + b2 * c.fn + c.fp)
+    return b2.numerator, b2.denominator
+
+
+def f_beta_terms(tp: int, fp: int, fn: int, r: int, s: int) -> tuple[int, int]:
+    """F-beta for beta^2 = r/s as (numerator, denominator), not reduced.
+
+    (r + s) TP / ((r + s) TP + r FN + s FP), the usual formula times s/s, or
+    (0, 1) when TP is 0; the denominator is always positive.
+    """
+    if tp == 0:
+        return 0, 1
+    num = (r + s) * tp
+    return num, num + r * fn + s * fp
+
+
+def f_beta(c: ConfusionCounts, beta) -> Fraction:
+    """(1 + b^2) TP / ((1 + b^2) TP + b^2 FN + FP); 0 when TP is 0."""
+    return Fraction(*f_beta_terms(c.tp, c.fp, c.fn, *beta_squared(beta)))
 
 
 def all_vulnerable_f2(vuln_count: int, benign_count: int) -> Fraction:
@@ -79,29 +99,34 @@ def default_thresholds() -> tuple[Fraction, ...]:
 
 def roc(
     dangerous: DangerousWordList,
-    cutoff: int,
+    cutoffs: Sequence[int],
     corpus: LabeledCorpus,
     thresholds: tuple[Fraction, ...] | None = None,
     include_zero_endpoint: bool = False,
-) -> RocCurve:
-    """TPR/FPR per threshold, threshold descending, at one fixed cutoff.
+) -> tuple[RocCurve, ...]:
+    """One curve per cutoff, in the given order: TPR/FPR per threshold, descending.
 
-    The threshold-0 point is the degenerate all-vulnerable anchor (1, 1); it
-    clutters plots, so it is only emitted when explicitly requested.
+    Cutoffs may repeat and may exceed the list length; one `count_flagged`
+    call counts every (threshold, cutoff) pair. The threshold-0 point is the
+    degenerate all-vulnerable anchor (1, 1); it clutters plots, so it is only
+    emitted when explicitly requested.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    bad = [cutoff for cutoff in cutoffs if cutoff < 1]
+    if bad:
+        raise ValueError(f"cutoffs must be >= 1, got {bad}")
     if not corpus.vulnerable or not corpus.benign:
         raise DataError("ROC rates need at least one vulnerable and one benign name")
     if thresholds is None:
         thresholds = default_thresholds()
     n_pos, n_neg = len(corpus.vulnerable), len(corpus.benign)
     kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
-    tp, fp = count_flagged(dangerous, corpus, [cutoff], kept)
-    points = [
-        RocPoint(threshold=threshold, tpr=Fraction(int(t), n_pos), fpr=Fraction(int(f), n_neg))
-        for threshold, t, f in zip(kept, tp[:, 0], fp[:, 0])
-    ]
-    if include_zero_endpoint:
-        points.append(RocPoint(Fraction(0), Fraction(1), Fraction(1)))
-    return RocCurve(points=tuple(points), cutoff=cutoff)
+    tp, fp = count_flagged(dangerous, corpus, cutoffs, kept)
+    tail = (RocPoint(Fraction(0), Fraction(1), Fraction(1)),) if include_zero_endpoint else ()
+    curves = []
+    for cutoff, tp_column, fp_column in zip(cutoffs, tp.T.tolist(), fp.T.tolist()):
+        points = tuple(
+            RocPoint(threshold, Fraction(t, n_pos), Fraction(f, n_neg))
+            for threshold, t, f in zip(kept, tp_column, fp_column)
+        )
+        curves.append(RocCurve(points=points + tail, cutoff=cutoff))
+    return tuple(curves)

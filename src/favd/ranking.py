@@ -95,6 +95,8 @@ class MinScorePolicy:
     @classmethod
     def parse(cls, text: str) -> "MinScorePolicy":
         # "none"/"all" keep every term; "zero" is the >= 0 cut.
+        if not isinstance(text, str):
+            raise DataError(f"cannot parse policy {text!r}; expected none, zero or a number")
         word = text.strip().lower()
         if word in ("none", "all"):
             return cls.all_terms()

@@ -2,19 +2,25 @@
 
 The search is an exhaustive sweep of the cutoff x threshold grid: one call to
 `predictor.count_flagged` counts every cell at once, so every cell gets its
-exact F-score and no search nondeterminism is left. All F-scores are exact
-rationals, so argmax ties resolve identically on every run: better score
-first, then smaller cutoff, then larger threshold, and for weight sweeps the
-earlier grid entry.
+exact F-score and no search nondeterminism is left. Each cell's score is the
+integer numerator/denominator pair of `metrics.f_beta_terms`, and cells are
+compared by exact integer cross-products, so no float or Fraction is made per
+cell and argmax ties resolve identically on every run: better score first,
+then smaller cutoff, then larger threshold, and for weight sweeps the earlier
+grid entry. Only the winner's score becomes a Fraction (`train_f2`).
+
+A trace, when asked for, holds one `GridCell` per cell: its cutoff,
+threshold, confusion counts and the score's integer pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .corpus import LabeledCorpus
-from .metrics import default_thresholds, f_beta
+from .metrics import beta_squared, default_thresholds, f_beta_terms
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
@@ -70,12 +76,25 @@ class SearchGrid:
         return tuple(values)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
+    """One traced cell; its F-beta score is num/den (see metrics.f_beta_terms)."""
+
     cutoff: int
     threshold: Fraction
-    counts: ConfusionCounts
-    f2: Fraction
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+    num: int
+    den: int
+
+    @property
+    def counts(self) -> ConfusionCounts:
+        return ConfusionCounts(self.tp, self.fp, self.fn, self.tn)
+
+    @property
+    def f2(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 @dataclass(frozen=True)
@@ -99,33 +118,30 @@ def find_best(
     """
     cutoffs = grid.cutoff_values(len(dangerous))
     thresholds = tuple(sorted(set(grid.thresholds), reverse=True))
-    tp, fp = (counts.tolist() for counts in count_flagged(dangerous, train, cutoffs, thresholds))
+    tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
     n_pos, n_neg = len(train.vulnerable), len(train.benign)
-    best: GridCell | None = None
+    r, s = beta_squared(beta)
+    best_cutoff, best_threshold, best_num, best_den = 0, Fraction(1), 0, 1
     trace: list[GridCell] = []
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
-    for j, cutoff in enumerate(cutoffs):
-        for i, threshold in enumerate(thresholds):
-            counts = ConfusionCounts(
-                tp=tp[i][j], fp=fp[i][j], fn=n_pos - tp[i][j], tn=n_neg - fp[i][j]
-            )
-            cell = GridCell(cutoff, threshold, counts, f_beta(counts, beta))
+    # Cutoff 0 means no cell yet, and stays for an empty list.
+    for cutoff, tp_column, fp_column in zip(cutoffs, tp.T.tolist(), fp.T.tolist()):
+        for threshold, t, f in zip(thresholds, tp_column, fp_column):
+            num, den = f_beta_terms(t, f, n_pos - t, r, s)
             if want_trace:
-                trace.append(cell)
-            if best is None or cell.f2 > best.f2:
-                best = cell
-    if best is None:
-        best = GridCell(0, Fraction(1), ConfusionCounts(fn=n_pos, tn=n_neg), Fraction(0))
+                trace.append(GridCell(cutoff, threshold, t, f, n_pos - t, n_neg - f, num, den))
+            if not best_cutoff or num * best_den > best_num * den:
+                best_cutoff, best_threshold, best_num, best_den = cutoff, threshold, num, den
     model = TunedModel(
         dangerous=dangerous,
-        cutoff=best.cutoff,
-        threshold=best.threshold,
+        cutoff=best_cutoff,
+        threshold=best_threshold,
         policy=dangerous.policy,
         weight=dangerous.weight,
         source=dangerous.source,
     )
-    return TuneResult(model, best.f2, tuple(trace) if want_trace else None)
+    return TuneResult(model, Fraction(best_num, best_den), tuple(trace) if want_trace else None)
 
 
 def search_weights(

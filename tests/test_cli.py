@@ -292,6 +292,10 @@ BAD_INPUTS = {
                           "--config", "kfold.json", "--out-dir", "ev"],
     "config-seed-text": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
                          "--config", "seed.json", "--out-dir", "ev"],
+    "config-policy-number": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                             "--config", "policy.json", "--out", "x.json"],
+    "config-weights-number": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                              "--config", "weights.json", "--out", "x.json"],
 }
 
 
@@ -306,6 +310,8 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "cutoff_step.json").write_text(json.dumps({"cutoff_step": "a"}))
     (tmp_path / "kfold.json").write_text(json.dumps({"kfold": "x"}))
     (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
+    (tmp_path / "policy.json").write_text(json.dumps({"policy": 5}))
+    (tmp_path / "weights.json").write_text(json.dumps({"weights": 5}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=env,

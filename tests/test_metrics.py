@@ -121,21 +121,21 @@ class TestRoc:
         return rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
 
     def test_threshold_one_anchors_origin(self, separable_corpus):
-        curve = roc(self._ranked(separable_corpus), 3, separable_corpus)
+        curve = roc(self._ranked(separable_corpus), [3], separable_corpus)[0]
         first = curve.points[0]
         assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
 
     def test_zero_endpoint_only_when_flagged(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        plain = roc(words, 3, separable_corpus)
+        plain = roc(words, [3], separable_corpus)[0]
         assert all(p.threshold > 0 for p in plain.points)
-        flagged = roc(words, 3, separable_corpus, include_zero_endpoint=True)
+        flagged = roc(words, [3], separable_corpus, include_zero_endpoint=True)[0]
         last = flagged.points[-1]
         assert (last.threshold, last.tpr, last.fpr) == (0, 1, 1)
 
     def test_rates_monotone_as_threshold_decreases(self, separable_corpus):
-        curve = roc(self._ranked(separable_corpus), 2, separable_corpus,
-                    include_zero_endpoint=True)
+        curve = roc(self._ranked(separable_corpus), [2], separable_corpus,
+                    include_zero_endpoint=True)[0]
         for a, b in zip(curve.points, curve.points[1:]):
             assert a.threshold > b.threshold
             assert b.tpr >= a.tpr
@@ -151,9 +151,9 @@ class TestRoc:
         )
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         assert [t for t, _ in words.words][:2] == ["read", "net"]
-        curve = roc(words, 2, corpus, thresholds=(
+        curve = roc(words, [2], corpus, thresholds=(
             Fraction(1), Fraction(3, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 4),
-        ))
+        ))[0]
         expected = [
             (Fraction(1), Fraction(0), Fraction(0)),
             (Fraction(3, 4), Fraction(1, 2), Fraction(0)),  # only pct 1 passes
@@ -165,7 +165,7 @@ class TestRoc:
 
     def test_roc_agrees_with_classifier_counts(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        curve = roc(words, 2, separable_corpus)
+        curve = roc(words, [2], separable_corpus)[0]
         n_pos = len(separable_corpus.vulnerable)
         n_neg = len(separable_corpus.benign)
         for point in curve.points:
@@ -178,16 +178,29 @@ class TestRoc:
             assert point.tpr == Fraction(tp, n_pos)
             assert point.fpr == Fraction(fp, n_neg)
 
+    def test_many_cutoffs_in_one_call_equal_single_calls(self, separable_corpus):
+        words = self._ranked(separable_corpus)
+        cutoffs = [3, 1, 3, len(words) + 5]
+        for include_zero in (False, True):
+            curves = roc(words, cutoffs, separable_corpus, include_zero_endpoint=include_zero)
+            assert [curve.cutoff for curve in curves] == cutoffs
+            assert list(curves) == [
+                roc(words, [cutoff], separable_corpus, include_zero_endpoint=include_zero)[0]
+                for cutoff in cutoffs
+            ]
+        past_end, full = roc(words, [len(words) + 5, len(words)], separable_corpus)
+        assert past_end.points == full.points
+
     def test_one_sided_corpus_rejected(self):
         corpus = clean(RawLists(("read_file",), ()))
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         with pytest.raises(DataError):
-            roc(words, 1, corpus)
+            roc(words, [1], corpus)
 
     @pytest.mark.parametrize("threshold", [Fraction(-1, 4), Fraction(5, 4)])
     def test_threshold_outside_unit_interval_rejected(self, separable_corpus, threshold):
         with pytest.raises(ValueError):
-            roc(self._ranked(separable_corpus), 3, separable_corpus, thresholds=(threshold,))
+            roc(self._ranked(separable_corpus), [3], separable_corpus, thresholds=(threshold,))
 
     def test_default_threshold_grid(self):
         grid = default_thresholds()

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import oracle_sweep
 from favd.corpus import LabeledCorpus, RawLists, clean
@@ -111,6 +112,48 @@ class TestFindBest:
         a = find_best(words, separable_corpus, small_grid(), want_trace=True)
         b = find_best(words, separable_corpus, small_grid(), want_trace=True)
         assert a == b
+
+
+tuner_name = st.one_of(
+    st.sampled_from(["__", "___"]),
+    st.lists(st.sampled_from(["alpha", "bravo", "charlie", "delta", "echo"]),
+             min_size=1, max_size=3).map("_".join),
+)
+tuner_corpus = st.builds(
+    lambda vuln, benign: clean(RawLists(tuple(vuln), tuple(benign))),
+    st.sets(tuner_name, min_size=1, max_size=6),
+    st.sets(tuner_name, max_size=6),
+)
+
+
+# Names with no terms are never flagged, so in both examples every cell has
+# tp = 0 and scores 0; the second one has no vulnerable names at all.
+@settings(max_examples=40, deadline=None)
+@given(corpus=tuner_corpus,
+       beta=st.sampled_from([Fraction(1, 3), 1, Fraction(7, 5), 1000]),
+       policy=st.sampled_from([POLICY_ZERO, MinScorePolicy.all_terms()]))
+@example(corpus=clean(RawLists(("__", "___"), ("alpha_bravo", "charlie"))), beta=1000,
+         policy=MinScorePolicy.all_terms())
+@example(corpus=clean(RawLists((), ("alpha_bravo", "charlie"))), beta=Fraction(1, 3),
+         policy=MinScorePolicy.all_terms())
+def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
+    words = rank(score_frequency(corpus, Weight(1, 1)), policy)
+    grid = SearchGrid(cutoff_step=2, thresholds=threshold_values(Fraction(1, 4)))
+    result = find_best(words, corpus, grid, beta=beta, want_trace=True)
+    cells = result.grid_trace
+    assert len(cells) == len(grid.cutoff_values(len(words))) * len(grid.thresholds)
+    b2 = Fraction(beta) ** 2
+    for cell in cells:
+        assert cell.f2 == f_beta(cell.counts, beta)
+        tp, fp, fn = cell.tp, cell.fp, cell.fn
+        assert cell.f2 == ((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp) if tp else 0)
+    if not cells:
+        assert (result.model.cutoff, result.train_f2) == (0, 0)
+        return
+    # Best score, then smaller cutoff, then larger threshold.
+    best = min(cells, key=lambda c: (-f_beta(c.counts, beta), c.cutoff, -c.threshold))
+    assert (result.model.cutoff, result.model.threshold) == (best.cutoff, best.threshold)
+    assert result.train_f2 == f_beta(best.counts, beta)
 
 
 class TestSearchWeights:
