@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
-    FoldPlan,
     LabeledCorpus,
     clean,
     corpus_stats,
@@ -85,7 +84,9 @@ def _parse_weights(text: str | None):
     if not text:
         return default_weight_grid()
     if not isinstance(text, str):
-        raise DataError(f"weights must be a comma list of PLUS-MINUS pairs, got {text!r}")
+        raise DataError(
+            f'weights must be a string of PLUS-MINUS pairs such as "1-1,2-1", got {text!r}'
+        )
     return tuple(Weight.parse(part) for part in text.split(",") if part.strip())
 
 
@@ -289,16 +290,6 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
     return row, exact
 
 
-def _loo_plan(dirs) -> tuple[FoldPlan, dict]:
-    """Leave-one-out plan over project dirs; the plan holds the only corpora."""
-    corpora = []
-    digests = {}
-    for d in dirs:
-        corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
-        corpora.append(corpus)
-    return make_leave_one_out(corpora), digests
-
-
 def cmd_eval(args, config) -> int:
     grid, policy, beta, options = _grid_options(args, config)
     loo_dirs = _resolve(args, config, "loo", None)
@@ -306,7 +297,13 @@ def cmd_eval(args, config) -> int:
     external_table = load_external_scores(scores_path) if scores_path else None
     options["scorer"] = "external" if external_table is not None else "frequency"
     if loo_dirs:
-        plan, digests = _loo_plan(map(Path, loo_dirs))
+        corpora = []
+        digests = {}
+        for d in map(Path, loo_dirs):
+            corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
+            corpora.append(corpus)
+        plan = make_leave_one_out(corpora)
+        del corpora, corpus
         fold_ids = [test.source_label for _, test in plan.folds]
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
@@ -317,8 +314,9 @@ def cmd_eval(args, config) -> int:
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
 
-    # Take each fold out of the plan as it is run, so its corpora and their
-    # encodings are freed when the next fold is taken.
+    # The plan's folds hold the only references to the fold corpora; take
+    # each out as it is run, so its corpora and encodings are freed before
+    # the next fold is encoded.
     pending = list(zip(fold_ids, plan.folds))
     del plan
     folds = []

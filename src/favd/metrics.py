@@ -11,7 +11,7 @@ numerator and denominator, which the tuner compares by cross-multiplying;
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,13 +103,14 @@ def roc(
     corpus: LabeledCorpus,
     thresholds: tuple[Fraction, ...] | None = None,
     include_zero_endpoint: bool = False,
-) -> tuple[RocCurve, ...]:
+) -> Iterator[RocCurve]:
     """One curve per cutoff, in the given order: TPR/FPR per threshold, descending.
 
     Cutoffs may repeat and may exceed the list length; one `count_flagged`
-    call counts every (threshold, cutoff) pair. The threshold-0 point is the
-    degenerate all-vulnerable anchor (1, 1); it clutters plots, so it is only
-    emitted when explicitly requested.
+    call counts every (threshold, cutoff) pair, and the curves are built one
+    at a time as they are iterated. Bad arguments raise at the call, not on
+    iteration. The threshold-0 point is the degenerate all-vulnerable anchor
+    (1, 1); it clutters plots, so it is only emitted when explicitly requested.
     """
     bad = [cutoff for cutoff in cutoffs if cutoff < 1]
     if bad:
@@ -122,11 +123,13 @@ def roc(
     kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
     tp, fp = count_flagged(dangerous, corpus, cutoffs, kept)
     tail = (RocPoint(Fraction(0), Fraction(1), Fraction(1)),) if include_zero_endpoint else ()
-    curves = []
-    for cutoff, tp_column, fp_column in zip(cutoffs, tp.T.tolist(), fp.T.tolist()):
-        points = tuple(
-            RocPoint(threshold, Fraction(t, n_pos), Fraction(f, n_neg))
-            for threshold, t, f in zip(kept, tp_column, fp_column)
+    return (
+        RocCurve(
+            points=tuple(
+                RocPoint(threshold, Fraction(t, n_pos), Fraction(f, n_neg))
+                for threshold, t, f in zip(kept, tp_column.tolist(), fp_column.tolist())
+            ) + tail,
+            cutoff=cutoff,
         )
-        curves.append(RocCurve(points=points + tail, cutoff=cutoff))
-    return tuple(curves)
+        for cutoff, tp_column, fp_column in zip(cutoffs, tp.T, fp.T)
+    )

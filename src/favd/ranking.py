@@ -96,7 +96,9 @@ class MinScorePolicy:
     def parse(cls, text: str) -> "MinScorePolicy":
         # "none"/"all" keep every term; "zero" is the >= 0 cut.
         if not isinstance(text, str):
-            raise DataError(f"cannot parse policy {text!r}; expected none, zero or a number")
+            raise DataError(
+                f'policy must be a string (none, zero or a number such as "0.5"), got {text!r}'
+            )
         word = text.strip().lower()
         if word in ("none", "all"):
             return cls.all_terms()

@@ -7,7 +7,8 @@ integer numerator/denominator pair of `metrics.f_beta_terms`, and cells are
 compared by exact integer cross-products, so no float or Fraction is made per
 cell and argmax ties resolve identically on every run: better score first,
 then smaller cutoff, then larger threshold, and for weight sweeps the earlier
-grid entry. Only the winner's score becomes a Fraction (`train_f2`).
+grid entry. Only the winner's score becomes a Fraction: its `train_f2` is one
+`metrics.f_beta` call on the winning cell's counts.
 
 A trace, when asked for, holds one `GridCell` per cell: its cutoff,
 threshold, confusion counts and the score's integer pair.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
-from .metrics import beta_squared, default_thresholds, f_beta_terms
+from .metrics import beta_squared, default_thresholds, f_beta, f_beta_terms
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
@@ -121,7 +122,8 @@ def find_best(
     tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
     n_pos, n_neg = len(train.vulnerable), len(train.benign)
     r, s = beta_squared(beta)
-    best_cutoff, best_threshold, best_num, best_den = 0, Fraction(1), 0, 1
+    best_cutoff, best_threshold, best_tp, best_fp = 0, Fraction(1), 0, 0
+    best_num, best_den = 0, 1
     trace: list[GridCell] = []
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
@@ -132,7 +134,8 @@ def find_best(
             if want_trace:
                 trace.append(GridCell(cutoff, threshold, t, f, n_pos - t, n_neg - f, num, den))
             if not best_cutoff or num * best_den > best_num * den:
-                best_cutoff, best_threshold, best_num, best_den = cutoff, threshold, num, den
+                best_cutoff, best_threshold, best_tp, best_fp = cutoff, threshold, t, f
+                best_num, best_den = num, den
     model = TunedModel(
         dangerous=dangerous,
         cutoff=best_cutoff,
@@ -141,7 +144,8 @@ def find_best(
         weight=dangerous.weight,
         source=dangerous.source,
     )
-    return TuneResult(model, Fraction(best_num, best_den), tuple(trace) if want_trace else None)
+    train_f2 = f_beta(ConfusionCounts(best_tp, best_fp, n_pos - best_tp, n_neg - best_fp), beta)
+    return TuneResult(model, train_f2, tuple(trace) if want_trace else None)
 
 
 def search_weights(

@@ -183,8 +183,8 @@ def test_criterion_6_roc_properties():
             )
             corpus, _ = generate(spec)
             words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ALL)
-            curve = roc(words, [max(1, len(words) // 2)], corpus,
-                        include_zero_endpoint=True)[0]
+            curve = next(roc(words, [max(1, len(words) // 2)], corpus,
+                             include_zero_endpoint=True))
             first, last = curve.points[0], curve.points[-1]
             assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
             assert (last.threshold, last.tpr, last.fpr) == (0, 1, 1)
@@ -321,7 +321,7 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
 
         # ROC anchors and monotonicity on the external list
         words = rank(table, POLICY_ALL)
-        curve = roc(words, [max(1, len(words) // 2)], corpus, include_zero_endpoint=True)[0]
+        curve = next(roc(words, [max(1, len(words) // 2)], corpus, include_zero_endpoint=True))
         assert (curve.points[0].tpr, curve.points[0].fpr) == (0, 0)
         assert (curve.points[-1].tpr, curve.points[-1].fpr) == (1, 1)
         for a, b in zip(curve.points, curve.points[1:]):

@@ -121,21 +121,21 @@ class TestRoc:
         return rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
 
     def test_threshold_one_anchors_origin(self, separable_corpus):
-        curve = roc(self._ranked(separable_corpus), [3], separable_corpus)[0]
+        curve = next(roc(self._ranked(separable_corpus), [3], separable_corpus))
         first = curve.points[0]
         assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
 
     def test_zero_endpoint_only_when_flagged(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        plain = roc(words, [3], separable_corpus)[0]
+        plain = next(roc(words, [3], separable_corpus))
         assert all(p.threshold > 0 for p in plain.points)
-        flagged = roc(words, [3], separable_corpus, include_zero_endpoint=True)[0]
+        flagged = next(roc(words, [3], separable_corpus, include_zero_endpoint=True))
         last = flagged.points[-1]
         assert (last.threshold, last.tpr, last.fpr) == (0, 1, 1)
 
     def test_rates_monotone_as_threshold_decreases(self, separable_corpus):
-        curve = roc(self._ranked(separable_corpus), [2], separable_corpus,
-                    include_zero_endpoint=True)[0]
+        curve = next(roc(self._ranked(separable_corpus), [2], separable_corpus,
+                         include_zero_endpoint=True))
         for a, b in zip(curve.points, curve.points[1:]):
             assert a.threshold > b.threshold
             assert b.tpr >= a.tpr
@@ -151,9 +151,9 @@ class TestRoc:
         )
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         assert [t for t, _ in words.words][:2] == ["read", "net"]
-        curve = roc(words, [2], corpus, thresholds=(
+        curve = next(roc(words, [2], corpus, thresholds=(
             Fraction(1), Fraction(3, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 4),
-        ))[0]
+        )))
         expected = [
             (Fraction(1), Fraction(0), Fraction(0)),
             (Fraction(3, 4), Fraction(1, 2), Fraction(0)),  # only pct 1 passes
@@ -165,7 +165,7 @@ class TestRoc:
 
     def test_roc_agrees_with_classifier_counts(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        curve = roc(words, [2], separable_corpus)[0]
+        curve = next(roc(words, [2], separable_corpus))
         n_pos = len(separable_corpus.vulnerable)
         n_neg = len(separable_corpus.benign)
         for point in curve.points:
@@ -182,10 +182,12 @@ class TestRoc:
         words = self._ranked(separable_corpus)
         cutoffs = [3, 1, 3, len(words) + 5]
         for include_zero in (False, True):
-            curves = roc(words, cutoffs, separable_corpus, include_zero_endpoint=include_zero)
+            curves = list(
+                roc(words, cutoffs, separable_corpus, include_zero_endpoint=include_zero)
+            )
             assert [curve.cutoff for curve in curves] == cutoffs
-            assert list(curves) == [
-                roc(words, [cutoff], separable_corpus, include_zero_endpoint=include_zero)[0]
+            assert curves == [
+                next(roc(words, [cutoff], separable_corpus, include_zero_endpoint=include_zero))
                 for cutoff in cutoffs
             ]
         past_end, full = roc(words, [len(words) + 5, len(words)], separable_corpus)

@@ -238,7 +238,7 @@ def test_batch_counts_equal_classify_loop(corpus, weight):
         if not corpus.benign:
             continue
         for cutoff in range(1, len(words) + 3):
-            for point in roc(words, [cutoff], corpus, thresholds=KERNEL_THRESHOLDS)[0].points:
+            for point in next(roc(words, [cutoff], corpus, thresholds=KERNEL_THRESHOLDS)).points:
                 counts = _looped_counts(corpus, _rule(words, cutoff, point.threshold))
                 assert point.tpr == Fraction(counts.tp, len(corpus.vulnerable))
                 assert point.fpr == Fraction(counts.fp, len(corpus.benign))
