@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -72,8 +73,11 @@ def _write_csv(out: str | Path | None, header: list[str], rows) -> None:
         target = contextlib.nullcontext(sys.stdout)
     else:
         path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        target = path.open("w", newline="", encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            target = path.open("w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
     with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -370,6 +374,8 @@ def _read_names(path: Path) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read names file {path}: {exc}") from exc
     lines = text.splitlines()
     if lines and lines[0].strip().lower().startswith("name,"):
         with path.open(newline="", encoding="utf-8") as fh:
@@ -382,15 +388,11 @@ def _read_names(path: Path) -> list[str]:
 def cmd_predict(args, config) -> int:
     model = load_model(args.model)
     names = _read_names(Path(args.names))
-    rows = []
-    for name in names:
-        pred = classify(name, model)
-        rows.append([
-            pred.identifier,
-            pred.label,
-            f"{float(pred.percentage):.6f}",
-            ";".join(sorted(pred.matched_terms)),
-        ])
+    # Int true division rounds correctly, so k / t equals float(percentage).
+    rows = (
+        [name, label, f"{len(matched) / terms if terms else 0:.6f}", ";".join(sorted(matched))]
+        for name, label, matched, terms in map(classify, names, repeat(model))
+    )
     _write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)
     return 0
 

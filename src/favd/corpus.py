@@ -17,12 +17,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError, InfeasibleError
 from .splitter import split
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,8 @@ class EncodedCorpus:
 
     def term_counts(self) -> tuple[list[int], list[int]]:
         """Per term id, the number of vulnerable and of benign names holding it."""
+        import numpy as np  # here, not at the top: favd predict and harvest never load it
+
         end = self.indptr[self.n_vulnerable]
         size = len(self.vocabulary)
         vuln = np.bincount(self.indices[:end], minlength=size)
@@ -88,6 +91,8 @@ class EncodedCorpus:
         Returns (sizes, starts, flat): row i holds sizes[i] terms, and their
         values, smallest first, are flat[starts[i]:starts[i] + sizes[i]].
         """
+        import numpy as np  # here, not at the top: favd predict and harvest never load it
+
         sizes = np.diff(self.indptr)
         flat = values[self.indices]
         flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sizes)), sizes)))]
@@ -103,6 +108,8 @@ def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     encodings of overlapping corpora, such as k-fold parts, share their
     strings.
     """
+    import numpy as np  # here, not at the top: favd predict and harvest never load it
+
     first_seen: dict[str, int] = {}
     flat: list[int] = []
     sizes: list[int] = [0]

@@ -1,15 +1,19 @@
 """Heuristic extraction of function-definition names from C/C++ sources.
 
-This is a lexical scan, not a parser: comments and string/char literals are
-blanked out, then any identifier that directly precedes a parenthesis group
-at nesting depth 0 whose closing `)` is followed by `{` is taken as a
-function definition. Call sites fail the `{` check, declarations end in `;`.
-K&R-style definitions and macro-generated functions are known misses.
+This is a lexical scan, not a parser. One regular expression finds every
+comment and string/char literal, and each is blanked to spaces, keeping
+its newlines and the literal's quotes, so offsets and line numbers do not
+move. A second one then visits only the parentheses of what is left: an
+identifier that directly precedes a parenthesis group at nesting depth 0
+whose closing `)` is followed by `{` is taken as a function definition.
+Call sites fail the `{` check, declarations end in `;`. K&R-style
+definitions and macro-generated functions are known misses.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +24,22 @@ _KEYWORDS = frozenset(
     alignof typeof decltype noexcept static_assert defined _Alignof
     _Generic _Static_assert""".split()
 )
+_SPACE = " \t\n\r"
+_IDENTIFIER_CHARS = string.ascii_letters + string.digits + "_"
+
+# In a literal a backslash escapes the next character, a newline too, and a
+# backslash at the very end stays in the body. Unterminated comments and
+# literals run to the end of the text.
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//(?:[^\n\\]+|\\\n?)*             # line comment; backslash-newline continues it
+      | /\*.*?(?:\*/|\Z)                 # block comment
+      | "((?:[^"\\]+|\\.?)*)("?)         # string: body, closing quote
+      | '((?:[^'\\]+|\\.?)*)('?)         # char: body, closing quote
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+_PAREN = re.compile(r"[()]")
+_BRACE_NEXT = re.compile(r"[ \t\n\r]*\{")
 
 
 @dataclass(frozen=True)
@@ -29,125 +49,59 @@ class HarvestedName:
     line: int
 
 
+def _blank(text: str) -> str:
+    """Spaces in place of every character but newlines."""
+    if "\n" not in text:
+        return " " * len(text)
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
+
+def _blank_match(match: re.Match) -> str:
+    string_body, string_end, char_body, char_end = match.group(1, 2, 3, 4)
+    if string_body is not None:
+        return '"' + _blank(string_body) + string_end
+    if char_body is not None:
+        return "'" + _blank(char_body) + char_end
+    return _blank(match[0])
+
+
 def strip_comments_and_literals(text: str) -> str:
     """Blank comments and string/char literal bodies, preserving newlines."""
-    out = list(text)
-    i, n = 0, len(text)
-    CODE, LINE, BLOCK, STR, CHAR = range(5)
-    state = CODE
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == CODE:
-            if c == "/" and nxt == "/":
-                state = LINE
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = BLOCK
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == '"':
-                state = STR
-            elif c == "'":
-                state = CHAR
-            i += 1
-            continue
-        if state == LINE:
-            if c == "\\" and nxt == "\n":
-                out[i] = " "
-                i += 2
-                continue
-            if c == "\n":
-                state = CODE
-            else:
-                out[i] = " "
-            i += 1
-            continue
-        if state == BLOCK:
-            if c == "*" and nxt == "/":
-                state = CODE
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c != "\n":
-                out[i] = " "
-            i += 1
-            continue
-        # STR or CHAR: blank the contents, keep the delimiters visible.
-        quote = '"' if state == STR else "'"
-        if c == "\\" and nxt:
-            out[i] = " "
-            if nxt != "\n":
-                out[i + 1] = " "
-            i += 2
-            continue
-        if c == quote:
-            state = CODE
-        elif c != "\n":
-            out[i] = " "
-        i += 1
-    return "".join(out)
-
-
-def _is_ident_char(c: str) -> bool:
-    return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9"
+    return _COMMENT_OR_LITERAL.sub(_blank_match, text)
 
 
 def _identifier_before(text: str, index: int) -> tuple[str, int]:
     """Identifier immediately preceding text[index], and its start offset."""
-    j = index - 1
-    while j >= 0 and text[j] in " \t\n\r":
+    j = index
+    while j and text[j - 1] in _SPACE:
         j -= 1
-    end = j + 1
-    while j >= 0 and _is_ident_char(text[j]):
+    end = j
+    while j and text[j - 1] in _IDENTIFIER_CHARS:
         j -= 1
-    name = text[j + 1 : end]
+    name = text[j:end]
     if not name or name[0].isdigit():
         return "", -1
-    return name, j + 1
-
-
-def _matching_paren(text: str, open_index: int) -> int:
-    depth = 1
-    i = open_index + 1
-    while i < len(text):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return -1
+    return name, j
 
 
 def harvest_text(text: str, file_label: str) -> list[HarvestedName]:
     code = strip_comments_and_literals(text)
-    newline_offsets = [i for i, c in enumerate(code) if c == "\n"]
     found: list[HarvestedName] = []
     depth = 0
-    i = 0
-    n = len(code)
-    while i < n:
-        c = code[i]
-        if c == "(":
+    line, counted_to = 1, 0  # line of offset counted_to; names come in offset order
+    for paren in _PAREN.finditer(code):
+        if paren[0] == "(":
             if depth == 0:
-                name, start = _identifier_before(code, i)
-                close = _matching_paren(code, i)
-                if name and name not in _KEYWORDS and close != -1:
-                    k = close + 1
-                    while k < n and code[k] in " \t\n\r":
-                        k += 1
-                    if k < n and code[k] == "{":
-                        line = bisect_right(newline_offsets, start) + 1
-                        found.append(HarvestedName(name=name, file=file_label, line=line))
+                opened = paren.start()
             depth += 1
-        elif c == ")":
-            depth = max(0, depth - 1)
-        i += 1
+        elif depth:
+            depth -= 1
+            if depth == 0 and _BRACE_NEXT.match(code, paren.end()):
+                name, start = _identifier_before(code, opened)
+                if name and name not in _KEYWORDS:
+                    line += code.count("\n", counted_to, start)
+                    counted_to = start
+                    found.append(HarvestedName(name=name, file=file_label, line=line))
     return found
 
 

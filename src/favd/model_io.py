@@ -82,6 +82,8 @@ def load_model(path: str | Path) -> TunedModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise DataError(

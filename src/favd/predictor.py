@@ -15,12 +15,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import LabeledCorpus
 from .ranking import DangerousWordList, MinScorePolicy, Weight
 from .splitter import split
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VULNERABLE = "vulnerable"
 BENIGN = "benign"
@@ -68,23 +70,26 @@ class TunedModel:
         return self._top
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     identifier: str
     label: str
-    percentage: Fraction
     matched_terms: frozenset[str]
+    term_count: int  # unique terms of the identifier
+
+    @property
+    def percentage(self) -> Fraction:
+        """Share of the unique terms among the top words; 0 for no terms."""
+        return Fraction(len(self.matched_terms), self.term_count or 1)
 
 
 def classify(identifier: str, model: TunedModel) -> Prediction:
     """Label one identifier. Zero split terms means percentage 0 and benign."""
-    terms = set(split(identifier))
-    if not terms:
-        return Prediction(identifier, BENIGN, Fraction(0), frozenset())
-    matched = frozenset(terms & model.top_terms())
-    percentage = Fraction(len(matched), len(terms))
-    label = VULNERABLE if percentage > model.threshold else BENIGN
-    return Prediction(identifier, label, percentage, matched)
+    terms = frozenset(split(identifier))
+    matched = terms & model.top_terms()
+    threshold = model.threshold
+    # |matched| / |terms| > p / q, cross-multiplied; false when terms is empty.
+    vulnerable = len(matched) * threshold.denominator > threshold.numerator * len(terms)
+    return Prediction(identifier, VULNERABLE if vulnerable else BENIGN, matched, len(terms))
 
 
 def count_flagged(
@@ -101,6 +106,8 @@ def count_flagged(
     p*t/q of its terms rank within the cutoff, that is from the rank of its
     (floor(p*t/q) + 1)-th best-ranked term on.
     """
+    import numpy as np  # here, not at the top: favd predict and harvest never load it
+
     if not all(0 <= threshold <= 1 for threshold in thresholds):
         raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
     encoded = corpus.encoded

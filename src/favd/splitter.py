@@ -16,16 +16,6 @@ digits, nor underscores never introduce a boundary.
 from __future__ import annotations
 
 
-def _boundary(prev: str, cur: str) -> bool:
-    if prev.islower() and cur.isupper():
-        return True
-    if prev.isalpha() and cur.isdigit():
-        return True
-    if prev.isdigit() and cur.isalpha():
-        return True
-    return False
-
-
 def split(identifier: str, fold_case: bool = False) -> list[str]:
     """Split an identifier into its terms, in order.
 
@@ -35,23 +25,25 @@ def split(identifier: str, fold_case: bool = False) -> list[str]:
     if not identifier:
         raise ValueError("identifier must be non-empty")
     terms: list[str] = []
-    current: list[str] = []
-    prev = ""
-    for ch in identifier:
-        if ch == "_":
-            if current:
-                terms.append("".join(current))
-                current = []
-            prev = ""
+    for segment in identifier.split("_"):
+        if not segment:
             continue
-        if current and _boundary(prev, ch):
-            terms.append("".join(current))
-            current = []
-        current.append(ch)
-        prev = ch
-    if current:
-        terms.append("".join(current))
+        # No uppercase letter and no digit: nothing inside can be a boundary.
+        if segment.islower() and segment.isalpha():
+            terms.append(segment)
+            continue
+        start = 0
+        prev = ""
+        for i, ch in enumerate(segment):
+            if (
+                (prev.islower() and ch.isupper())
+                or (prev.isalpha() and ch.isdigit())
+                or (prev.isdigit() and ch.isalpha())
+            ):
+                terms.append(segment[start:i])
+                start = i
+            prev = ch
+        terms.append(segment[start:])
     if fold_case:
         terms = [t.lower() for t in terms]
     return terms
-

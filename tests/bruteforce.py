@@ -3,13 +3,158 @@
 Everything here is computed with plain loops, dicts, and Fractions, on
 purpose sharing no code with favd.ranking/favd.tuner. Only the identifier
 splitter is shared, since both sides are defined over the same term sets.
+
+It also keeps character-by-character reference versions of the splitter
+and the harvest lexer, which the faster ones in favd must agree with.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
+from favd.harvest import _KEYWORDS, HarvestedName
 from favd.splitter import split
+
+
+def reference_split(identifier: str) -> list[str]:
+    """The splitter's contract, one character and one boundary test at a time."""
+    terms: list[str] = []
+    current: list[str] = []
+    prev = ""
+    for ch in identifier:
+        if ch == "_":
+            if current:
+                terms.append("".join(current))
+                current = []
+            prev = ""
+            continue
+        boundary = (
+            (prev.islower() and ch.isupper())
+            or (prev.isalpha() and ch.isdigit())
+            or (prev.isdigit() and ch.isalpha())
+        )
+        if current and boundary:
+            terms.append("".join(current))
+            current = []
+        current.append(ch)
+        prev = ch
+    if current:
+        terms.append("".join(current))
+    return terms
+
+
+def reference_strip(text: str) -> str:
+    """Blank comments and string/char literal bodies with a state machine."""
+    out = list(text)
+    i, n = 0, len(text)
+    CODE, LINE, BLOCK, STR, CHAR = range(5)
+    state = CODE
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == CODE:
+            if c == "/" and nxt == "/":
+                state = LINE
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = BLOCK
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c == '"':
+                state = STR
+            elif c == "'":
+                state = CHAR
+            i += 1
+            continue
+        if state == LINE:
+            if c == "\\" and nxt == "\n":
+                out[i] = " "
+                i += 2
+                continue
+            if c == "\n":
+                state = CODE
+            else:
+                out[i] = " "
+            i += 1
+            continue
+        if state == BLOCK:
+            if c == "*" and nxt == "/":
+                state = CODE
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c != "\n":
+                out[i] = " "
+            i += 1
+            continue
+        # STR or CHAR: blank the contents, keep the delimiters visible.
+        quote = '"' if state == STR else "'"
+        if c == "\\" and nxt:
+            out[i] = " "
+            if nxt != "\n":
+                out[i + 1] = " "
+            i += 2
+            continue
+        if c == quote:
+            state = CODE
+        elif c != "\n":
+            out[i] = " "
+        i += 1
+    return "".join(out)
+
+
+def _identifier_before(text: str, index: int) -> tuple[str, int]:
+    j = index - 1
+    while j >= 0 and text[j] in " \t\n\r":
+        j -= 1
+    end = j + 1
+    while j >= 0 and (text[j] == "_" or "a" <= text[j] <= "z" or "A" <= text[j] <= "Z"
+                      or "0" <= text[j] <= "9"):
+        j -= 1
+    name = text[j + 1 : end]
+    if not name or name[0].isdigit():
+        return "", -1
+    return name, j + 1
+
+
+def _matching_paren(text: str, open_index: int) -> int:
+    depth = 1
+    for i in range(open_index + 1, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def reference_harvest_text(text: str, file_label: str) -> list[HarvestedName]:
+    """Definitions found by scanning every character of the stripped text."""
+    code = reference_strip(text)
+    newline_offsets = [i for i, c in enumerate(code) if c == "\n"]
+    found: list[HarvestedName] = []
+    depth = 0
+    for i, c in enumerate(code):
+        if c == "(":
+            if depth == 0:
+                name, start = _identifier_before(code, i)
+                close = _matching_paren(code, i)
+                if name and name not in _KEYWORDS and close != -1:
+                    k = close + 1
+                    while k < len(code) and code[k] in " \t\n\r":
+                        k += 1
+                    if k < len(code) and code[k] == "{":
+                        line = bisect_right(newline_offsets, start) + 1
+                        found.append(HarvestedName(name=name, file=file_label, line=line))
+            depth += 1
+        elif c == ")":
+            depth = max(0, depth - 1)
+    return found
 
 
 def oracle_f2(tp: int, fp: int, fn: int) -> Fraction:

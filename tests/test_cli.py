@@ -270,6 +270,9 @@ def test_csv_corpus_input(tmp_path):
     assert "csv" in doc["provenance"]["inputs"]
 
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
 BAD_INPUTS = {
     "predict-names-not-utf8": ["predict", "--model", "m.json", "--names", "latin1.txt"],
     "train-scores-not-utf8": ["train", "--vuln", "v.txt", "--benign", "b.txt",
@@ -296,6 +299,11 @@ BAD_INPUTS = {
                              "--config", "policy.json", "--out", "x.json"],
     "config-weights-number": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                               "--config", "weights.json", "--out", "x.json"],
+    "predict-names-directory": ["predict", "--model", "m.json", "--names", "adir"],
+    "predict-model-directory": ["predict", "--model", "adir", "--names", "v.txt"],
+    "predict-out-directory": ["predict", "--model", "m.json", "--names", "v.txt",
+                              "--out", "adir"],
+    "harvest-out-directory": ["harvest", "code.c", "--out", "adir"],
 }
 
 
@@ -312,11 +320,30 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
     (tmp_path / "policy.json").write_text(json.dumps({"policy": 5}))
     (tmp_path / "weights.json").write_text(json.dumps({"weights": 5}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=env,
+    (tmp_path / "code.c").write_text(C_SOURCE)
+    (tmp_path / "adir").mkdir()
+    proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("favd: data error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_read_only_commands_do_not_import_numpy(tmp_path, corpus_files):
+    vuln, benign = corpus_files
+    assert main(["train", "--vuln", str(vuln), "--benign", str(benign),
+                 "--cutoff-step", "1", "--out", str(tmp_path / "m.json")]) == 0
+    (tmp_path / "code.c").write_text(C_SOURCE)
+    script = (
+        "import sys\n"
+        "from favd.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    for argv in (["harvest", "code.c", "--out", "h.csv"],
+                 ["predict", "--model", "m.json", "--names", "h.csv", "--out", "p.csv"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_ENV,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "p.csv").read_text().count("\n") == 3

@@ -2,10 +2,11 @@
 
 Each CLI command runs in a fresh interpreter under a fixed PYTHONHASHSEED,
 from relative paths inside a temporary directory, on a fixed synthetic
-corpus. The SHA-256 digest of every written file must equal its pin, so
-set iteration order cannot leak into reports and refactors cannot change a
-byte of output. After a deliberate output change, regenerate the pins with
-`python tests/test_golden.py DIR`, which prints the digests of one run.
+corpus, two small C files and a name list. The SHA-256 digest of every
+written file must equal its pin, so set iteration order cannot leak into
+reports and refactors cannot change a byte of output. After a deliberate
+output change, regenerate the pins with `python tests/test_golden.py DIR`,
+which prints the digests of one run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ COMMANDS = [
      "--threshold-step", "1/7", "--out", "out/external.json"],
     ["roc", *CORPUS, "--weight", "1-1", "--policy", "none", "--cutoffs", "1,5,1000000",
      "--threshold-step", "1/7", "--include-zero-endpoint", "--out", "out/roc.csv"],
+    ["harvest", "code/sample.c", "code/tail.c", "--out", "out/harvest.csv"],
+    ["predict", "--model", "out/external.json", "--names", "names.txt",
+     "--out", "out/pred_names.csv"],
+    ["predict", "--model", "out/model.json", "--names", "out/harvest.csv",
+     "--out", "out/pred_harvest.csv"],
 ]
 PINNED = {
     "ev/eval_report.json": "393e9d34540a22517517af6657c71b498aa38131cffd4c739109b003a63e4b00",
@@ -40,7 +46,35 @@ PINNED = {
     "out/words.csv": "7af9944a866f1bf78a9d8e97a768999f71032fb19a6365e6b9fc96ea252afc0c",
     "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
     "out/roc.csv": "8cff5a4ffc35da645d072c7daf249266073ebc14c69151debfb736d59ddfc9d1",
+    "out/harvest.csv": "01dbba72b8d4e6dcc6c9a20aefe42f0ecb477d606269c0adc0c153bb7bde5e9d",
+    "out/pred_names.csv": "83c11a05a7712133d98b128624cb0b729ddaa5764ca5fe4d2a6c858501094a9b",
+    "out/pred_harvest.csv": "54e318bdfee6cd29fe95e4d90329e88a2ee5e5ea364dde1bbf0183e98ea3b08a",
 }
+
+# Comments, literals, a prototype, a call site and a #define decoy; the
+# second file ends inside an unterminated block comment.
+C_SAMPLE = r"""#include <stdio.h>
+#define ALPHA_BODY(x) { return (x); }
+#define omega_max(a, b) ((a) > (b) ? (a) : (b))
+/* int alpha_in_block(void) { return 1; } */
+// int omega_in_line(void) { return 2; } \
+   int omega_continued(void) { return 3; }
+int alphaOmega(char *buf, int len);
+static int alpha_omega_copy(const char *s, int (*cb)(int)) {
+    char q = '\'', b = '\\';
+    const char *t = "omega_fake(void) { \" }";
+    return cb(alpha_parse(t)) + q + b;
+}
+void
+omegaWrite2 (int n)
+{
+    alpha_parse("(");
+}
+int ___(void) { return 0; }
+"""
+C_TAIL = "int x86_alpha(void) { return '('; }\n/* int omega_never(void) { return 0; }\n"
+# Underscore-only, digit-bearing and non-ASCII names, and a blank line.
+NAMES = "alpha_omega\n___\nx86_64_alpha\nalpha2omega\n\nlecture_données\nⅰalpha_Ǆomega\nomega\n"
 
 
 def make_inputs(root: Path) -> None:
@@ -56,6 +90,11 @@ def make_inputs(root: Path) -> None:
         fh.write("___\n")
     with benign.open("a", encoding="utf-8") as fh:
         fh.write("__\n")
+    code = root / "code"
+    code.mkdir()
+    (code / "sample.c").write_text(C_SAMPLE, encoding="utf-8")
+    (code / "tail.c").write_text(C_TAIL, encoding="utf-8")
+    (root / "names.txt").write_text(NAMES, encoding="utf-8")
     (root / "scores.csv").write_text(
         "term,score\nalpha,0.9\nomega,1/2\nabsentterm,1\nnowhere,0.75\n", encoding="utf-8"
     )

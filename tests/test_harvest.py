@@ -1,5 +1,8 @@
 import re
 
+from hypothesis import example, given, settings, strategies as st
+
+from bruteforce import reference_harvest_text, reference_strip
 from favd.harvest import harvest, harvest_text, strip_comments_and_literals
 
 FIXTURE = """\
@@ -108,3 +111,21 @@ def test_names_match_identifier_pattern(tmp_path):
     names, _ = harvest([path])
     pattern = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
     assert all(pattern.match(h.name) for h in names)
+
+
+# Short C-like texts from the characters the lexer treats specially.
+c_like_text = st.lists(
+    st.sampled_from(["/", "*", '"', "'", "\\", "\n", "(", ")", "{", "}", ";", "if", "a", "_",
+                     " ", "1"]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=c_like_text)
+@example("x = '\\'")  # an escaped quote ends the text: the literal is unterminated
+@example('"a\\')  # a trailing lone backslash belongs to the literal
+@example("// a \\\nf() {}\n/* b")  # a continued line comment, an unterminated block
+def test_regex_lexer_matches_the_state_machine(text):
+    assert strip_comments_and_literals(text) == reference_strip(text)
+    assert harvest_text(text, "x.c") == reference_harvest_text(text, "x.c")

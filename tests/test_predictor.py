@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from favd.cli import main
 from favd.corpus import LabeledCorpus, RawLists, clean
 from favd.metrics import f_beta, roc
 from favd.predictor import (
@@ -13,6 +14,7 @@ from favd.predictor import (
     classify,
     classify_corpus,
 )
+from favd.model_io import load_model, model_document, save_model
 from favd.ranking import (
     EXTERNAL,
     DangerousWordList,
@@ -22,6 +24,7 @@ from favd.ranking import (
     rank,
     score_frequency,
 )
+from favd.splitter import split
 from favd.tuner import SearchGrid, find_best
 
 
@@ -177,6 +180,66 @@ def test_higher_threshold_shrinks_predicted_set(idents, thresholds):
     flagged_low = {i for i in idents if classify(i, model_low).label == VULNERABLE}
     flagged_high = {i for i in idents if classify(i, model_high).label == VULNERABLE}
     assert flagged_high <= flagged_low
+
+
+# classify() against the rule written with Fractions, as the paper states it.
+RULE_WORDS = ["read", "net", "x86", "données", "ⅰ", "Buf", "a"]
+rule_name = st.one_of(
+    st.sampled_from(["_", "__", "___"]),
+    st.text(alphabet=st.sampled_from("aB_9éⅰǅ"), min_size=1, max_size=8),
+    st.builds(
+        lambda words, joiner: joiner.join(words),
+        st.lists(st.sampled_from(RULE_WORDS + ["file", "Poll", "2"]), min_size=1, max_size=5),
+        st.sampled_from(["_", "", "__"]),
+    ),
+)
+rule_threshold = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.builds(Fraction, st.integers(0, 7), st.just(7)),
+)
+
+
+def _textbook(name: str, words: list[str], threshold: Fraction):
+    terms = set(split(name))
+    matched = terms & set(words)
+    percentage = Fraction(len(matched), len(terms)) if terms else Fraction(0)
+    return (VULNERABLE if percentage > threshold else BENIGN), percentage, matched
+
+
+@settings(max_examples=500)
+@given(name=rule_name, cutoff=st.integers(0, len(RULE_WORDS)), threshold=rule_threshold)
+@example(name="__", cutoff=0, threshold=Fraction(0))
+@example(name="read_net", cutoff=1, threshold=Fraction(1, 2))
+@example(name="read", cutoff=1, threshold=Fraction(1))
+def test_classify_matches_the_fraction_rule(name, cutoff, threshold):
+    model = _model(RULE_WORDS[:cutoff], cutoff=cutoff, threshold=threshold)
+    label, percentage, matched = _textbook(name, RULE_WORDS[:cutoff], threshold)
+    pred = classify(name, model)
+    assert pred.identifier == name
+    assert pred.label == label
+    assert pred.percentage == percentage
+    assert pred.matched_terms == matched
+
+
+def test_predict_rows_format_the_exact_percentage(tmp_path):
+    """Each CSV row shows float(percentage) to six places, as the rule gives it."""
+    names = ["_", "a", "read_net_file", "readNetFilePoll", "x86_a_b_c_d_e_f", "ⅰ_données",
+             "Buf_read_net_x86_a_poll_file", "net2"] + [f"read_{'n' * i}_a" for i in range(9)]
+    names_path = tmp_path / "names.txt"
+    names_path.write_text("\n".join(names) + "\n", encoding="utf-8")
+    for threshold in (Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(1)):
+        model_path = tmp_path / "model.json"
+        save_model(model_document(_model(RULE_WORDS, 5, threshold), Fraction(0)), model_path)
+        model = load_model(model_path)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model_path), "--names", str(names_path),
+                     "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        preds = [classify(name, model) for name in names]
+        assert rows == [
+            f"{p.identifier},{p.label},{float(p.percentage):.6f},{';'.join(sorted(p.matched_terms))}"
+            for p in preds
+        ]
 
 
 # Batch paths (classify_corpus, roc, find_best) against a loop of classify().

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import example, given, assume, settings, strategies as st
 
+from bruteforce import reference_split
 from favd.splitter import split
 
 # Sample words from the per-project most/least dangerous lists; each must
@@ -120,3 +121,21 @@ def test_single_class_digits_never_split(word):
 def test_case_folding_commutes_without_case_boundaries(ident):
     assume(not any(a.islower() and b.isupper() for a, b in zip(ident, ident[1:])))
     assert split(ident.lower()) == [t.lower() for t in split(ident)]
+
+
+# ASCII, underscores, and letters and digits whose Unicode case and class
+# disagree with ASCII intuition: Roman numerals are lowercase or uppercase
+# but not letters, a titlecase letter is neither lower nor upper, and
+# superscript two is a digit but not a decimal.
+unicode_identifier = st.text(
+    alphabet=st.one_of(st.sampled_from("aZ_9xY0_ⅰǅé²Ⅸ٣ß"), st.characters(max_codepoint=0x2FFF)),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=1000)
+@given(unicode_identifier)
+@example("ⅰaⅨb²c٣ǅd")
+def test_split_matches_the_character_by_character_reference(ident):
+    assert split(ident) == reference_split(ident)
