@@ -102,7 +102,7 @@ def _load_config(path: str | None) -> dict:
         raise DataError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"malformed config file {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"config file {p} must hold a JSON object")
@@ -114,6 +114,14 @@ def _resolve(args, config: dict, key: str, default):
     if value is not None:
         return value
     return config.get(key, default)
+
+
+def _resolve_str(args, config: dict, key: str) -> str | None:
+    """A path or label from the flags or the config file; None when absent."""
+    value = _resolve(args, config, key, None)
+    if value is not None and not isinstance(value, str):
+        raise DataError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _digest(path) -> dict:
@@ -128,10 +136,10 @@ def _load_pair(vuln, benign, label) -> tuple[LabeledCorpus, dict]:
 
 def _corpus_inputs(args, config) -> tuple[LabeledCorpus, dict]:
     """Load and clean the corpus named by --csv or --vuln/--benign."""
-    csv_path = _resolve(args, config, "csv", None)
-    vuln = _resolve(args, config, "vuln", None)
-    benign = _resolve(args, config, "benign", None)
-    label = _resolve(args, config, "label", None)
+    csv_path = _resolve_str(args, config, "csv")
+    vuln = _resolve_str(args, config, "vuln")
+    benign = _resolve_str(args, config, "benign")
+    label = _resolve_str(args, config, "label")
     if csv_path:
         return clean(load_csv(csv_path, source_label=label)), {"csv": _digest(csv_path)}
     if vuln and benign:
@@ -149,7 +157,7 @@ def _parse_step(value) -> Fraction:
 def _parse_int(value, what: str, minimum: int | None = None) -> int:
     try:
         number = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} must be an integer, got {value!r}") from exc
     if minimum is not None and number < minimum:
         raise DataError(f"{what} must be >= {minimum}, got {number}")
@@ -230,7 +238,7 @@ def cmd_split(args, config) -> int:
 def cmd_train(args, config) -> int:
     corpus, digests = _corpus_inputs(args, config)
     grid, policy, beta, options = _grid_options(args, config)
-    scores_path = _resolve(args, config, "scores", None)
+    scores_path = _resolve_str(args, config, "scores")
     external_table = load_external_scores(scores_path) if scores_path else None
     traces: list | None = [] if args.trace else None
     result = _tune(corpus, external_table, policy, grid, beta, traces)
@@ -297,7 +305,11 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
 def cmd_eval(args, config) -> int:
     grid, policy, beta, options = _grid_options(args, config)
     loo_dirs = _resolve(args, config, "loo", None)
-    scores_path = _resolve(args, config, "scores", None)
+    if loo_dirs is not None and not (
+        isinstance(loo_dirs, list) and all(isinstance(d, str) for d in loo_dirs)
+    ):
+        raise DataError(f"loo must be a list of directories, got {loo_dirs!r}")
+    scores_path = _resolve_str(args, config, "scores")
     external_table = load_external_scores(scores_path) if scores_path else None
     options["scorer"] = "external" if external_table is not None else "frequency"
     if loo_dirs:
@@ -378,10 +390,13 @@ def _read_names(path: Path) -> list[str]:
         raise DataError(f"cannot read names file {path}: {exc}") from exc
     lines = text.splitlines()
     if lines and lines[0].strip().lower().startswith("name,"):
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            next(rows)
-            return [row[0].strip() for row in rows if row and row[0].strip()]
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = csv.reader(fh)
+                next(rows)
+                return [row[0].strip() for row in rows if row and row[0].strip()]
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV {path}: {exc}") from exc
     return [line.rstrip() for line in lines if line.rstrip()]
 
 
@@ -466,7 +481,7 @@ def cmd_synth(args, config) -> int:
         raise DataError(f"spec file not found: {spec_path}")
     try:
         doc = json.loads(spec_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"malformed spec file {spec_path}: {exc}") from exc
     spec = spec_from_dict(doc)
     corpus, planted = generate(spec)

@@ -12,18 +12,17 @@ from __future__ import annotations
 import csv
 import random
 import sys
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DataError, InfeasibleError
 from .splitter import split
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,70 +60,50 @@ class LabeledCorpus:
 
 @dataclass(frozen=True, eq=False)
 class EncodedCorpus:
-    """Each name's unique terms as ids into the sorted vocabulary, in CSR layout.
+    """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
-    Rows are the sorted vulnerable names, then the sorted benign names; row i
-    holds `indices[indptr[i]:indptr[i + 1]]`. Term ids follow sorted term
-    order, so comparing two ids compares the terms' text.
+    `vulnerable[t]` holds the term ids of every vulnerable name with t unique
+    terms as one flat `array('i')`, t ids per name, name after name (sorted
+    names, each name's terms in order of appearance); `benign` does the same
+    for the benign names. Names with no terms have no row. Term ids follow
+    first appearance in that walk. `vulnerable_counts[i]` and
+    `benign_counts[i]` count the vulnerable and benign names holding term id
+    i; they do not depend on the weight, so each weight's scores are read
+    straight from them.
     """
 
     vocabulary: dict[str, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    n_vulnerable: int
-
-    def term_counts(self) -> tuple[list[int], list[int]]:
-        """Per term id, the number of vulnerable and of benign names holding it."""
-        import numpy as np  # here, not at the top: favd predict and harvest never load it
-
-        end = self.indptr[self.n_vulnerable]
-        size = len(self.vocabulary)
-        vuln = np.bincount(self.indices[:end], minlength=size)
-        benign = np.bincount(self.indices[end:], minlength=size)
-        return vuln.tolist(), benign.tolist()
-
-    def sorted_row_values(
-        self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's term values in ascending order, given a value per term id.
-
-        Returns (sizes, starts, flat): row i holds sizes[i] terms, and their
-        values, smallest first, are flat[starts[i]:starts[i] + sizes[i]].
-        """
-        import numpy as np  # here, not at the top: favd predict and harvest never load it
-
-        sizes = np.diff(self.indptr)
-        flat = values[self.indices]
-        flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sizes)), sizes)))]
-        return sizes, self.indptr[:-1], flat
+    vulnerable: dict[int, array]
+    benign: dict[int, array]
+    vulnerable_counts: list[int]
+    benign_counts: list[int]
 
 
 def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     """Split every name once; see EncodedCorpus for the layout.
 
-    Terms get provisional ids in order of first appearance while the names
-    are walked, so no name's term set outlives its row; the ids are
-    renumbered into sorted term order at the end. Terms are interned, so the
-    encodings of overlapping corpora, such as k-fold parts, share their
-    strings.
+    Terms are interned, so the encodings of overlapping corpora, such as
+    k-fold parts, share their strings.
     """
-    import numpy as np  # here, not at the top: favd predict and harvest never load it
-
-    first_seen: dict[str, int] = {}
-    flat: list[int] = []
-    sizes: list[int] = [0]
-    for name in chain(sorted(corpus.vulnerable), sorted(corpus.benign)):
-        terms = dict.fromkeys(map(sys.intern, split(name)))
-        flat.extend(first_seen.setdefault(term, len(first_seen)) for term in terms)
-        sizes.append(len(terms))
-    terms = sorted(first_seen)
-    renumber = np.empty(len(terms), dtype=np.int32)
-    renumber[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # new term: next id
+    groups = []
+    for names in (corpus.vulnerable, corpus.benign):
+        rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
+        for name in sorted(names):
+            terms = dict.fromkeys(map(sys.intern, split(name)))
+            rows[len(terms)].extend(map(vocabulary.__getitem__, terms))
+        rows.pop(0, None)
+        groups.append(dict(rows))
+    vulnerable, benign = groups
+    ids = range(len(vocabulary))
+    vulnerable_counts = Counter(chain.from_iterable(vulnerable.values()))
+    benign_counts = Counter(chain.from_iterable(benign.values()))
     return EncodedCorpus(
-        vocabulary={term: i for i, term in enumerate(terms)},
-        indptr=np.cumsum(sizes, dtype=np.int64),
-        indices=renumber[np.array(flat, dtype=np.int64)],
-        n_vulnerable=len(corpus.vulnerable),
+        vocabulary=dict(vocabulary),
+        vulnerable=vulnerable,
+        benign=benign,
+        vulnerable_counts=[vulnerable_counts[i] for i in ids],
+        benign_counts=[benign_counts[i] for i in ids],
     )
 
 
@@ -200,6 +179,8 @@ def load_csv(path: str | Path, source_label: str | None = None) -> RawLists:
                     raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV {path}: {exc}") from exc
     label_out = source_label if source_label is not None else path.stem
     return RawLists(tuple(vulnerable), tuple(benign), label_out)
 

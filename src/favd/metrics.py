@@ -126,10 +126,10 @@ def roc(
     return (
         RocCurve(
             points=tuple(
-                RocPoint(threshold, Fraction(t, n_pos), Fraction(f, n_neg))
-                for threshold, t, f in zip(kept, tp_column.tolist(), fp_column.tolist())
+                RocPoint(threshold, Fraction(t[j], n_pos), Fraction(f[j], n_neg))
+                for threshold, t, f in zip(kept, tp, fp)
             ) + tail,
             cutoff=cutoff,
         )
-        for cutoff, tp_column, fp_column in zip(cutoffs, tp.T, fp.T)
+        for j, cutoff in enumerate(cutoffs)
     )

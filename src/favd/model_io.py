@@ -34,7 +34,9 @@ def _policy_out(policy: MinScorePolicy) -> dict:
     return {"kind": "at_least", "threshold": float(policy.threshold)}
 
 
-def _policy_in(doc: dict) -> MinScorePolicy:
+def _policy_in(doc) -> MinScorePolicy:
+    if not isinstance(doc, dict):
+        raise TypeError(f"policy must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "all":
         return MinScorePolicy.all_terms()
@@ -80,10 +82,12 @@ def load_model(path: str | Path) -> TunedModel:
         raise DataError(f"model file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed model file {path}: expected a JSON object")
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise DataError(
@@ -106,5 +110,5 @@ def load_model(path: str | Path) -> TunedModel:
             weight=weight,
             source=doc.get("source"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

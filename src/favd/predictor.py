@@ -12,17 +12,17 @@ and corpus evaluation all go through it.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import compress, repeat
+from typing import NamedTuple
 
 from .corpus import LabeledCorpus
 from .ranking import DangerousWordList, MinScorePolicy, Weight
 from .splitter import split
-
-if TYPE_CHECKING:
-    import numpy as np
 
 VULNERABLE = "vulnerable"
 BENIGN = "benign"
@@ -97,47 +97,61 @@ def count_flagged(
     corpus: LabeledCorpus,
     cutoffs: Sequence[int],
     thresholds: Sequence[Fraction],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """Vulnerable (tp) and benign (fp) names flagged at each threshold and cutoff.
 
-    Both arrays have shape (len(thresholds), len(cutoffs)) and hold what
-    classify() gives name by name; a threshold outside [0, 1] is a ValueError.
-    A name with t unique terms is flagged at threshold p/q once more than
-    p*t/q of its terms rank within the cutoff, that is from the rank of its
-    (floor(p*t/q) + 1)-th best-ranked term on.
+    Both are lists of len(thresholds) rows of len(cutoffs) ints, tp[i][j]
+    for thresholds[i] and cutoffs[j], and hold what classify() gives name by
+    name; a threshold outside [0, 1] is a ValueError. A name with t unique
+    terms is flagged at threshold p/q once more than p*t/q of its terms rank
+    within the cutoff, that is from the rank of its (floor(p*t/q) + 1)-th
+    best-ranked term on.
     """
-    import numpy as np  # here, not at the top: favd predict and harvest never load it
-
     if not all(0 <= threshold <= 1 for threshold in thresholds):
         raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
     encoded = corpus.encoded
-    unranked = len(dangerous) + 1
-    rank_of = np.full(len(encoded.vocabulary), unranked, dtype=np.int64)
+    rank_of = [0] * len(encoded.vocabulary)  # 0: the term is not ranked
     for position, (term, _) in enumerate(dangerous.words, start=1):
         term_id = encoded.vocabulary.get(term)
         if term_id is not None:
             rank_of[term_id] = position
-    sizes, starts, ranks = encoded.sorted_row_values(rank_of)  # term ranks, best first
-    limits = [min(cutoff, len(dangerous)) for cutoff in cutoffs]
-    n_vuln = encoded.n_vulnerable
-    tp = np.empty((len(thresholds), len(limits)), dtype=np.int64)
-    fp = np.empty_like(tp)
-    for i, threshold in enumerate(thresholds):
-        p, q = threshold.numerator, threshold.denominator
-        needed = np.array([p * t // q + 1 for t in range(sizes.max(initial=0) + 1)])[sizes]
-        reachable = needed <= sizes
-        flips = np.full(len(sizes), unranked)
-        flips[reachable] = ranks[starts[reachable] + needed[reachable] - 1]
-        # Names flagged at cutoff c are those whose flip rank is at most c.
-        tp[i] = np.cumsum(np.bincount(flips[:n_vuln], minlength=unranked + 1))[limits]
-        fp[i] = np.cumsum(np.bincount(flips[n_vuln:], minlength=unranked + 1))[limits]
-    return tp, fp
+    counts = []
+    for groups in (encoded.vulnerable, encoded.benign):
+        flagged = {t: _flagged_at(ids, t, rank_of, cutoffs) for t, ids in groups.items()}
+        rows = []
+        for threshold in thresholds:
+            p, q = threshold.numerator, threshold.denominator
+            parts = [flagged[t][p * t // q] for t in flagged if p * t // q < t]
+            rows.append(list(map(sum, zip(*parts))) if parts else [0] * len(cutoffs))
+        counts.append(rows)
+    return counts[0], counts[1]
+
+
+def _flagged_at(
+    ids: array, t: int, rank_of: list[int], cutoffs: Sequence[int]
+) -> list[list[int]]:
+    """For names of t terms, [j][k] counts those whose j+1 best ranks are within cutoffs[k].
+
+    `ids` holds t term ids per name. Only ranked entries are visited, best
+    rank first, so flips[j] receives each name's (j+1)-th best rank in
+    ascending order; a name with k ranked terms appears in flips[0..k-1].
+    """
+    ranks = list(map(rank_of.__getitem__, ids))
+    ranked = sorted(compress(range(len(ranks)), ranks), key=ranks.__getitem__)
+    flips: list[list[int]] = [[] for _ in range(t)]
+    seen = [0] * (len(ranks) // t)  # ranked terms of each name met so far
+    for position in ranked:
+        name = position // t
+        j = seen[name]
+        seen[name] = j + 1
+        flips[j].append(ranks[position])
+    return [list(map(bisect_right, repeat(flip), cutoffs)) for flip in flips]
 
 
 def classify_corpus(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
     """Confusion counts of the model over the corpus, vulnerable as positive."""
     tp, fp = count_flagged(model.dangerous, corpus, [model.cutoff], [model.threshold])
-    tp, fp = int(tp[0, 0]), int(fp[0, 0])
+    tp, fp = tp[0][0], fp[0][0]
     return ConfusionCounts(
         tp=tp, fp=fp, fn=len(corpus.vulnerable) - tp, tn=len(corpus.benign) - fp
     )

@@ -12,6 +12,7 @@ any offline scorer can drive the rest of the pipeline.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -45,7 +46,7 @@ class Weight:
         try:
             plus, minus = text.split("-")
             return cls(int(plus), int(minus))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"cannot parse weight {text!r}; expected PLUS-MINUS") from exc
 
 
@@ -138,10 +139,9 @@ def score_frequency(train: LabeledCorpus, weight: Weight) -> TermScoreTable:
     if not train.vulnerable and not train.benign:
         raise DataError("cannot score an empty training corpus")
     encoded = train.encoded
-    vuln, benign = encoded.term_counts()
     scores: dict[str, int] = {}
     vuln_counts: dict[str, int] = {}
-    for term, v, b in zip(encoded.vocabulary, vuln, benign):
+    for term, v, b in zip(encoded.vocabulary, encoded.vulnerable_counts, encoded.benign_counts):
         scores[term] = weight.plus * v - weight.minus * b
         if v:
             vuln_counts[term] = v
@@ -164,11 +164,13 @@ def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
     else:
         vc = table.vuln_counts
         key = lambda item: (-item[1], -vc.get(item[0], 0), item[0])
-    kept = [(t, s) for t, s in table.scores.items() if policy.keeps(s)]
-    kept.sort(key=key)
-    return DangerousWordList(
-        words=tuple(kept), policy=policy, weight=table.weight, source=table.source
-    )
+    kept = table.scores.items()
+    if policy.kind == "at_least":
+        # Frequency scores are ints, so the int ceil(threshold) is an exact bound.
+        bound = policy.threshold if table.origin == EXTERNAL else math.ceil(policy.threshold)
+        kept = [(t, s) for t, s in kept if s >= bound]
+    words = tuple(sorted(kept, key=key))
+    return DangerousWordList(words=words, policy=policy, weight=table.weight, source=table.source)
 
 
 def load_external_scores(path: str | Path, source: str | None = None) -> TermScoreTable:
@@ -198,6 +200,8 @@ def load_external_scores(path: str | Path, source: str | None = None) -> TermSco
                 scores[term] = score
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV {path}: {exc}") from exc
     return TermScoreTable(scores=scores, origin=EXTERNAL, source=source or str(path))
 
 

@@ -128,7 +128,7 @@ def find_best(
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
     # Cutoff 0 means no cell yet, and stays for an empty list.
-    for cutoff, tp_column, fp_column in zip(cutoffs, tp.T.tolist(), fp.T.tolist()):
+    for cutoff, tp_column, fp_column in zip(cutoffs, zip(*tp), zip(*fp)):
         for threshold, t, f in zip(thresholds, tp_column, fp_column):
             num, den = f_beta_terms(t, f, n_pos - t, r, s)
             if want_trace:

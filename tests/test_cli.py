@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from favd.cli import main
-from favd.model_io import load_model
+from favd.model_io import load_model, model_document
+from favd.predictor import TunedModel
+from favd.ranking import DangerousWordList, MinScorePolicy, Weight
 
 C_SOURCE = """\
 int read_header(char *buf) {
@@ -304,6 +309,16 @@ BAD_INPUTS = {
     "predict-out-directory": ["predict", "--model", "m.json", "--names", "v.txt",
                               "--out", "adir"],
     "harvest-out-directory": ["harvest", "code.c", "--out", "adir"],
+    "model-json-array": ["predict", "--model", "array.json", "--names", "v.txt"],
+    "model-json-string": ["predict", "--model", "string.json", "--names", "v.txt"],
+    "model-policy-number": ["predict", "--model", "policy5.json", "--names", "v.txt"],
+    "model-deeply-nested": ["predict", "--model", "deep.json", "--names", "v.txt"],
+    "config-deeply-nested": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                             "--config", "deep.json", "--out", "x.json"],
+    "predict-names-csv-field-too-large": ["predict", "--model", "m.json", "--names", "big.csv"],
+    "train-csv-field-too-large": ["train", "--csv", "big.csv", "--out", "x.json"],
+    "train-scores-field-too-large": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                     "--scores", "big_scores.csv", "--out", "x.json"],
 }
 
 
@@ -322,6 +337,14 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "weights.json").write_text(json.dumps({"weights": 5}))
     (tmp_path / "code.c").write_text(C_SOURCE)
     (tmp_path / "adir").mkdir()
+    (tmp_path / "array.json").write_text("[1]")
+    (tmp_path / "string.json").write_text('"x"')
+    model = json.loads((tmp_path / "m.json").read_text())
+    (tmp_path / "policy5.json").write_text(json.dumps(dict(model, policy=5)))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # One quoted field above the csv module's 131,072-character limit.
+    (tmp_path / "big.csv").write_text('name,label\n"' + "a" * 200_000 + '",vulnerable\n')
+    (tmp_path / "big_scores.csv").write_text('"' + "a" * 200_000 + '",0.5\n')
     proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
@@ -330,20 +353,192 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def test_read_only_commands_do_not_import_numpy(tmp_path, corpus_files):
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):
+    """favd needs nothing outside the standard library: numpy cannot be imported here."""
     vuln, benign = corpus_files
-    assert main(["train", "--vuln", str(vuln), "--benign", str(benign),
-                 "--cutoff-step", "1", "--out", str(tmp_path / "m.json")]) == 0
     (tmp_path / "code.c").write_text(C_SOURCE)
+    for project, names in (("p1", "danger_read\nlog_write\n"), ("p2", "danger_net\nui_draw\n"),
+                           ("p3", "danger_copy\nui_open\n")):
+        (tmp_path / project).mkdir()
+        danger, safe = names.split()
+        (tmp_path / project / "vulnerable.txt").write_text(danger + "\n")
+        (tmp_path / project / "benign.txt").write_text(safe + "\n")
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "seed": 9, "n_vulnerable": 8, "n_benign": 8, "planted_count": 2,
+        "vocab_size": 12, "terms_per_name": [2, 2],
+    }))
+    pair = ["--vuln", str(vuln), "--benign", str(benign)]
+    commands = [
+        ["split", "png_push_read_chunk"],
+        ["train", *pair, "--cutoff-step", "1", "--out", "m.json", "--trace", "t.csv",
+         "--words-csv", "w.csv"],
+        ["eval", *pair, "--kfold", "2", "--cutoff-step", "1", "--out-dir", "ev"],
+        ["eval", "--loo", "p1", "p2", "p3", "--cutoff-step", "1", "--out-dir", "loo"],
+        ["roc", *pair, "--weight", "1-1", "--out", "roc.csv"],
+        ["harvest", "code.c", "--out", "h.csv"],
+        ["predict", "--model", "m.json", "--names", "h.csv", "--out", "p.csv"],
+        ["baseline", "--counts", "75", "522"],
+        ["synth", "--spec", "spec.json", "--out", "synth"],
+    ]
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
         "from favd.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
     )
-    for argv in (["harvest", "code.c", "--out", "h.csv"],
-                 ["predict", "--model", "m.json", "--names", "h.csv", "--out", "p.csv"]):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_ENV,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                          env=_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "p.csv").read_text().count("\n") == 3
+    for output in ("t.csv", "w.csv", "ev/folds.csv", "loo/folds.csv", "roc.csv",
+                   "synth/vulnerable.txt"):
+        assert (tmp_path / output).stat().st_size > 0, output
+
+
+# Fuzz of the same contract: a malformed model file, a malformed name file or
+# a config value of the wrong JSON type ends with exit 1, 2 or 3 and no
+# traceback. Every generated input is invalid by construction.
+json_scalar = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6))
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+json_container = (st.lists(json_value, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), json_value, max_size=3))
+not_a_number = st.none() | json_container  # int() and Fraction() reject these
+not_a_string = json_value.filter(lambda v: not isinstance(v, str))
+letters = st.text(alphabet="abx_ -", min_size=1, max_size=5)
+
+_FUZZ_MODEL_WORDS = 3  # the fuzzed model's list length, so cutoffs above it are invalid
+MODEL_FIELD = {
+    "schema_version": not_a_number | letters,
+    "policy": json_value.filter(lambda v: not isinstance(v, dict)),
+    "weight": st.one_of(st.integers().filter(bool), letters,
+                        st.lists(json_value, min_size=1, max_size=3), st.just(True)),
+    "cutoff": (not_a_number | letters | st.integers(max_value=0)
+               | st.integers(min_value=_FUZZ_MODEL_WORDS + 1)
+               | st.floats().filter(lambda x: not 1 <= x < _FUZZ_MODEL_WORDS + 1)),
+    "threshold": (not_a_number | letters | st.integers(max_value=-1)
+                  | st.floats().filter(lambda x: not 0 <= x <= 1)),
+    "dangerous": json_scalar | st.lists(json_scalar, min_size=1, max_size=3),
+}
+malformed_model = st.one_of(
+    st.sampled_from(sorted(MODEL_FIELD)).flatmap(
+        lambda name: st.tuples(st.just("field"), st.tuples(st.just(name), MODEL_FIELD[name]))),
+    st.tuples(st.just("policy-kind"),
+              json_value.filter(lambda v: v not in ("all", "at_least"))),
+    st.tuples(st.just("policy-threshold"), not_a_number | letters),
+    st.tuples(st.just("document"), json_value.filter(lambda v: not isinstance(v, dict))),
+    st.tuples(st.just("truncated"), st.floats(0, 1, exclude_max=True)),
+)
+
+# Config keys, the wrong values for each, and a command that reads the key
+# from the config file only (its flag is left out).
+_TRAIN = ["train", "--vuln", "v.txt", "--benign", "b.txt", "--out", "m.json"]
+CONFIG_CASES = {
+    "policy": (not_a_string, _TRAIN),
+    "weights": (not_a_string.filter(bool), _TRAIN),
+    "cutoff_step": (not_a_number | letters | st.integers(max_value=0), _TRAIN),
+    "threshold_step": (not_a_number | letters | st.booleans(), _TRAIN),
+    "beta": (not_a_number | letters | st.booleans() | st.integers(max_value=0), _TRAIN),
+    "scores": (not_a_string.filter(lambda v: v is not None), _TRAIN),
+    "label": (not_a_string.filter(lambda v: v is not None), _TRAIN),
+    "vuln": (not_a_string, ["train", "--benign", "b.txt", "--out", "m.json"]),
+    "benign": (not_a_string, ["train", "--vuln", "v.txt", "--out", "m.json"]),
+    "csv": (not_a_string, ["train", "--out", "m.json"]),
+    "kfold": (not_a_number | letters, ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                                        "--out-dir", "ev"]),
+    "seed": (not_a_number | letters, ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                                       "--out-dir", "ev"]),
+    "loo": (json_value.filter(lambda v: not (isinstance(v, list) and v
+                                             and all(isinstance(d, str) for d in v))),
+            ["eval", "--out-dir", "ev"]),
+    "weight": (not_a_string, ["roc", "--vuln", "v.txt", "--benign", "b.txt"]),
+}
+config_case = st.sampled_from(sorted(CONFIG_CASES)).flatmap(
+    lambda key: st.tuples(st.just(key), CONFIG_CASES[key][0]))
+
+# A name file with one byte that is not UTF-8, read by each command that reads names.
+NAME_FILE_ARGS = {
+    "predict-names": ["predict", "--model", "good.json", "--names", "fuzz.txt"],
+    "train-vuln": ["train", "--vuln", "fuzz.txt", "--benign", "b.txt", "--out", "m.json"],
+    "train-benign": ["train", "--vuln", "v.txt", "--benign", "fuzz.txt", "--out", "m.json"],
+    "eval-csv": ["eval", "--csv", "fuzz.txt", "--out-dir", "ev"],
+    "roc-vuln": ["roc", "--vuln", "fuzz.txt", "--benign", "b.txt", "--weight", "1-1"],
+}
+non_utf8_names = st.builds(
+    lambda text, cut, bad: text.encode()[:cut] + bad + text.encode()[cut:],
+    st.text(max_size=40), st.integers(0, 40),
+    st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80"]),
+)
+
+
+def _fuzz_model_document() -> dict:
+    words = ["read", "parse", "copy"][:_FUZZ_MODEL_WORDS]
+    dangerous = DangerousWordList(words=tuple((w, 3 - i) for i, w in enumerate(words)),
+                                  policy=MinScorePolicy.at_least(0), weight=Weight(1, 1))
+    model = TunedModel(dangerous=dangerous, cutoff=2, threshold=Fraction(1, 2),
+                       policy=dangerous.policy, weight=dangerous.weight)
+    return model_document(model, Fraction(1, 2))
+
+
+def _run_malformed(files: dict[str, str | bytes], argv: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "v.txt").write_text("danger_read_file\ndanger_parse_net\n")
+        (root / "b.txt").write_text("log_msg_write\nopen_window_ui\n")
+        (root / "good.json").write_text(json.dumps(_fuzz_model_document()))
+        for name, content in files.items():
+            path = root / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=root,
+                              env=_ENV, capture_output=True, text=True)
+    assert proc.returncode in (1, 2, 3), (argv, files, proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, files, proc.stderr)
+
+
+_FUZZ = settings(max_examples=25, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@_FUZZ
+@given(case=malformed_model, command=st.sampled_from(["predict", "roc"]))
+def test_fuzzed_model_file_fails_cleanly(case, command):
+    kind, value = case
+    doc = _fuzz_model_document()
+    if kind == "field":
+        doc[value[0]] = value[1]
+    elif kind == "policy-kind":
+        doc["policy"] = {"kind": value}
+    elif kind == "policy-threshold":
+        doc["policy"] = {"kind": "at_least", "threshold": value}
+    elif kind == "document":
+        doc = value
+    text = json.dumps(doc)
+    if kind == "truncated":
+        text = json.dumps(_fuzz_model_document())
+        text = text[:int(value * len(text))]
+    argv = (["predict", "--model", "fuzz.json", "--names", "v.txt"] if command == "predict"
+            else ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--model", "fuzz.json"])
+    _run_malformed({"fuzz.json": text}, argv)
+
+
+@_FUZZ
+@given(case=config_case)
+def test_fuzzed_config_value_fails_cleanly(case):
+    key, value = case
+    argv = CONFIG_CASES[key][1] + ["--config", "fuzz.json"]
+    _run_malformed({"fuzz.json": json.dumps({key: value})}, argv)
+
+
+@_FUZZ
+@given(content=non_utf8_names, reader=st.sampled_from(sorted(NAME_FILE_ARGS)))
+def test_fuzzed_name_file_fails_cleanly(content, reader):
+    _run_malformed({"fuzz.txt": content}, NAME_FILE_ARGS[reader])

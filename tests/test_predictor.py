@@ -13,6 +13,7 @@ from favd.predictor import (
     TunedModel,
     classify,
     classify_corpus,
+    count_flagged,
 )
 from favd.model_io import load_model, model_document, save_model
 from favd.ranking import (
@@ -242,21 +243,19 @@ def test_predict_rows_format_the_exact_percentage(tmp_path):
         ]
 
 
-# Batch paths (classify_corpus, roc, find_best) against a loop of classify().
+# Batch paths (count_flagged, classify_corpus, roc, find_best) against a loop
+# of classify().
+KERNEL_WORDS = ["alpha", "Bravo", "charlie", "x1", "y", "alpha2", "delta", "echo", "fox",
+                "golf", "hotel", "india", "juliet", "kilo"]
+KERNEL_TERMS = sorted({term for word in KERNEL_WORDS for term in split(word)})
 KERNEL_THRESHOLDS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                      Fraction(2, 3), Fraction(1))
-EXTERNAL_TABLE = TermScoreTable(
-    scores={"alpha": Fraction(1), "absent": Fraction(9, 10), "Bravo": Fraction(1, 2),
-            "nowhere": Fraction(1, 3), "x1": Fraction(1, 5)},
-    origin=EXTERNAL,
-)
 kernel_name = st.one_of(
     st.sampled_from(["__", "___"]),
     st.builds(
         lambda words, joiner: joiner.join(words),
-        st.lists(st.sampled_from(["alpha", "Bravo", "charlie", "x1", "y", "alpha2"]),
-                 min_size=1, max_size=4),
-        st.sampled_from(["_", ""]),
+        st.lists(st.sampled_from(KERNEL_WORDS), min_size=1, max_size=12, unique=True),
+        st.sampled_from(["_", "_", ""]),
     ),
 )
 kernel_corpus = st.builds(
@@ -264,6 +263,19 @@ kernel_corpus = st.builds(
     st.sets(kernel_name, min_size=1, max_size=8),
     st.sets(kernel_name, max_size=8),
 )
+# External tables: "absent" and "nowhere" are in no name, so the first table
+# ranks no term of any corpus and the second ranks every one.
+ABSENT = {"absent": Fraction(9, 10), "nowhere": Fraction(1, 3)}
+external_table = st.one_of(
+    st.just(ABSENT),
+    st.just(dict(ABSENT, **{term: Fraction(i % 5, 4) for i, term in enumerate(KERNEL_TERMS)})),
+    st.dictionaries(st.sampled_from(KERNEL_TERMS + sorted(ABSENT)),
+                    st.builds(Fraction, st.integers(0, 6), st.just(6)), max_size=8),
+).map(lambda scores: TermScoreTable(scores=scores, origin=EXTERNAL))
+kernel_thresholds = st.lists(
+    st.builds(lambda k, n: Fraction(min(k, n), n), st.integers(0, 13), st.integers(1, 13)),
+    min_size=1, max_size=6,
+).map(lambda extra: tuple(sorted(set(KERNEL_THRESHOLDS + tuple(extra)))))
 
 
 def _looped_counts(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
@@ -273,27 +285,35 @@ def _looped_counts(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
 
 
 def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedModel:
-    return TunedModel(dangerous=words, cutoff=min(cutoff, len(words)), threshold=threshold,
-                      policy=words.policy)
+    """The model of the first `cutoff` words; cutoff 0 or past the end is allowed."""
+    top = DangerousWordList(words=words.words[:cutoff], policy=words.policy)
+    return TunedModel(dangerous=top, cutoff=len(top), threshold=threshold, policy=top.policy)
 
 
-@settings(max_examples=60, deadline=None)
-@given(corpus=kernel_corpus, weight=st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3)]))
-def test_batch_counts_equal_classify_loop(corpus, weight):
+@settings(max_examples=80, deadline=None)
+@given(corpus=kernel_corpus, weight=st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3)]),
+       table=external_table, thresholds=kernel_thresholds)
+@example(corpus=clean(RawLists(("alpha_Bravo_charlie_x1_y_delta_echo_fox_golf_hotel_india_juliet",
+                                "alpha"), ("kilo_alpha2",))),
+         weight=Weight(1, 1), table=TermScoreTable(scores=ABSENT, origin=EXTERNAL),
+         thresholds=KERNEL_THRESHOLDS)
+def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
     lists = [rank(score_frequency(corpus, weight), MinScorePolicy.parse(policy))
-             for policy in ("zero", "none", "1/2")]
-    lists.append(rank(EXTERNAL_TABLE, MinScorePolicy.all_terms()))
-    grid = SearchGrid(cutoff_step=2, thresholds=KERNEL_THRESHOLDS)
+             for policy in ("zero", "none", "1/2", "-3/2")]
+    lists.append(rank(table, MinScorePolicy.all_terms()))
+    grid = SearchGrid(cutoff_step=2, thresholds=thresholds)
     for words in lists:
-        if len(words) == 0:
-            model = TunedModel(dangerous=words, cutoff=0, threshold=Fraction(1),
-                               policy=words.policy)
-            assert classify_corpus(corpus, model) == _looped_counts(corpus, model)
-            continue
-        for cutoff in range(1, len(words) + 1):
-            for threshold in KERNEL_THRESHOLDS:
-                model = _rule(words, cutoff, threshold)
-                assert classify_corpus(corpus, model) == _looped_counts(corpus, model)
+        # Every cutoff from 0 to past the end of the list, in one call.
+        cutoffs = list(range(len(words) + 3))
+        tp, fp = count_flagged(words, corpus, cutoffs, thresholds)
+        for i, threshold in enumerate(thresholds):
+            for j, cutoff in enumerate(cutoffs):
+                counts = _looped_counts(corpus, _rule(words, cutoff, threshold))
+                assert (tp[i][j], fp[i][j]) == (counts.tp, counts.fp), (threshold, cutoff)
+                if cutoff <= len(words) and (cutoff or not words.words):
+                    model = TunedModel(dangerous=words, cutoff=cutoff, threshold=threshold,
+                                       policy=words.policy)
+                    assert classify_corpus(corpus, model) == counts
         for cell in find_best(words, corpus, grid, want_trace=True).grid_trace:
             counts = _looped_counts(corpus, _rule(words, cell.cutoff, cell.threshold))
             assert cell.counts == counts
@@ -301,7 +321,7 @@ def test_batch_counts_equal_classify_loop(corpus, weight):
         if not corpus.benign:
             continue
         for cutoff in range(1, len(words) + 3):
-            for point in next(roc(words, [cutoff], corpus, thresholds=KERNEL_THRESHOLDS)).points:
+            for point in next(roc(words, [cutoff], corpus, thresholds=thresholds)).points:
                 counts = _looped_counts(corpus, _rule(words, cutoff, point.threshold))
                 assert point.tpr == Fraction(counts.tp, len(corpus.vulnerable))
                 assert point.fpr == Fraction(counts.fp, len(corpus.benign))

@@ -154,6 +154,21 @@ class TestRank:
         )
 
 
+@given(
+    vuln=st.sets(st.sampled_from(["read_file", "read_net", "net_poll", "ui_draw", "log"]),
+                 min_size=1),
+    benign=st.sets(st.sampled_from(["write_file", "ui_draw_net", "log_msg", "poll"])),
+    weight=st.builds(Weight, st.integers(1, 4), st.integers(1, 4)),
+    threshold=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+def test_policy_filter_equals_the_exact_comparison(vuln, benign, weight, threshold):
+    """Frequency scores are compared with ceil(threshold); keeps() compares exactly."""
+    table = score_frequency(clean(RawLists(tuple(vuln), tuple(benign))), weight)
+    policy = MinScorePolicy.at_least(threshold)
+    everything = rank(table, MinScorePolicy.all_terms()).words
+    assert rank(table, policy).words == tuple(w for w in everything if policy.keeps(w[1]))
+
+
 class TestPolicy:
     def test_parse_spellings(self):
         assert MinScorePolicy.parse("none") == MinScorePolicy.all_terms()
