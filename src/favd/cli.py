@@ -1,6 +1,8 @@
 """Command-line surface: split, train, eval, predict, roc, baseline, harvest, synth.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 infeasible protocol.
+An option that both a flag and a --config file can set passes the same check
+either way; a bad value exits 2.
 All reports embed the tool version, the effective configuration, and SHA-256
 digests of the inputs; given identical inputs and flags the written files are
 byte-identical across runs.
@@ -11,23 +13,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import (
     LabeledCorpus,
     clean,
-    corpus_stats,
     load_csv,
     load_lists,
     make_kfold,
     make_leave_one_out,
 )
-from .errors import DataError, FavdError, InfeasibleError
+from .errors import DataError, FavdError, InfeasibleError, reading, writing
 from .harvest import harvest
 from .metrics import (
     all_vulnerable_f2,
@@ -37,10 +41,11 @@ from .metrics import (
     random_baseline_f2,
     roc,
 )
-from .model_io import model_document, load_model, save_model, sha256_file
+from .model_io import load_json_object, load_model, model_document, save_model
 from .predictor import classify, classify_corpus
 from .ranking import (
     MinScorePolicy,
+    TermScoreTable,
     Weight,
     default_weight_grid,
     load_external_scores,
@@ -62,70 +67,144 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+# Option checks. Each takes the raw value, a flag's string or a config file's
+# JSON value (None when a config file gives null), and returns the value used.
+
+def _string(value) -> str | None:
+    """A path or a label; None when absent."""
+    if value is not None and not isinstance(value, str):
+        raise DataError(f"must be a string, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise DataError(f"must be an integer, got {value!r}")
+
+
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 1:
+        raise DataError(f"must be >= 1, got {number}")
+    return number
+
+
+def _number(value) -> Fraction:
+    """An exact number that converts to a finite float, as reports print it so."""
+    try:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            number = Fraction(str(value))
+            float(number)
+            return number
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise DataError(f"must be a finite number, got {value!r}")
+
+
+def _beta(value) -> Fraction:
+    beta = _number(value)
+    if beta <= 0:
+        raise DataError(f"must be positive, got {value!r}")
+    return beta
+
+
+def _threshold_step(value) -> str:
+    """A step in (0, 1], kept as written: reports record it that way."""
+    if not 0 < _number(value) <= 1:
+        raise DataError(f"must lie in (0, 1], got {value!r}")
+    return str(value)
+
+
+def _weights(value) -> tuple[Weight, ...]:
+    if value is None:
+        return default_weight_grid()
+    weights = tuple(Weight.parse(part) for part in _string(value).split(",") if part.strip())
+    if not weights:
+        raise DataError(f"must name at least one PLUS-MINUS pair, got {value!r}")
+    return weights
+
+
+def _weight(value) -> Weight | None:
+    return Weight.parse(value) if _string(value) else None
+
+
+def _directories(value) -> list[str] | None:
+    if value is None or (isinstance(value, list) and value
+                         and all(isinstance(d, str) for d in value)):
+        return value
+    raise DataError(f"must be a list of directories, got {value!r}")
+
+
+class Option(NamedTuple):
+    """A key that both a flag (`--cutoff-step` for cutoff_step) and a config file set."""
+
+    check: Callable
+    default: object
+    help: str
+    nargs: str | None = None
+    metavar: str | None = None
+
+
+OPTIONS = {
+    "vuln": Option(_string, None, "vulnerable name list (one per line)"),
+    "benign": Option(_string, None, "benign name list (one per line)"),
+    "csv": Option(_string, None, "name,label CSV instead of two list files"),
+    "label": Option(_string, None, "corpus label for reports"),
+    "policy": Option(MinScorePolicy.parse, "zero", "min-score policy: none|zero|NUMBER"),
+    "weights": Option(_weights, None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
+    "cutoff_step": Option(_count, 100, "cutoff grid step"),
+    "threshold_step": Option(_threshold_step, "0.05", "threshold grid step"),
+    "beta": Option(_beta, "2", "F-beta objective for tuning"),
+    "scores": Option(_string, None, "external term,score CSV; replaces frequency scoring"),
+    "kfold": Option(_integer, 5, "number of stratified folds"),
+    "seed": Option(_integer, 0, "shuffle seed"),
+    "loo": Option(_directories, None,
+                  "leave-one-out over project dirs holding vulnerable.txt/benign.txt",
+                  nargs="+", metavar="DIR"),
+    "weight": Option(_weight, None, "PLUS-MINUS pair to rank the corpus itself"),
+}
+CORPUS_KEYS = ("vuln", "benign", "csv", "label")
+GRID_KEYS = ("policy", "cutoff_step", "threshold_step")
+TUNING_KEYS = CORPUS_KEYS + GRID_KEYS + ("weights", "beta", "scores")
+
+
+def _checked(key: str, check, value):
+    """check(value), with a failure's message naming the option."""
+    try:
+        return check(value)
+    except DataError as exc:
+        raise DataError(f"{key}: {exc}") from exc
+
+
+def _options(args, config: dict) -> dict:
+    """Each of the command's options: the flag, else the config value, else the default, checked."""
+    values = {}
+    for key in args.keys:
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, OPTIONS[key].default)
+        values[key] = _checked(key, OPTIONS[key].check, value)
+    return values
 
 
 def _write_csv(out: str | Path | None, header: list[str], rows) -> None:
-    """Write a CSV to stdout for None or '-', else to the file (parent dirs created)."""
-    if out in (None, "-"):
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        path = Path(out)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            target = path.open("w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
-    with target as fh:
+    """Write a CSV to stdout for None or '-', else to the file."""
+    with contextlib.ExitStack() as stack:
+        fh = sys.stdout
+        if out not in (None, "-"):
+            path = stack.enter_context(writing(out))
+            fh = stack.enter_context(path.open("w", newline="", encoding="utf-8"))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _parse_weights(text: str | None):
-    if not text:
-        return default_weight_grid()
-    if not isinstance(text, str):
-        raise DataError(
-            f'weights must be a string of PLUS-MINUS pairs such as "1-1,2-1", got {text!r}'
-        )
-    return tuple(Weight.parse(part) for part in text.split(",") if part.strip())
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"malformed config file {p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {p} must hold a JSON object")
-    return doc
-
-
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _resolve_str(args, config: dict, key: str) -> str | None:
-    """A path or label from the flags or the config file; None when absent."""
-    value = _resolve(args, config, key, None)
-    if value is not None and not isinstance(value, str):
-        raise DataError(f"{key} must be a string, got {value!r}")
-    return value
-
-
 def _digest(path) -> dict:
-    return {"path": str(path), "sha256": sha256_file(path)}
+    return {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
 def _load_pair(vuln, benign, label) -> tuple[LabeledCorpus, dict]:
@@ -134,73 +213,32 @@ def _load_pair(vuln, benign, label) -> tuple[LabeledCorpus, dict]:
     return clean(raw), {"vulnerable": _digest(vuln), "benign": _digest(benign)}
 
 
-def _corpus_inputs(args, config) -> tuple[LabeledCorpus, dict]:
-    """Load and clean the corpus named by --csv or --vuln/--benign."""
-    csv_path = _resolve_str(args, config, "csv")
-    vuln = _resolve_str(args, config, "vuln")
-    benign = _resolve_str(args, config, "benign")
-    label = _resolve_str(args, config, "label")
-    if csv_path:
-        return clean(load_csv(csv_path, source_label=label)), {"csv": _digest(csv_path)}
-    if vuln and benign:
-        return _load_pair(vuln, benign, label)
+def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
+    """Load and clean the corpus named by csv or vuln/benign."""
+    if opts["csv"]:
+        corpus = clean(load_csv(opts["csv"], source_label=opts["label"]))
+        return corpus, {"csv": _digest(opts["csv"])}
+    if opts["vuln"] and opts["benign"]:
+        return _load_pair(opts["vuln"], opts["benign"], opts["label"])
     raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
 
 
-def _parse_step(value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DataError(f"cannot parse number {value!r}") from exc
-
-
-def _parse_int(value, what: str, minimum: int | None = None) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{what} must be an integer, got {value!r}") from exc
-    if minimum is not None and number < minimum:
-        raise DataError(f"{what} must be >= {minimum}, got {number}")
-    return number
-
-
-def _grid_options(args, config) -> tuple[SearchGrid, MinScorePolicy, Fraction, dict]:
-    policy = MinScorePolicy.parse(_resolve(args, config, "policy", "zero"))
-    weights = _parse_weights(_resolve(args, config, "weights", None))
-    cutoff_step = _parse_int(_resolve(args, config, "cutoff_step", 100), "cutoff step")
-    threshold_step = _resolve(args, config, "threshold_step", "0.05")
-    beta = _parse_step(_resolve(args, config, "beta", "2"))
-    if beta <= 0:
-        raise DataError(f"beta must be positive, got {beta}")
-    try:
-        thresholds = threshold_values(_parse_step(threshold_step))
-        grid = SearchGrid(cutoff_step=cutoff_step, thresholds=thresholds, weights=weights)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    options = {
-        "policy": policy.tag(),
-        "weights": [w.tag() for w in weights],
-        "cutoff_step": cutoff_step,
-        "threshold_step": str(threshold_step),
-        "beta": float(beta),
+def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict]:
+    """train's and eval's grid, external score table, and the config their reports record."""
+    grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]),
+                      opts["weights"])
+    external_table = load_external_scores(opts["scores"]) if opts["scores"] else None
+    config = {
+        "policy": opts["policy"].tag(),
+        "weights": [w.tag() for w in grid.weights],
+        "cutoff_step": grid.cutoff_step,
+        "threshold_step": opts["threshold_step"],
+        "beta": float(opts["beta"]),
         # The search is always exhaustive; the key keeps reports comparable.
         "mode": "exhaustive",
+        "scorer": "external" if external_table is not None else "frequency",
     }
-    return grid, policy, beta, options
-
-
-def _fold_metrics(counts, beta) -> dict:
-    return {
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "fn": counts.fn,
-        "tn": counts.tn,
-        "precision": format_rate(precision(counts)),
-        "recall": format_rate(recall(counts)),
-        "f1": format_rate(f_beta(counts, 1)),
-        "f2": format_rate(f_beta(counts, 2)),
-        "f_beta": format_rate(f_beta(counts, beta)),
-    }
+    return grid, external_table, config
 
 
 def _trace_rows(traces):
@@ -229,34 +267,28 @@ def _tune(train, external_table, policy, grid, beta, traces: list | None = None)
     return result
 
 
-def cmd_split(args, config) -> int:
+def cmd_split(args, opts) -> int:
     for term in split(args.name, fold_case=bool(args.fold_case)):
         print(term)
     return 0
 
 
-def cmd_train(args, config) -> int:
-    corpus, digests = _corpus_inputs(args, config)
-    grid, policy, beta, options = _grid_options(args, config)
-    scores_path = _resolve_str(args, config, "scores")
-    external_table = load_external_scores(scores_path) if scores_path else None
+def cmd_train(args, opts) -> int:
+    corpus, digests = _corpus_inputs(opts)
+    grid, external_table, config = _search(opts)
     traces: list | None = [] if args.trace else None
-    result = _tune(corpus, external_table, policy, grid, beta, traces)
-    if scores_path:
-        digests["scores"] = _digest(scores_path)
-    options["scorer"] = "external" if scores_path else "frequency"
+    result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], traces)
+    if external_table is not None:
+        digests["scores"] = _digest(opts["scores"])
     warnings = []
     if len(result.model.dangerous) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
-    doc = model_document(result.model, result.train_f2, inputs=digests, config=options,
+    doc = model_document(result.model, result.train_f2, inputs=digests, config=config,
                          warnings=warnings)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(doc, out)
     if args.words_csv:
-        words_path = Path(args.words_csv)
-        words_path.parent.mkdir(parents=True, exist_ok=True)
-        write_word_list_csv(result.model.dangerous, words_path)
+        write_word_list_csv(result.model.dangerous, args.words_csv)
     if args.trace:
         _write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
                    _trace_rows(traces))
@@ -273,6 +305,16 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
     model = result.model
     counts = classify_corpus(test, model)
     v, b = len(test.vulnerable), len(test.benign)
+    # Exact values, averaged over the folds for the means; the row rounds them.
+    exact = {
+        "f2": f_beta(counts, 2),
+        "f_beta": f_beta(counts, beta),
+        "precision": precision(counts),
+        "recall": recall(counts),
+        "all_vulnerable_f2": all_vulnerable_f2(v, b),
+        "random_f2": random_baseline_f2(Fraction(v, v + b)),
+    }
+    rate = {key: format_rate(value) for key, value in exact.items()}
     row = {
         "fold": fold_id,
         "train": {"vulnerable": len(train.vulnerable), "benign": len(train.benign)},
@@ -285,37 +327,30 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
             "dangerous_count": len(model.dangerous),
             "train_f2": format_rate(result.train_f2),
         },
-        "metrics": _fold_metrics(counts, beta),
-        "baselines": {
-            "all_vulnerable_f2": format_rate(all_vulnerable_f2(v, b)),
-            "random_f2": format_rate(random_baseline_f2(Fraction(v, v + b))),
+        "metrics": {
+            "tp": counts.tp,
+            "fp": counts.fp,
+            "fn": counts.fn,
+            "tn": counts.tn,
+            "precision": rate["precision"],
+            "recall": rate["recall"],
+            "f1": format_rate(f_beta(counts, 1)),
+            "f2": rate["f2"],
+            "f_beta": rate["f_beta"],
         },
-    }
-    exact = {
-        "f2": f_beta(counts, 2),
-        "f_beta": f_beta(counts, beta),
-        "precision": precision(counts),
-        "recall": recall(counts),
-        "all_vulnerable_f2": all_vulnerable_f2(v, b),
-        "random_f2": random_baseline_f2(Fraction(v, v + b)),
+        "baselines": {"all_vulnerable_f2": rate["all_vulnerable_f2"],
+                      "random_f2": rate["random_f2"]},
     }
     return row, exact
 
 
-def cmd_eval(args, config) -> int:
-    grid, policy, beta, options = _grid_options(args, config)
-    loo_dirs = _resolve(args, config, "loo", None)
-    if loo_dirs is not None and not (
-        isinstance(loo_dirs, list) and all(isinstance(d, str) for d in loo_dirs)
-    ):
-        raise DataError(f"loo must be a list of directories, got {loo_dirs!r}")
-    scores_path = _resolve_str(args, config, "scores")
-    external_table = load_external_scores(scores_path) if scores_path else None
-    options["scorer"] = "external" if external_table is not None else "frequency"
-    if loo_dirs:
+def cmd_eval(args, opts) -> int:
+    grid, external_table, config = _search(opts)
+    policy, beta = opts["policy"], opts["beta"]
+    if opts["loo"]:
         corpora = []
         digests = {}
-        for d in map(Path, loo_dirs):
+        for d in map(Path, opts["loo"]):
             corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
             corpora.append(corpus)
         plan = make_leave_one_out(corpora)
@@ -323,9 +358,8 @@ def cmd_eval(args, config) -> int:
         fold_ids = [test.source_label for _, test in plan.folds]
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
-        corpus, digests = _corpus_inputs(args, config)
-        k = _parse_int(_resolve(args, config, "kfold", 5), "kfold")
-        seed = _parse_int(_resolve(args, config, "seed", 0), "seed")
+        corpus, digests = _corpus_inputs(opts)
+        k, seed = opts["kfold"], opts["seed"]
         plan = make_kfold(corpus, k, seed)
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
@@ -348,15 +382,14 @@ def cmd_eval(args, config) -> int:
     report = {
         "schema_version": 1,
         "tool_version": __version__,
-        "config": options,
+        "config": config,
         "inputs": digests,
         "protocol": protocol,
         "folds": folds,
         "means": means,
     }
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report, out_dir / "eval_report.json")
+    save_model(report, out_dir / "eval_report.json")
     _write_csv(out_dir / "folds.csv", [
         "fold", "train_vuln", "train_benign", "test_vuln", "test_benign",
         "weight", "cutoff", "threshold", "tp", "fp", "fn", "tn",
@@ -380,27 +413,18 @@ def cmd_eval(args, config) -> int:
 
 
 def _read_names(path: Path) -> list[str]:
-    if not path.exists():
-        raise DataError(f"names file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read names file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if lines and lines[0].strip().lower().startswith("name,"):
-        try:
-            with path.open(newline="", encoding="utf-8") as fh:
-                rows = csv.reader(fh)
-                next(rows)
-                return [row[0].strip() for row in rows if row and row[0].strip()]
-        except csv.Error as exc:
-            raise DataError(f"malformed CSV {path}: {exc}") from exc
-    return [line.rstrip() for line in lines if line.rstrip()]
+    """A plain name list, or the first column of a `name,...` CSV such as harvest's."""
+    with reading(path, "names file"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if not (lines and lines[0].strip().lower().startswith("name,")):
+            return [line.rstrip() for line in lines if line.rstrip()]
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            return [row[0].strip() for row in rows if row and row[0].strip()]
 
 
-def cmd_predict(args, config) -> int:
+def cmd_predict(args, opts) -> int:
     model = load_model(args.model)
     names = _read_names(Path(args.names))
     # Int true division rounds correctly, so k / t equals float(percentage).
@@ -412,20 +436,19 @@ def cmd_predict(args, config) -> int:
     return 0
 
 
-def cmd_roc(args, config) -> int:
-    corpus, _digests = _corpus_inputs(args, config)
-    grid, policy, _beta, _options = _grid_options(args, config)
+def cmd_roc(args, opts) -> int:
+    corpus, _digests = _corpus_inputs(opts)
+    grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]))
     if args.model:
         dangerous = load_model(args.model).dangerous
+    elif opts["weight"]:
+        dangerous = rank(score_frequency(corpus, opts["weight"]), opts["policy"])
     else:
-        weight_text = _resolve(args, config, "weight", None)
-        if not weight_text:
-            raise DataError("provide --model FILE or --weight PLUS-MINUS")
-        dangerous = rank(score_frequency(corpus, Weight.parse(weight_text)), policy)
+        raise DataError("provide --model FILE or --weight PLUS-MINUS")
     if len(dangerous) == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs:
-        cutoffs = [_parse_int(c, "cutoff", 1) for c in args.cutoffs.split(",") if c.strip()]
+        cutoffs = [_checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
     else:
         cutoffs = grid.cutoff_values(len(dangerous))
     curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
@@ -440,15 +463,15 @@ def cmd_roc(args, config) -> int:
     return 0
 
 
-def cmd_baseline(args, config) -> int:
+def cmd_baseline(args, opts) -> int:
     if args.counts:
         v, b = args.counts
         if v < 0 or b < 0 or v + b == 0:
             raise DataError("counts must be non-negative and not both zero")
         inputs = {}
     else:
-        corpus, inputs = _corpus_inputs(args, config)
-        v, b, _f = corpus_stats(corpus)
+        corpus, inputs = _corpus_inputs(opts)
+        v, b = len(corpus.vulnerable), len(corpus.benign)
     fraction = Fraction(v, v + b)
     report = {
         "schema_version": 1,
@@ -461,12 +484,12 @@ def cmd_baseline(args, config) -> int:
         "random_f2": format_rate(random_baseline_f2(fraction)),
     }
     if args.out:
-        _write_json(report, Path(args.out))
+        save_model(report, args.out)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
-def cmd_harvest(args, config) -> int:
+def cmd_harvest(args, opts) -> int:
     names, warnings = harvest([Path(p) for p in args.paths])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -475,15 +498,8 @@ def cmd_harvest(args, config) -> int:
     return 0
 
 
-def cmd_synth(args, config) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise DataError(f"spec file not found: {spec_path}")
-    try:
-        doc = json.loads(spec_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"malformed spec file {spec_path}: {exc}") from exc
-    spec = spec_from_dict(doc)
+def cmd_synth(args, opts) -> int:
+    spec = spec_from_dict(load_json_object(args.spec, "spec file"))
     corpus, planted = generate(spec)
     out_dir = Path(args.out)
     vpath, bpath = write_corpus(corpus, out_dir)
@@ -503,7 +519,7 @@ def cmd_synth(args, config) -> int:
         "planted_dangerous": sorted(planted),
         "counts": {"vulnerable": len(corpus.vulnerable), "benign": len(corpus.benign)},
     }
-    _write_json(truth, out_dir / "ground_truth.json")
+    save_model(truth, out_dir / "ground_truth.json")
     print(f"wrote {vpath}, {bpath}, and ground_truth.json "
           f"({len(corpus.vulnerable)} vulnerable, {len(corpus.benign)} benign)")
     return 0
@@ -514,47 +530,31 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"favd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_corpus_flags(p):
-        p.add_argument("--vuln", help="vulnerable name list (one per line)")
-        p.add_argument("--benign", help="benign name list (one per line)")
-        p.add_argument("--csv", help="name,label CSV instead of two list files")
-        p.add_argument("--label", help="corpus label for reports")
-
-    def add_grid_flags(p):
-        p.add_argument("--policy", help="min-score policy: none|zero|NUMBER (default zero)")
-        p.add_argument("--weights", help="comma list of PLUS-MINUS pairs (default grid)")
-        p.add_argument("--cutoff-step", dest="cutoff_step", type=int, help="cutoff grid step (default 100)")
-        p.add_argument("--threshold-step", dest="threshold_step", help="threshold grid step (default 0.05)")
-        p.add_argument("--beta", help="F-beta objective for tuning (default 2)")
-
-    def command(name, func, summary):
+    def command(name, func, summary, keys=()):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON file of option defaults; flags win")
-        p.set_defaults(func=func)
+        for key in keys:
+            opt = OPTIONS[key]
+            default = "" if opt.default is None else f" (default {opt.default})"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, nargs=opt.nargs,
+                           metavar=opt.metavar, help=opt.help + default)
+        p.set_defaults(func=func, keys=keys)
         return p
 
     p = sub.add_parser("split", help="print an identifier's terms, one per line")
     p.add_argument("name")
     p.add_argument("--fold-case", dest="fold_case", action="store_true", default=None)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, keys=())
 
-    p = command("train", cmd_train, "tune a model on a labeled corpus and save it as JSON")
-    add_corpus_flags(p)
-    add_grid_flags(p)
-    p.add_argument("--scores", help="external term,score CSV; replaces frequency scoring")
+    p = command("train", cmd_train, "tune a model on a labeled corpus and save it as JSON",
+                TUNING_KEYS)
     p.add_argument("--trace", help="write the full weight/cutoff/threshold trace CSV here")
     p.add_argument("--words-csv", dest="words_csv",
                    help="also export the winning dangerous-word list as rank,term,score CSV")
     p.add_argument("--out", required=True, help="output model JSON path")
 
-    p = command("eval", cmd_eval, "cross-validated evaluation with per-fold reports")
-    add_corpus_flags(p)
-    add_grid_flags(p)
-    p.add_argument("--kfold", type=int, help="number of stratified folds (default 5)")
-    p.add_argument("--seed", type=int, help="shuffle seed (default 0)")
-    p.add_argument("--loo", nargs="+", metavar="DIR",
-                   help="leave-one-out over project dirs holding vulnerable.txt/benign.txt")
-    p.add_argument("--scores", help="external term,score CSV; replaces frequency scoring")
+    p = command("eval", cmd_eval, "cross-validated evaluation with per-fold reports",
+                TUNING_KEYS + ("kfold", "seed", "loo"))
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
     p = command("predict", cmd_predict, "classify names with a saved model")
@@ -562,21 +562,17 @@ def build_parser() -> _Parser:
     p.add_argument("--names", required=True, help="plain list or harvest CSV")
     p.add_argument("--out", help="output CSV (default stdout)")
 
-    p = command("roc", cmd_roc, "TPR/FPR sweep over thresholds for one or more cutoffs")
-    add_corpus_flags(p)
+    p = command("roc", cmd_roc, "TPR/FPR sweep over thresholds for one or more cutoffs",
+                CORPUS_KEYS + GRID_KEYS + ("weight",))
     p.add_argument("--model", help="use a saved model's dangerous word list")
-    p.add_argument("--weight", help="PLUS-MINUS pair to rank the corpus itself")
-    p.add_argument("--policy", help="min-score policy when ranking (default zero)")
     p.add_argument("--cutoffs", help="comma list of cutoffs (default: step grid)")
-    p.add_argument("--cutoff-step", dest="cutoff_step", type=int)
-    p.add_argument("--threshold-step", dest="threshold_step")
     p.add_argument("--include-zero-endpoint", dest="include_zero_endpoint",
                    action="store_true", default=None,
                    help="append the degenerate threshold-0 point (1,1)")
     p.add_argument("--out", help="output CSV (default stdout)")
 
-    p = command("baseline", cmd_baseline, "all-vulnerable and random baseline report")
-    add_corpus_flags(p)
+    p = command("baseline", cmd_baseline, "all-vulnerable and random baseline report",
+                CORPUS_KEYS)
     p.add_argument("--counts", nargs=2, type=int, metavar=("VULN", "BENIGN"))
     p.add_argument("--out", help="also write the JSON report here")
 
@@ -598,8 +594,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
+        config_path = getattr(args, "config", None)
+        config = load_json_object(config_path, "config file") if config_path else {}
+        return args.func(args, _options(args, config))
     except DataError as exc:
         print(f"favd: data error: {exc}", file=sys.stderr)
         return 2

@@ -15,13 +15,11 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
 from pathlib import Path
-from typing import NamedTuple
 
-from .errors import DataError, InfeasibleError
+from .errors import DataError, InfeasibleError, reading
 from .splitter import split
 
 
@@ -114,19 +112,9 @@ class FoldPlan:
     folds: tuple[tuple[LabeledCorpus, LabeledCorpus], ...]
 
 
-class CorpusStats(NamedTuple):
-    vulnerable: int
-    benign: int
-    fraction: Fraction
-
-
 def _read_lines(path: Path) -> list[str]:
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    try:
+    with reading(path, "input file"):
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
     lines = [line.rstrip() for line in text.splitlines()]
     return [line for line in lines if line]
 
@@ -153,34 +141,27 @@ def load_lists(
 def load_csv(path: str | Path, source_label: str | None = None) -> RawLists:
     """Read a two-column `name,label` CSV with labels vulnerable/benign."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
     vulnerable: list[str] = []
     benign: list[str] = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["name", "label"]:
-                raise DataError(f"expected header 'name,label' in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) < 2:
-                    raise DataError(f"{path}:{lineno}: expected two columns")
-                name, label = row[0].strip(), row[1].strip().lower()
-                if not name:
-                    continue
-                if label == "vulnerable":
-                    vulnerable.append(name)
-                elif label == "benign":
-                    benign.append(name)
-                else:
-                    raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV {path}: {exc}") from exc
+    with reading(path, "input file"), path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["name", "label"]:
+            raise DataError(f"expected header 'name,label' in {path}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < 2:
+                raise DataError(f"{path}:{lineno}: expected two columns")
+            name, label = row[0].strip(), row[1].strip().lower()
+            if not name:
+                continue
+            if label == "vulnerable":
+                vulnerable.append(name)
+            elif label == "benign":
+                benign.append(name)
+            else:
+                raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
     label_out = source_label if source_label is not None else path.stem
     return RawLists(tuple(vulnerable), tuple(benign), label_out)
 
@@ -270,13 +251,3 @@ def make_leave_one_out(corpora: list[LabeledCorpus]) -> FoldPlan:
         folds.append((clean(union), test))
     return FoldPlan(folds=tuple(folds))
 
-
-def vulnerable_fraction(vuln_count: int, benign_count: int) -> Fraction:
-    if vuln_count + benign_count == 0:
-        raise DataError("cannot compute vulnerable fraction of an empty corpus")
-    return Fraction(vuln_count, vuln_count + benign_count)
-
-
-def corpus_stats(corpus: LabeledCorpus) -> CorpusStats:
-    v, b = len(corpus.vulnerable), len(corpus.benign)
-    return CorpusStats(v, b, vulnerable_fraction(v, b))

@@ -6,22 +6,17 @@ own explanation: the ranked words are the reason behind every prediction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import DataError
+from .errors import DataError, reading, writing
 from .predictor import TunedModel
 from .ranking import DangerousWordList, MinScorePolicy, Weight
 from .rational import exact_fraction
 
 SCHEMA_VERSION = 1
-
-
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _score_out(score) -> int | float:
@@ -73,21 +68,22 @@ def model_document(
 
 
 def save_model(document: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write a model, or any other report document, as sorted, indented JSON."""
+    with writing(path) as path:
+        path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def load_json_object(path: str | Path, what: str) -> dict:
+    """Read a file that must hold one JSON object: a model, config or spec file."""
+    with reading(path, what):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed {what} {path}: expected a JSON object")
+    return doc
 
 
 def load_model(path: str | Path) -> TunedModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"malformed model file {path}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"malformed model file {path}: expected a JSON object")
+    doc = load_json_object(path, "model file")
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise DataError(

@@ -35,11 +35,6 @@ class ConfusionCounts:
     fn: int = 0
     tn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
-
 
 @dataclass
 class TunedModel:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .corpus import LabeledCorpus
-from .errors import DataError
+from .errors import DataError, reading, writing
 from .rational import exact_fraction
 
 Score = int | Fraction
@@ -98,7 +98,7 @@ class MinScorePolicy:
         # "none"/"all" keep every term; "zero" is the >= 0 cut.
         if not isinstance(text, str):
             raise DataError(
-                f'policy must be a string (none, zero or a number such as "0.5"), got {text!r}'
+                f'must be a string (none, zero or a number such as "0.5"), got {text!r}'
             )
         word = text.strip().lower()
         if word in ("none", "all"):
@@ -106,9 +106,11 @@ class MinScorePolicy:
         if word == "zero":
             return cls.at_least(0)
         try:
-            return cls.at_least(Fraction(word))
-        except (ValueError, ZeroDivisionError) as exc:
+            threshold = Fraction(word)
+            float(threshold)  # reports print it as a float
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DataError(f"cannot parse policy {text!r}") from exc
+        return cls.at_least(threshold)
 
     def tag(self) -> str:
         if self.kind == "all":
@@ -176,38 +178,31 @@ def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
 def load_external_scores(path: str | Path, source: str | None = None) -> TermScoreTable:
     """Load a `term,score` CSV (header optional) as an external score table."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"score file not found: {path}")
     scores: dict[str, Fraction] = {}
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
-                    continue
-                if len(row) < 2:
-                    raise DataError(f"{path}:{lineno}: expected term,score")
-                term = row[0].strip()
-                try:
-                    score = Fraction(row[1].strip())
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
-                if not 0 <= score <= 1:
-                    raise DataError(f"{path}:{lineno}: score {row[1]} outside [0, 1]")
-                if term in scores:
-                    raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
-                scores[term] = score
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV {path}: {exc}") from exc
+    with reading(path, "score file"), path.open(newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
+                continue
+            if len(row) < 2:
+                raise DataError(f"{path}:{lineno}: expected term,score")
+            term = row[0].strip()
+            try:
+                score = Fraction(row[1].strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
+            if not 0 <= score <= 1:
+                raise DataError(f"{path}:{lineno}: score {row[1]} outside [0, 1]")
+            if term in scores:
+                raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
+            scores[term] = score
     return TermScoreTable(scores=scores, origin=EXTERNAL, source=source or str(path))
 
 
 def write_word_list_csv(words: DangerousWordList, path: str | Path) -> None:
     """Export as `rank,term,score` CSV, rank starting at 1."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with writing(path) as path, path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "term", "score"])
         for i, (term, score) in enumerate(words.words, start=1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import LabeledCorpus, RawLists, clean
-from .errors import DataError
+from .errors import DataError, writing
 from .splitter import split
 
 
@@ -128,10 +128,10 @@ def generate(spec: SynthSpec) -> tuple[LabeledCorpus, frozenset[str]]:
 def write_corpus(corpus: LabeledCorpus, out_dir: str | Path) -> tuple[Path, Path]:
     """Write sorted vulnerable.txt and benign.txt list files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     vpath, bpath = out / "vulnerable.txt", out / "benign.txt"
-    vpath.write_text("".join(f"{n}\n" for n in sorted(corpus.vulnerable)), encoding="utf-8")
-    bpath.write_text("".join(f"{n}\n" for n in sorted(corpus.benign)), encoding="utf-8")
+    for path, names in ((vpath, corpus.vulnerable), (bpath, corpus.benign)):
+        with writing(path):
+            path.write_text("".join(f"{n}\n" for n in sorted(names)), encoding="utf-8")
     return vpath, bpath
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
+from .errors import DataError
 from .metrics import beta_squared, default_thresholds, f_beta, f_beta_terms
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
@@ -34,18 +35,22 @@ from .ranking import (
 from .rational import exact_fraction
 
 DEFAULT_BETA = Fraction(2)
+# A step of 1e-5 gives 100,001 thresholds; a finer step makes a grid too large to search.
+MAX_THRESHOLDS = 100_001
 
 
 def threshold_values(step) -> tuple[Fraction, ...]:
-    """Multiples of `step` from 0 through 1, with 1 always present."""
+    """Multiples of `step` from 0 through 1, with 1 always present.
+
+    A step that would give more than MAX_THRESHOLDS values is a DataError.
+    """
     step = exact_fraction(step)
     if not 0 < step <= 1:
         raise ValueError(f"threshold step must lie in (0, 1], got {step}")
-    values = []
-    k = 0
-    while k * step <= 1:
-        values.append(k * step)
-        k += 1
+    count = 1 // step + 1
+    if count > MAX_THRESHOLDS:
+        raise DataError(f"threshold step too fine: over {MAX_THRESHOLDS} thresholds")
+    values = [k * step for k in range(count)]
     if values[-1] != 1:
         values.append(Fraction(1))
     return tuple(values)
@@ -153,27 +158,24 @@ def search_weights(
     policy: MinScorePolicy,
     grid: SearchGrid,
     beta=DEFAULT_BETA,
-    want_trace: bool = False,
     trace_collector: list | None = None,
 ) -> TuneResult:
     """Score, rank, and tune once per weight; return the best overall result.
 
     Ties go to the earlier weight in the grid. When `trace_collector` is a
-    list it receives one (weight, cells) pair per weight tried.
+    list it receives one (weight, cells) pair per weight tried, and the
+    result keeps the winner's cells.
     """
     best: TuneResult | None = None
     for weight in grid.weights:
         table = score_frequency(train, weight)
         dangerous = rank(table, policy)
         result = find_best(
-            dangerous, train, grid, beta=beta,
-            want_trace=want_trace or trace_collector is not None,
+            dangerous, train, grid, beta=beta, want_trace=trace_collector is not None,
         )
         if trace_collector is not None:
             trace_collector.append((weight, result.grid_trace))
         if best is None or result.train_f2 > best.train_f2:
             best = result
-    if not want_trace and best is not None and best.grid_trace is not None:
-        best = TuneResult(model=best.model, train_f2=best.train_f2, grid_trace=None)
     return best
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from favd.cli import main
+from favd.cli import OPTIONS, main
 from favd.model_io import load_model, model_document
 from favd.predictor import TunedModel
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
@@ -147,10 +147,15 @@ def test_missing_input_exits_two(tmp_path):
 
 
 def test_baseline_from_counts(capsys):
-    assert main(["baseline", "--counts", "75", "522"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["all_vulnerable_f2"] == 0.418
-    assert doc["counts"] == {"vulnerable": 75, "benign": 522}
+    # The last two rows are the published corpora: 7.2% and 1.6% vulnerable.
+    for v, b, all_vulnerable_f2, percent in [(75, 522, 0.418, 12.6),
+                                             (72_612, 932_741, 0.28, 7.2),
+                                             (402, 24_906, 0.075, 1.6)]:
+        assert main(["baseline", "--counts", str(v), str(b)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_vulnerable_f2"] == all_vulnerable_f2
+        assert doc["counts"] == {"vulnerable": v, "benign": b}
+        assert round(100 * doc["vulnerable_fraction"], 1) == percent
 
 
 def test_roc_csv_anchors(tmp_path, corpus_files, capsys):
@@ -234,10 +239,7 @@ def test_train_with_empty_benign_marks_every_term_dangerous(tmp_path):
 
 def test_synth_command_writes_ground_truth(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "seed": 9, "n_vulnerable": 8, "n_benign": 8, "planted_count": 2,
-        "vocab_size": 12, "terms_per_name": [2, 2],
-    }))
+    spec.write_text(json.dumps(SYNTH_SPEC))
     out = tmp_path / "data"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
     truth = json.loads((out / "ground_truth.json").read_text())
@@ -319,7 +321,67 @@ BAD_INPUTS = {
     "train-csv-field-too-large": ["train", "--csv", "big.csv", "--out", "x.json"],
     "train-scores-field-too-large": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                      "--scores", "big_scores.csv", "--out", "x.json"],
+    # Outputs that are directories or lie under a file.
+    "train-out-directory": ["train", "--vuln", "v.txt", "--benign", "b.txt", "--out", "adir"],
+    "train-words-csv-directory": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                  "--out", "x.json", "--words-csv", "adir"],
+    "train-out-under-file": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                             "--out", "v.txt/m.json"],
+    "eval-out-dir-file": ["eval", "--vuln", "v.txt", "--benign", "b.txt", "--kfold", "2",
+                          "--out-dir", "v.txt"],
+    "baseline-out-directory": ["baseline", "--vuln", "v.txt", "--benign", "b.txt",
+                               "--out", "adir"],
+    "synth-out-under-file": ["synth", "--spec", "spec.json", "--out", "v.txt/s"],
+    # Inputs that are directories.
+    "train-vuln-directory": ["train", "--vuln", "adir", "--benign", "b.txt", "--out", "x.json"],
+    "train-csv-directory": ["train", "--csv", "adir", "--out", "x.json"],
+    "train-scores-directory": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                               "--scores", "adir", "--out", "x.json"],
+    "train-config-directory": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                               "--config", "adir", "--out", "x.json"],
+    "synth-spec-directory": ["synth", "--spec", "adir", "--out", "s"],
+    # Numbers that do not convert to a finite float.
+    "train-beta-overflow": ["train", "--vuln", "v.txt", "--benign", "b.txt", "--beta", "1e400",
+                            "--out", "x.json"],
+    "train-policy-overflow": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                              "--policy", "1e400", "--out", "x.json"],
+    # A threshold grid far above tuner.MAX_THRESHOLDS values.
+    "train-threshold-step-too-fine": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                      "--threshold-step", "1e-400", "--out", "x.json"],
+    # Values that were once read as something else: a falsy weights as the
+    # default grid, a float or boolean as an integer.
+    "train-weights-empty": ["train", "--vuln", "v.txt", "--benign", "b.txt", "--weights", "",
+                            "--out", "x.json"],
+    **{f"config-weights-{name}": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                  "--config", f"weights_{name}.json", "--out", "x.json"]
+       for name in ("empty-list", "empty-string", "zero", "false")},
+    "config-cutoff-step-float": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                 "--config", "cutoff_step_float.json", "--out", "x.json"],
+    "config-cutoff-step-true": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                "--config", "cutoff_step_true.json", "--out", "x.json"],
+    "config-kfold-float": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                           "--config", "kfold_float.json", "--out-dir", "ev"],
+    "config-seed-true": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
+                         "--config", "seed_true.json", "--out-dir", "ev"],
 }
+# The config files BAD_INPUTS reads, by name.
+BAD_CONFIGS = {
+    "cutoff_step.json": {"cutoff_step": "a"},
+    "kfold.json": {"kfold": "x"},
+    "seed.json": {"seed": "x"},
+    "policy.json": {"policy": 5},
+    "weights.json": {"weights": 5},
+    "weights_empty-list.json": {"weights": []},
+    "weights_empty-string.json": {"weights": ""},
+    "weights_zero.json": {"weights": 0},
+    "weights_false.json": {"weights": False},
+    "cutoff_step_float.json": {"cutoff_step": 2.5},
+    "cutoff_step_true.json": {"cutoff_step": True},
+    "kfold_float.json": {"kfold": 2.9},
+    "seed_true.json": {"seed": True},
+}
+SYNTH_SPEC = {"seed": 9, "n_vulnerable": 8, "n_benign": 8, "planted_count": 2,
+              "vocab_size": 12, "terms_per_name": [2, 2]}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -330,11 +392,9 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "v.txt").write_text(vuln.read_text())
     (tmp_path / "b.txt").write_text(benign.read_text())
     (tmp_path / "latin1.txt").write_bytes("lecture_donn\xe9es,0.5\n".encode("latin-1"))
-    (tmp_path / "cutoff_step.json").write_text(json.dumps({"cutoff_step": "a"}))
-    (tmp_path / "kfold.json").write_text(json.dumps({"kfold": "x"}))
-    (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
-    (tmp_path / "policy.json").write_text(json.dumps({"policy": 5}))
-    (tmp_path / "weights.json").write_text(json.dumps({"weights": 5}))
+    for name, config in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    (tmp_path / "spec.json").write_text(json.dumps(SYNTH_SPEC))
     (tmp_path / "code.c").write_text(C_SOURCE)
     (tmp_path / "adir").mkdir()
     (tmp_path / "array.json").write_text("[1]")
@@ -363,10 +423,7 @@ def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):
         danger, safe = names.split()
         (tmp_path / project / "vulnerable.txt").write_text(danger + "\n")
         (tmp_path / project / "benign.txt").write_text(safe + "\n")
-    (tmp_path / "spec.json").write_text(json.dumps({
-        "seed": 9, "n_vulnerable": 8, "n_benign": 8, "planted_count": 2,
-        "vocab_size": 12, "terms_per_name": [2, 2],
-    }))
+    (tmp_path / "spec.json").write_text(json.dumps(SYNTH_SPEC))
     pair = ["--vuln", str(vuln), "--benign", str(benign)]
     commands = [
         ["split", "png_push_read_chunk"],
@@ -439,21 +496,27 @@ malformed_model = st.one_of(
 # Config keys, the wrong values for each, and a command that reads the key
 # from the config file only (its flag is left out).
 _TRAIN = ["train", "--vuln", "v.txt", "--benign", "b.txt", "--out", "m.json"]
+not_an_integer = st.floats() | st.booleans()
+too_large = st.just("1e400")  # a number no float holds
 CONFIG_CASES = {
-    "policy": (not_a_string, _TRAIN),
-    "weights": (not_a_string.filter(bool), _TRAIN),
-    "cutoff_step": (not_a_number | letters | st.integers(max_value=0), _TRAIN),
-    "threshold_step": (not_a_number | letters | st.booleans(), _TRAIN),
-    "beta": (not_a_number | letters | st.booleans() | st.integers(max_value=0), _TRAIN),
+    "policy": (not_a_string | too_large, _TRAIN),
+    # null means the default grid; an empty string names no pair.
+    "weights": (not_a_string.filter(lambda v: v is not None) | st.sampled_from(["", " ,"]),
+                _TRAIN),
+    "cutoff_step": (not_a_number | letters | st.integers(max_value=0) | not_an_integer, _TRAIN),
+    "threshold_step": (not_a_number | letters | st.booleans() | too_large | st.just("1e-400"),
+                       _TRAIN),
+    "beta": (not_a_number | letters | st.booleans() | st.integers(max_value=0) | too_large,
+             _TRAIN),
     "scores": (not_a_string.filter(lambda v: v is not None), _TRAIN),
     "label": (not_a_string.filter(lambda v: v is not None), _TRAIN),
     "vuln": (not_a_string, ["train", "--benign", "b.txt", "--out", "m.json"]),
     "benign": (not_a_string, ["train", "--vuln", "v.txt", "--out", "m.json"]),
     "csv": (not_a_string, ["train", "--out", "m.json"]),
-    "kfold": (not_a_number | letters, ["eval", "--vuln", "v.txt", "--benign", "b.txt",
-                                        "--out-dir", "ev"]),
-    "seed": (not_a_number | letters, ["eval", "--vuln", "v.txt", "--benign", "b.txt",
-                                       "--out-dir", "ev"]),
+    "kfold": (not_a_number | letters | not_an_integer,
+              ["eval", "--vuln", "v.txt", "--benign", "b.txt", "--out-dir", "ev"]),
+    "seed": (not_a_number | letters | not_an_integer,
+             ["eval", "--vuln", "v.txt", "--benign", "b.txt", "--out-dir", "ev"]),
     "loo": (json_value.filter(lambda v: not (isinstance(v, list) and v
                                              and all(isinstance(d, str) for d in v))),
             ["eval", "--out-dir", "ev"]),
@@ -486,7 +549,8 @@ def _fuzz_model_document() -> dict:
     return model_document(model, Fraction(1, 2))
 
 
-def _run_malformed(files: dict[str, str | bytes], argv: list[str]) -> None:
+def _run_malformed(files: dict[str, str | bytes], argv: list[str],
+                   directories: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "v.txt").write_text("danger_read_file\ndanger_parse_net\n")
@@ -498,10 +562,13 @@ def _run_malformed(files: dict[str, str | bytes], argv: list[str]) -> None:
                 path.write_bytes(content)
             else:
                 path.write_text(content, encoding="utf-8")
+        for name in directories:
+            (root / name).mkdir(parents=True)
         proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=root,
                               env=_ENV, capture_output=True, text=True)
     assert proc.returncode in (1, 2, 3), (argv, files, proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, files, proc.stderr)
+    return proc
 
 
 _FUZZ = settings(max_examples=25, deadline=None,
@@ -542,3 +609,78 @@ def test_fuzzed_config_value_fails_cleanly(case):
 @given(content=non_utf8_names, reader=st.sampled_from(sorted(NAME_FILE_ARGS)))
 def test_fuzzed_name_file_fails_cleanly(content, reader):
     _run_malformed({"fuzz.txt": content}, NAME_FILE_ARGS[reader])
+
+
+# Each output flag, after the rest of a command that succeeds, and whether
+# the flag names a directory (True) or a file.
+_PAIR = ["--vuln", "v.txt", "--benign", "b.txt"]
+OUTPUT_FLAGS = {
+    "train-out": (["train", *_PAIR, "--out"], False),
+    "train-words-csv": (["train", *_PAIR, "--out", "m.json", "--words-csv"], False),
+    "train-trace": (["train", *_PAIR, "--out", "m.json", "--trace"], False),
+    "eval-out-dir": (["eval", *_PAIR, "--kfold", "2", "--out-dir"], True),
+    "predict-out": (["predict", "--model", "good.json", "--names", "v.txt", "--out"], False),
+    "roc-out": (["roc", *_PAIR, "--weight", "1-1", "--out"], False),
+    "baseline-out": (["baseline", "--counts", "1", "2", "--out"], False),
+    "harvest-out": (["harvest", "code.c", "--out"], False),
+    "synth-out": (["synth", "--spec", "spec.json", "--out"], True),
+}
+
+
+@_FUZZ
+@given(flag=st.sampled_from(sorted(OUTPUT_FLAGS)), under_file=st.booleans(),
+       parts=st.lists(st.sampled_from(["sub", "x.csv", "m.json"]), max_size=2))
+def test_fuzzed_output_path_is_a_data_error(flag, under_file, parts):
+    """An output path that is a directory, or lies under a file, exits 2 with one line."""
+    argv, names_directory = OUTPUT_FLAGS[flag]
+    directories: tuple[str, ...] = ()
+    if under_file:
+        path = "/".join(["afile", *parts, "out"])
+    elif names_directory:
+        path = "/".join(["afile", *parts])  # a file stands where the directory goes
+    else:
+        path = "/".join(["adir", *parts])
+        directories = (path,)
+    files = {"afile": "x\n", "code.c": C_SOURCE, "spec.json": json.dumps(SYNTH_SPEC)}
+    proc = _run_malformed(files, [*argv, path], directories)
+    assert proc.returncode == 2, (argv, path, proc.stderr)
+    assert proc.stderr.startswith("favd: data error: cannot write ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# For every option a flag and a config file both set: a value the run fails
+# on, and a command that reads the option. Paths name missing files, and the
+# label names the corpus in the error about its emptiness.
+_EVAL = ["eval", *_PAIR, "--out-dir", "ev"]
+OPTION_CASES = {
+    "vuln": ("missing.txt", ["train", "--benign", "b.txt", "--out", "m.json"]),
+    "benign": ("missing.txt", ["train", "--vuln", "v.txt", "--out", "m.json"]),
+    "csv": ("missing.csv", ["train", "--out", "m.json"]),
+    "label": ("nameless", ["train", "--vuln", "empty.txt", "--benign", "empty.txt",
+                           "--out", "m.json"]),
+    "policy": ("1e400", _TRAIN),
+    "weights": ("", _TRAIN),
+    "cutoff_step": ("2.5", _TRAIN),
+    "threshold_step": ("1e-400", _TRAIN),
+    "beta": ("1e400", _TRAIN),
+    "scores": ("missing.csv", _TRAIN),
+    "kfold": ("2.9", _EVAL),
+    "seed": ("x", _EVAL),
+    "loo": ("missing", ["eval", "--out-dir", "ev"]),
+    "weight": ("1:1", ["roc", *_PAIR]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_flag_and_config_value_fail_alike(tmp_path, monkeypatch, capsys, key):
+    value, argv = OPTION_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.txt").write_text("danger_read_file\ndanger_parse_net\n")
+    (tmp_path / "b.txt").write_text("log_msg_write\nopen_window_ui\n")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "c.json").write_text(json.dumps({key: [value] if key == "loo" else value}))
+    by_flag = main([*argv, f"--{key.replace('_', '-')}", value]), capsys.readouterr().err
+    by_config = main([*argv, "--config", "c.json"]), capsys.readouterr().err
+    assert by_flag == by_config
+    assert by_flag[0] == 2
+    assert by_flag[1].startswith("favd: data error: ") and by_flag[1].count("\n") == 1

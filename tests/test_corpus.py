@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,13 +5,11 @@ from favd.corpus import (
     LabeledCorpus,
     RawLists,
     clean,
-    corpus_stats,
     load_csv,
     load_lists,
     make_kfold,
     make_leave_one_out,
     overlap_names,
-    vulnerable_fraction,
 )
 from favd.errors import DataError, InfeasibleError
 
@@ -205,19 +201,3 @@ class TestLeaveOneOut:
         with pytest.raises(InfeasibleError):
             make_leave_one_out([a])
 
-
-class TestStats:
-    def test_small_corpus(self):
-        stats = corpus_stats(_numbered_corpus(1, 3))
-        assert stats == (1, 3, Fraction(1, 4))
-
-    def test_zero_vulnerable(self):
-        assert corpus_stats(_numbered_corpus(0, 10)).fraction == 0
-
-    def test_published_fractions(self):
-        assert round(float(100 * vulnerable_fraction(72_612, 932_741)), 1) == 7.2
-        assert round(float(100 * vulnerable_fraction(402, 24_906)), 1) == 1.6
-
-    def test_empty_corpus_is_an_error(self):
-        with pytest.raises(DataError):
-            vulnerable_fraction(0, 0)

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import oracle_sweep
 from favd.corpus import LabeledCorpus, RawLists, clean
+from favd.errors import DataError
 from favd.metrics import all_vulnerable_f2, f_beta
 from favd.predictor import classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.synth import SynthSpec, generate
 from favd.tuner import (
+    MAX_THRESHOLDS,
     SearchGrid,
     find_best,
     search_weights,
@@ -36,6 +38,12 @@ class TestGrids:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             threshold_values(0)
+
+    def test_threshold_grid_is_bounded_before_it_is_built(self):
+        assert len(threshold_values(Fraction(1, MAX_THRESHOLDS - 1))) == MAX_THRESHOLDS
+        for step in (Fraction(1, MAX_THRESHOLDS), Fraction(1, 10**400)):
+            with pytest.raises(DataError, match="too fine"):
+                threshold_values(step)
 
     def test_cutoff_values_step_and_full_length(self):
         grid = SearchGrid(cutoff_step=100)
