@@ -29,7 +29,10 @@ COMMANDS = [
     ["train", *CORPUS, "--policy", "none", "--weights", "1-1,3-2", "--cutoff-step", "1",
      "--trace", "out/trace.csv", "--words-csv", "out/words.csv", "--out", "out/model.json"],
     ["train", *CORPUS, "--scores", "scores.csv", "--policy", "1/2", "--cutoff-step", "1",
-     "--threshold-step", "1/7", "--out", "out/external.json"],
+     "--threshold-step", "1/7", "--trace", "out/external_trace.csv",
+     "--words-csv", "out/external_words.csv", "--out", "out/external.json"],
+    ["eval", *CORPUS, "--scores", "scores.csv", "--kfold", "3", "--seed", "0",
+     "--cutoff-step", "1", "--out-dir", "ev_external"],
     ["roc", *CORPUS, "--weight", "1-1", "--policy", "none", "--cutoffs", "1,5,1000000",
      "--threshold-step", "1/7", "--include-zero-endpoint", "--out", "out/roc.csv"],
     ["harvest", "code/sample.c", "code/tail.c", "--out", "out/harvest.csv"],
@@ -45,6 +48,10 @@ PINNED = {
     "out/trace.csv": "f8aee50246446e99261d9e80e124b01a6b0c1732290864a9e96644d4c7ba7fa2",
     "out/words.csv": "7af9944a866f1bf78a9d8e97a768999f71032fb19a6365e6b9fc96ea252afc0c",
     "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
+    "out/external_trace.csv": "7dabe200a4ed507875eacc8c401cac9f701d028a325aecce3f0a11817d003d36",
+    "out/external_words.csv": "bdeba04ac2f5547763384efcae56096c38a05edd003607ef1a2316d802c618ac",
+    "ev_external/eval_report.json": "a82f16c64a79ff2e4149b53c96829922d97082fbb16861a6667b77d5414b4330",
+    "ev_external/folds.csv": "f417e7f447042f35e51988810d70746510dabff7eed7c23f2d4e50bd141a37e2",
     "out/roc.csv": "8cff5a4ffc35da645d072c7daf249266073ebc14c69151debfb736d59ddfc9d1",
     "out/harvest.csv": "01dbba72b8d4e6dcc6c9a20aefe42f0ecb477d606269c0adc0c153bb7bde5e9d",
     "out/pred_names.csv": "83c11a05a7712133d98b128624cb0b729ddaa5764ca5fe4d2a6c858501094a9b",
