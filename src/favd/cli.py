@@ -17,12 +17,15 @@ import hashlib
 import json
 import sys
 from collections.abc import Callable
+from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
+from .checks import checked, count, integer, list_of, number, string
 from .corpus import (
     LabeledCorpus,
     clean,
@@ -70,43 +73,18 @@ class _Parser(argparse.ArgumentParser):
 # Option checks. Each takes the raw value, a flag's string or a config file's
 # JSON value (None when a config file gives null), and returns the value used.
 
-def _string(value) -> str | None:
-    """A path or a label; None when absent."""
-    if value is not None and not isinstance(value, str):
-        raise DataError(f"must be a string, got {value!r}")
-    return value
+def _optional(check):
+    """`check` for a value that may be absent (None), as a path or a label may."""
+    return lambda value: None if value is None else check(value)
 
 
-def _integer(value) -> int:
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return int(value)
-    except ValueError:
-        pass
-    raise DataError(f"must be an integer, got {value!r}")
-
-
-def _count(value) -> int:
-    number = _integer(value)
-    if number < 1:
-        raise DataError(f"must be >= 1, got {number}")
-    return number
-
-
-def _number(value) -> Fraction:
-    """An exact number that converts to a finite float, as reports print it so."""
-    try:
-        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-            number = Fraction(str(value))
-            float(number)
-            return number
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise DataError(f"must be a finite number, got {value!r}")
+_path = _optional(string)
+_integer = partial(integer, text=True)
+_count = partial(count, text=True)
 
 
 def _beta(value) -> Fraction:
-    beta = _number(value)
+    beta = number(value, text=True)
     if beta <= 0:
         raise DataError(f"must be positive, got {value!r}")
     return beta
@@ -114,7 +92,7 @@ def _beta(value) -> Fraction:
 
 def _threshold_step(value) -> str:
     """A step in (0, 1], kept as written: reports record it that way."""
-    if not 0 < _number(value) <= 1:
+    if not 0 < number(value, text=True) <= 1:
         raise DataError(f"must lie in (0, 1], got {value!r}")
     return str(value)
 
@@ -122,21 +100,14 @@ def _threshold_step(value) -> str:
 def _weights(value) -> tuple[Weight, ...]:
     if value is None:
         return default_weight_grid()
-    weights = tuple(Weight.parse(part) for part in _string(value).split(",") if part.strip())
+    weights = tuple(Weight.parse(part) for part in string(value).split(",") if part.strip())
     if not weights:
         raise DataError(f"must name at least one PLUS-MINUS pair, got {value!r}")
     return weights
 
 
 def _weight(value) -> Weight | None:
-    return Weight.parse(value) if _string(value) else None
-
-
-def _directories(value) -> list[str] | None:
-    if value is None or (isinstance(value, list) and value
-                         and all(isinstance(d, str) for d in value)):
-        return value
-    raise DataError(f"must be a list of directories, got {value!r}")
+    return Weight.parse(value) if value is not None and string(value) else None
 
 
 class Option(NamedTuple):
@@ -150,19 +121,19 @@ class Option(NamedTuple):
 
 
 OPTIONS = {
-    "vuln": Option(_string, None, "vulnerable name list (one per line)"),
-    "benign": Option(_string, None, "benign name list (one per line)"),
-    "csv": Option(_string, None, "name,label CSV instead of two list files"),
-    "label": Option(_string, None, "corpus label for reports"),
+    "vuln": Option(_path, None, "vulnerable name list (one per line)"),
+    "benign": Option(_path, None, "benign name list (one per line)"),
+    "csv": Option(_path, None, "name,label CSV instead of two list files"),
+    "label": Option(_path, None, "corpus label for reports"),
     "policy": Option(MinScorePolicy.parse, "zero", "min-score policy: none|zero|NUMBER"),
     "weights": Option(_weights, None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
     "cutoff_step": Option(_count, 100, "cutoff grid step"),
     "threshold_step": Option(_threshold_step, "0.05", "threshold grid step"),
     "beta": Option(_beta, "2", "F-beta objective for tuning"),
-    "scores": Option(_string, None, "external term,score CSV; replaces frequency scoring"),
+    "scores": Option(_path, None, "external term,score CSV; replaces frequency scoring"),
     "kfold": Option(_integer, 5, "number of stratified folds"),
     "seed": Option(_integer, 0, "shuffle seed"),
-    "loo": Option(_directories, None,
+    "loo": Option(_optional(list_of(string)), None,
                   "leave-one-out over project dirs holding vulnerable.txt/benign.txt",
                   nargs="+", metavar="DIR"),
     "weight": Option(_weight, None, "PLUS-MINUS pair to rank the corpus itself"),
@@ -172,14 +143,6 @@ GRID_KEYS = ("policy", "cutoff_step", "threshold_step")
 TUNING_KEYS = CORPUS_KEYS + GRID_KEYS + ("weights", "beta", "scores")
 
 
-def _checked(key: str, check, value):
-    """check(value), with a failure's message naming the option."""
-    try:
-        return check(value)
-    except DataError as exc:
-        raise DataError(f"{key}: {exc}") from exc
-
-
 def _options(args, config: dict) -> dict:
     """Each of the command's options: the flag, else the config value, else the default, checked."""
     values = {}
@@ -187,7 +150,7 @@ def _options(args, config: dict) -> dict:
         value = getattr(args, key)
         if value is None:
             value = config.get(key, OPTIONS[key].default)
-        values[key] = _checked(key, OPTIONS[key].check, value)
+        values[key] = checked(key, OPTIONS[key].check, value)
     return values
 
 
@@ -241,13 +204,13 @@ def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict]:
     return grid, external_table, config
 
 
-def _trace_rows(traces):
-    for weight, cells in traces:
+def _trace_rows(trace):
+    for weight, cells in trace:
         tag = weight.tag() if weight else ""
         # Keyed by id, as hashing a Fraction is slow: the cells share the
         # grid's threshold objects, which all live as long as `cells` does.
         labels: dict[int, str] = {}
-        for cell in cells or ():
+        for cell in cells:
             label = labels.get(id(cell.threshold))
             if label is None:
                 label = labels[id(cell.threshold)] = str(float(cell.threshold))
@@ -256,15 +219,11 @@ def _trace_rows(traces):
                    f"{cell.num / cell.den:.6f}"]
 
 
-def _tune(train, external_table, policy, grid, beta, traces: list | None = None):
+def _tune(train, external_table, policy, grid, beta, trace: list | None = None):
     """One search over an external table's ranking, else the weight sweep."""
     if external_table is None:
-        return search_weights(train, policy, grid, beta=beta, trace_collector=traces)
-    result = find_best(rank(external_table, policy), train, grid, beta=beta,
-                       want_trace=traces is not None)
-    if traces is not None:
-        traces.append((None, result.grid_trace))
-    return result
+        return search_weights(train, policy, grid, beta=beta, trace=trace)
+    return find_best(rank(external_table, policy), train, grid, beta=beta, trace=trace)
 
 
 def cmd_split(args, opts) -> int:
@@ -276,8 +235,8 @@ def cmd_split(args, opts) -> int:
 def cmd_train(args, opts) -> int:
     corpus, digests = _corpus_inputs(opts)
     grid, external_table, config = _search(opts)
-    traces: list | None = [] if args.trace else None
-    result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], traces)
+    trace: list | None = [] if args.trace else None
+    result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], trace)
     if external_table is not None:
         digests["scores"] = _digest(opts["scores"])
     warnings = []
@@ -291,7 +250,7 @@ def cmd_train(args, opts) -> int:
         write_word_list_csv(result.model.dangerous, args.words_csv)
     if args.trace:
         _write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
-                   _trace_rows(traces))
+                   _trace_rows(trace))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"model written to {out} (train F2 {format_rate(result.train_f2)}, "
@@ -320,8 +279,8 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
         "train": {"vulnerable": len(train.vulnerable), "benign": len(train.benign)},
         "test": {"vulnerable": v, "benign": b},
         "model": {
-            "weight": model.weight.tag() if model.weight else None,
-            "source": model.source,
+            "weight": model.dangerous.weight.tag() if model.dangerous.weight else None,
+            "source": model.dangerous.source,
             "cutoff": model.cutoff,
             "threshold": float(model.threshold),
             "dangerous_count": len(model.dangerous),
@@ -448,7 +407,7 @@ def cmd_roc(args, opts) -> int:
     if len(dangerous) == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs:
-        cutoffs = [_checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
+        cutoffs = [checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
     else:
         cutoffs = grid.cutoff_values(len(dangerous))
     curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
@@ -506,16 +465,7 @@ def cmd_synth(args, opts) -> int:
     truth = {
         "schema_version": 1,
         "tool_version": __version__,
-        "spec": {
-            "seed": spec.seed,
-            "n_vulnerable": spec.n_vulnerable,
-            "n_benign": spec.n_benign,
-            "vocab_size": spec.vocab_size,
-            "terms_per_name": list(spec.terms_per_name),
-            "signal_strength": spec.signal_strength,
-            "vocab_overlap": spec.vocab_overlap,
-            "camel_case": spec.camel_case,
-        },
+        "spec": {k: v for k, v in asdict(spec).items() if k != "planted_dangerous"},
         "planted_dangerous": sorted(planted),
         "counts": {"vulnerable": len(corpus.vulnerable), "benign": len(corpus.benign)},
     }
@@ -532,7 +482,8 @@ def build_parser() -> _Parser:
 
     def command(name, func, summary, keys=()):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON file of option defaults; flags win")
+        if keys:
+            p.add_argument("--config", help="JSON file of option defaults; flags win")
         for key in keys:
             opt = OPTIONS[key]
             default = "" if opt.default is None else f" (default {opt.default})"
@@ -541,10 +492,9 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func, keys=keys)
         return p
 
-    p = sub.add_parser("split", help="print an identifier's terms, one per line")
+    p = command("split", cmd_split, "print an identifier's terms, one per line")
     p.add_argument("name")
     p.add_argument("--fold-case", dest="fold_case", action="store_true", default=None)
-    p.set_defaults(func=cmd_split, keys=())
 
     p = command("train", cmd_train, "tune a model on a labeled corpus and save it as JSON",
                 TUNING_KEYS)
@@ -594,8 +544,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        config_path = getattr(args, "config", None)
-        config = load_json_object(config_path, "config file") if config_path else {}
+        config = load_json_object(args.config, "config file") if args.keys and args.config else {}
         return args.func(args, _options(args, config))
     except DataError as exc:
         print(f"favd: data error: {exc}", file=sys.stderr)

@@ -46,10 +46,6 @@ class LabeledCorpus:
         if "" in self.vulnerable or "" in self.benign:
             raise ValueError("identifiers must be non-empty")
 
-    @property
-    def size(self) -> int:
-        return len(self.vulnerable) + len(self.benign)
-
     @cached_property
     def encoded(self) -> "EncodedCorpus":
         """The corpus split into term ids, computed on first use and kept."""

@@ -9,7 +9,6 @@ DataError whose one-line message names the path.
 from __future__ import annotations
 
 import csv
-import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,7 +30,8 @@ def reading(path, what: str):
     """Map a failed read of `path` (`what`, e.g. "model file") to a DataError.
 
     Mapped: a missing file, bytes that are not UTF-8, malformed or too deeply
-    nested JSON, a malformed CSV, and any other OSError, such as a directory.
+    nested JSON (or an integer in it too long to read), a malformed CSV, a
+    path holding a null byte, and any other OSError, such as a directory.
     """
     try:
         yield
@@ -39,7 +39,7 @@ def reading(path, what: str):
         raise DataError(f"{what} not found: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed {what} {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"malformed CSV {path}: {exc}") from exc

@@ -11,20 +11,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from .checks import checked, count, integer, number, string
 from .errors import DataError, reading, writing
 from .predictor import TunedModel
-from .ranking import DangerousWordList, MinScorePolicy, Weight
-from .rational import exact_fraction
+from .ranking import DangerousWordList, MinScorePolicy, Weight, score_out
 
 SCHEMA_VERSION = 1
 
 
-def _score_out(score) -> int | float:
-    return score if isinstance(score, int) else float(score)
-
-
 def _policy_out(policy: MinScorePolicy) -> dict:
-    if policy.kind == "all":
+    if policy.threshold is None:
         return {"kind": "all"}
     return {"kind": "at_least", "threshold": float(policy.threshold)}
 
@@ -36,32 +32,40 @@ def _policy_in(doc) -> MinScorePolicy:
     if kind == "all":
         return MinScorePolicy.all_terms()
     if kind == "at_least":
-        return MinScorePolicy.at_least(exact_fraction(doc["threshold"]))
-    raise DataError(f"unknown policy kind {kind!r} in model file")
+        return MinScorePolicy.at_least(checked("policy threshold", number, doc["threshold"]))
+    raise DataError(f"unknown policy kind {kind!r}")
+
+
+def _weight_in(doc) -> Weight | None:
+    if doc is None:
+        return None
+    return Weight(checked("weight plus", count, doc["plus"]),
+                  checked("weight minus", count, doc["minus"]))
 
 
 def model_document(
     model: TunedModel,
     train_f2: Fraction,
     inputs: dict | None = None,
-    seed: int | None = None,
     config: dict | None = None,
     warnings: list[str] | None = None,
 ) -> dict:
+    dangerous = model.dangerous
+    weight = dangerous.weight
     return {
         "schema_version": SCHEMA_VERSION,
-        "policy": _policy_out(model.policy),
-        "weight": {"plus": model.weight.plus, "minus": model.weight.minus} if model.weight else None,
-        "source": model.source,
+        "policy": _policy_out(dangerous.policy),
+        "weight": {"plus": weight.plus, "minus": weight.minus} if weight else None,
+        "source": dangerous.source,
         "cutoff": model.cutoff,
         "threshold": float(model.threshold),
-        "dangerous": [{"term": t, "score": _score_out(s)} for t, s in model.dangerous.words],
+        "dangerous": [{"term": t, "score": score_out(s)} for t, s in dangerous.words],
         "train_f2": float(train_f2),
         "warnings": warnings or [],
         "provenance": {
             "tool_version": __version__,
             "inputs": inputs or {},
-            "seed": seed,
+            "seed": None,
             "config": config or {},
         },
     }
@@ -84,27 +88,17 @@ def load_json_object(path: str | Path, what: str) -> dict:
 
 def load_model(path: str | Path) -> TunedModel:
     doc = load_json_object(path, "model file")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise DataError(f"unsupported model schema {doc.get('schema_version')!r} in {path}")
     try:
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise DataError(
-                f"unsupported model schema {doc.get('schema_version')!r} in {path}"
-            )
-        policy = _policy_in(doc["policy"])
-        weight = Weight(**doc["weight"]) if doc.get("weight") else None
         words = tuple(
-            (row["term"], row["score"] if isinstance(row["score"], int) else exact_fraction(row["score"]))
+            (checked("term", string, row["term"]), checked("score", number, row["score"]))
             for row in doc["dangerous"]
         )
         dangerous = DangerousWordList(
-            words=words, policy=policy, weight=weight, source=doc.get("source")
+            words, _policy_in(doc["policy"]), _weight_in(doc.get("weight")), doc.get("source")
         )
-        return TunedModel(
-            dangerous=dangerous,
-            cutoff=int(doc["cutoff"]),
-            threshold=exact_fraction(doc["threshold"]),
-            policy=policy,
-            weight=weight,
-            source=doc.get("source"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return TunedModel(dangerous, checked("cutoff", integer, doc["cutoff"]),
+                          checked("threshold", number, doc["threshold"]))
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

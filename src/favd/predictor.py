@@ -15,13 +15,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
-from .ranking import DangerousWordList, MinScorePolicy, Weight
+from .ranking import DangerousWordList, Weight
 from .splitter import split
 
 VULNERABLE = "vulnerable"
@@ -36,17 +37,13 @@ class ConfusionCounts:
     tn: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TunedModel:
     """Dangerous word list plus the cutoff/threshold pair that deploys it."""
 
     dangerous: DangerousWordList
     cutoff: int
     threshold: Fraction
-    policy: MinScorePolicy
-    weight: Weight | None = None
-    source: str | None = None
-    _top: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.dangerous) == 0:
@@ -59,10 +56,13 @@ class TunedModel:
         if not 0 <= self.threshold <= 1:
             raise ValueError(f"threshold {self.threshold} outside [0, 1]")
 
+    @property
+    def weight(self) -> Weight | None:
+        return self.dangerous.weight
+
+    @cached_property
     def top_terms(self) -> frozenset[str]:
-        if self._top is None:
-            self._top = frozenset(term for term, _ in self.dangerous.words[: self.cutoff])
-        return self._top
+        return frozenset(term for term, _ in self.dangerous.words[: self.cutoff])
 
 
 class Prediction(NamedTuple):
@@ -80,7 +80,7 @@ class Prediction(NamedTuple):
 def classify(identifier: str, model: TunedModel) -> Prediction:
     """Label one identifier. Zero split terms means percentage 0 and benign."""
     terms = frozenset(split(identifier))
-    matched = terms & model.top_terms()
+    matched = terms & model.top_terms
     threshold = model.threshold
     # |matched| / |terms| > p / q, cross-multiplied; false when terms is empty.
     vulnerable = len(matched) * threshold.denominator > threshold.numerator * len(terms)

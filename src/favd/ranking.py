@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .checks import number, string
 from .corpus import LabeledCorpus
 from .errors import DataError, reading, writing
-from .rational import exact_fraction
+from .rational import exact_fraction, parse_fraction
 
 Score = int | Fraction
-
-FREQUENCY = "frequency"
-EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,15 @@ def default_weight_grid() -> tuple[Weight, ...]:
 
 @dataclass(frozen=True)
 class TermScoreTable:
-    """Scores per term plus enough metadata to rank deterministically."""
+    """Scores per term and what ranks them; no weight means external scores in [0, 1]."""
 
     scores: dict[str, Score]
-    origin: str
     weight: Weight | None = None
     source: str | None = None
     vuln_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.origin not in (FREQUENCY, EXTERNAL):
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if self.origin == EXTERNAL:
+        if self.weight is None:
             bad = {t: s for t, s in self.scores.items() if not 0 <= s <= 1}
             if bad:
                 raise ValueError(f"external scores outside [0, 1]: {bad}")
@@ -80,52 +75,43 @@ class TermScoreTable:
 
 @dataclass(frozen=True)
 class MinScorePolicy:
-    """Filter applied before ranking: keep everything, or scores >= threshold."""
+    """Filter applied before ranking: keep scores >= threshold, or all for None."""
 
-    kind: str  # "all" | "at_least"
     threshold: Fraction | None = None
 
     @classmethod
     def all_terms(cls) -> "MinScorePolicy":
-        return cls(kind="all")
+        return cls()
 
     @classmethod
     def at_least(cls, threshold) -> "MinScorePolicy":
-        return cls(kind="at_least", threshold=exact_fraction(threshold))
+        return cls(exact_fraction(threshold))
 
     @classmethod
     def parse(cls, text: str) -> "MinScorePolicy":
         # "none"/"all" keep every term; "zero" is the >= 0 cut.
-        if not isinstance(text, str):
-            raise DataError(
-                f'must be a string (none, zero or a number such as "0.5"), got {text!r}'
-            )
-        word = text.strip().lower()
+        word = string(text).strip().lower()
         if word in ("none", "all"):
             return cls.all_terms()
         if word == "zero":
             return cls.at_least(0)
         try:
-            threshold = Fraction(word)
-            float(threshold)  # reports print it as a float
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return cls(number(word, text=True))
+        except DataError as exc:
             raise DataError(f"cannot parse policy {text!r}") from exc
-        return cls.at_least(threshold)
 
     def tag(self) -> str:
-        if self.kind == "all":
+        if self.threshold is None:
             return "all"
         return f"at_least({float(self.threshold)})"
 
     def keeps(self, score: Score) -> bool:
-        if self.kind == "all":
-            return True
-        return score >= self.threshold
+        return self.threshold is None or score >= self.threshold
 
 
 @dataclass(frozen=True)
 class DangerousWordList:
-    """Terms ordered most dangerous first, after the min-score filter."""
+    """Terms ordered most dangerous first, and the one record of how they were ranked."""
 
     words: tuple[tuple[str, Score], ...]
     policy: MinScorePolicy
@@ -147,35 +133,31 @@ def score_frequency(train: LabeledCorpus, weight: Weight) -> TermScoreTable:
         scores[term] = weight.plus * v - weight.minus * b
         if v:
             vuln_counts[term] = v
-    return TermScoreTable(scores=scores, origin=FREQUENCY, weight=weight, vuln_counts=vuln_counts)
+    return TermScoreTable(scores=scores, weight=weight, vuln_counts=vuln_counts)
 
 
 def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
     """Filter by policy and sort by score descending with a total tie-break.
 
-    Frequency tables break score ties by higher vulnerable-name count, then
-    term text; external tables by term text. The ordering is deterministic, so
-    exported lists are byte-reproducible.
+    Score ties go to the higher vulnerable-name count, then to term text;
+    external tables have no counts, so their ties go to term text. The
+    ordering is deterministic, so exported lists are byte-reproducible.
     """
-    if table.origin == EXTERNAL:
-        if policy.kind == "at_least" and not 0 <= policy.threshold <= 1:
+    kept = table.scores.items()
+    if policy.threshold is not None:
+        if table.weight is None and not 0 <= policy.threshold <= 1:
             raise DataError(
                 f"external policy threshold must lie in [0, 1], got {policy.threshold}"
             )
-        key = lambda item: (-item[1], item[0])
-    else:
-        vc = table.vuln_counts
-        key = lambda item: (-item[1], -vc.get(item[0], 0), item[0])
-    kept = table.scores.items()
-    if policy.kind == "at_least":
         # Frequency scores are ints, so the int ceil(threshold) is an exact bound.
-        bound = policy.threshold if table.origin == EXTERNAL else math.ceil(policy.threshold)
+        bound = policy.threshold if table.weight is None else math.ceil(policy.threshold)
         kept = [(t, s) for t, s in kept if s >= bound]
-    words = tuple(sorted(kept, key=key))
+    vc = table.vuln_counts
+    words = tuple(sorted(kept, key=lambda item: (-item[1], -vc.get(item[0], 0), item[0])))
     return DangerousWordList(words=words, policy=policy, weight=table.weight, source=table.source)
 
 
-def load_external_scores(path: str | Path, source: str | None = None) -> TermScoreTable:
+def load_external_scores(path: str | Path) -> TermScoreTable:
     """Load a `term,score` CSV (header optional) as an external score table."""
     path = Path(path)
     scores: dict[str, Fraction] = {}
@@ -189,7 +171,7 @@ def load_external_scores(path: str | Path, source: str | None = None) -> TermSco
                 raise DataError(f"{path}:{lineno}: expected term,score")
             term = row[0].strip()
             try:
-                score = Fraction(row[1].strip())
+                score = parse_fraction(row[1].strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
             if not 0 <= score <= 1:
@@ -197,7 +179,7 @@ def load_external_scores(path: str | Path, source: str | None = None) -> TermSco
             if term in scores:
                 raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
             scores[term] = score
-    return TermScoreTable(scores=scores, origin=EXTERNAL, source=source or str(path))
+    return TermScoreTable(scores=scores, source=str(path))
 
 
 def write_word_list_csv(words: DangerousWordList, path: str | Path) -> None:
@@ -206,5 +188,9 @@ def write_word_list_csv(words: DangerousWordList, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "term", "score"])
         for i, (term, score) in enumerate(words.words, start=1):
-            value = score if isinstance(score, int) else float(score)
-            writer.writerow([i, term, value])
+            writer.writerow([i, term, score_out(score)])
+
+
+def score_out(score: Score) -> int | float:
+    """A score as files show it: an int stays an int, a Fraction becomes a float."""
+    return score if isinstance(score, int) else float(score)

@@ -11,10 +11,11 @@ degrades achievable cross-validated scores.
 from __future__ import annotations
 
 import random
-import string
 from dataclasses import dataclass
 from pathlib import Path
+from string import ascii_lowercase
 
+from .checks import boolean, checked, integer, list_of, number, string
 from .corpus import LabeledCorpus, RawLists, clean
 from .errors import DataError, writing
 from .splitter import split
@@ -62,7 +63,7 @@ def random_terms(rng: random.Random, count: int, exclude: frozenset[str] = froze
         tries += 1
         if tries > 1000 * count + 1000:
             raise DataError("could not generate enough unique vocabulary words")
-        word = "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 8)))
+        word = "".join(rng.choice(ascii_lowercase) for _ in range(rng.randint(3, 8)))
         if word not in seen:
             seen.add(word)
             out.append(word)
@@ -136,29 +137,32 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str | Path) -> tuple[Path, Path
 
 
 def spec_from_dict(doc: dict) -> SynthSpec:
-    """Build a SynthSpec from a JSON document.
+    """Build a SynthSpec from a JSON document, checking each value's type.
 
     Accepts either an explicit `planted_dangerous` list or a `planted_count`
     to auto-generate that many terms from the seed.
     """
+    def get(key, check, default=None):  # default None: the key is required
+        return checked(key, check, doc[key] if default is None else doc.get(key, default))
+
     try:
-        seed = int(doc["seed"])
+        seed = get("seed", integer)
         planted = doc.get("planted_dangerous")
         if planted is None:
-            count = int(doc.get("planted_count", 0))
+            count = get("planted_count", integer, 0)
             if count < 1:
-                raise DataError("spec needs planted_dangerous or planted_count >= 1")
+                raise DataError("needs planted_dangerous or planted_count >= 1")
             planted = random_terms(random.Random(seed ^ 0x5EED), count)
         return SynthSpec(
             seed=seed,
-            n_vulnerable=int(doc["n_vulnerable"]),
-            n_benign=int(doc["n_benign"]),
-            planted_dangerous=frozenset(planted),
-            vocab_size=int(doc["vocab_size"]),
-            terms_per_name=tuple(doc.get("terms_per_name", (2, 4))),
-            signal_strength=float(doc.get("signal_strength", 1.0)),
-            vocab_overlap=float(doc.get("vocab_overlap", 0.0)),
-            camel_case=bool(doc.get("camel_case", False)),
+            n_vulnerable=get("n_vulnerable", integer),
+            n_benign=get("n_benign", integer),
+            planted_dangerous=frozenset(checked("planted_dangerous", list_of(string), planted)),
+            vocab_size=get("vocab_size", integer),
+            terms_per_name=tuple(get("terms_per_name", list_of(integer), [2, 4])),
+            signal_strength=float(get("signal_strength", number, 1.0)),
+            vocab_overlap=float(get("vocab_overlap", number, 0.0)),
+            camel_case=get("camel_case", boolean, False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"bad synth spec: {exc}") from exc

@@ -10,8 +10,8 @@ then smaller cutoff, then larger threshold, and for weight sweeps the earlier
 grid entry. Only the winner's score becomes a Fraction: its `train_f2` is one
 `metrics.f_beta` call on the winning cell's counts.
 
-A trace, when asked for, holds one `GridCell` per cell: its cutoff,
-threshold, confusion counts and the score's integer pair.
+A trace, when asked for, is a list that receives, for each ranked list
+tuned, its weight (None for external scores) and one `GridCell` per cell.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class GridCell(NamedTuple):
 class TuneResult:
     model: TunedModel
     train_f2: Fraction
-    grid_trace: tuple[GridCell, ...] | None = None
 
 
 def find_best(
@@ -115,12 +114,12 @@ def find_best(
     train: LabeledCorpus,
     grid: SearchGrid,
     beta=DEFAULT_BETA,
-    want_trace: bool = False,
+    trace: list | None = None,
 ) -> TuneResult:
     """Pick the (cutoff, threshold) cell maximizing training F-beta.
 
     An empty dangerous list yields the degenerate all-benign model with
-    score 0.
+    score 0. A `trace` list receives (dangerous.weight, cells).
     """
     cutoffs = grid.cutoff_values(len(dangerous))
     thresholds = tuple(sorted(set(grid.thresholds), reverse=True))
@@ -129,28 +128,23 @@ def find_best(
     r, s = beta_squared(beta)
     best_cutoff, best_threshold, best_tp, best_fp = 0, Fraction(1), 0, 0
     best_num, best_den = 0, 1
-    trace: list[GridCell] = []
+    cells: list[GridCell] = []
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
     # Cutoff 0 means no cell yet, and stays for an empty list.
     for cutoff, tp_column, fp_column in zip(cutoffs, zip(*tp), zip(*fp)):
         for threshold, t, f in zip(thresholds, tp_column, fp_column):
             num, den = f_beta_terms(t, f, n_pos - t, r, s)
-            if want_trace:
-                trace.append(GridCell(cutoff, threshold, t, f, n_pos - t, n_neg - f, num, den))
+            if trace is not None:
+                cells.append(GridCell(cutoff, threshold, t, f, n_pos - t, n_neg - f, num, den))
             if not best_cutoff or num * best_den > best_num * den:
                 best_cutoff, best_threshold, best_tp, best_fp = cutoff, threshold, t, f
                 best_num, best_den = num, den
-    model = TunedModel(
-        dangerous=dangerous,
-        cutoff=best_cutoff,
-        threshold=best_threshold,
-        policy=dangerous.policy,
-        weight=dangerous.weight,
-        source=dangerous.source,
-    )
+    if trace is not None:
+        trace.append((dangerous.weight, cells))
+    model = TunedModel(dangerous, best_cutoff, best_threshold)
     train_f2 = f_beta(ConfusionCounts(best_tp, best_fp, n_pos - best_tp, n_neg - best_fp), beta)
-    return TuneResult(model, train_f2, tuple(trace) if want_trace else None)
+    return TuneResult(model, train_f2)
 
 
 def search_weights(
@@ -158,23 +152,18 @@ def search_weights(
     policy: MinScorePolicy,
     grid: SearchGrid,
     beta=DEFAULT_BETA,
-    trace_collector: list | None = None,
+    trace: list | None = None,
 ) -> TuneResult:
     """Score, rank, and tune once per weight; return the best overall result.
 
-    Ties go to the earlier weight in the grid. When `trace_collector` is a
-    list it receives one (weight, cells) pair per weight tried, and the
-    result keeps the winner's cells.
+    Ties go to the earlier weight in the grid. A `trace` list receives one
+    (weight, cells) pair per weight tried, in grid order.
     """
     best: TuneResult | None = None
     for weight in grid.weights:
         table = score_frequency(train, weight)
         dangerous = rank(table, policy)
-        result = find_best(
-            dangerous, train, grid, beta=beta, want_trace=trace_collector is not None,
-        )
-        if trace_collector is not None:
-            trace_collector.append((weight, result.grid_trace))
+        result = find_best(dangerous, train, grid, beta=beta, trace=trace)
         if best is None or result.train_f2 > best.train_f2:
             best = result
     return best

@@ -112,12 +112,12 @@ def _check_oracle_equivalence(policy: MinScorePolicy) -> None:
         assert len(terms) <= 30
         best, cells = oracle_sweep(corpus, weights, 3, grid.thresholds,
                                    keep_all=policy == POLICY_ALL)
-        collector = []
-        result = search_weights(corpus, policy, grid, trace_collector=collector)
+        trace = []
+        result = search_weights(corpus, policy, grid, trace=trace)
         lib_cells = {
             (w.tag(), cell.cutoff, cell.threshold): cell.f2
-            for w, trace in collector
-            for cell in trace
+            for w, cells in trace
+            for cell in cells
         }
         assert lib_cells == cells, f"cell table differs on seed {seed}"
         f2, w_index, cutoff, threshold = best
@@ -162,7 +162,6 @@ def test_criterion_5_baseline_predictor_identity():
             words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ALL)
             model = TunedModel(
                 dangerous=words, cutoff=len(words), threshold=Fraction(0),
-                policy=POLICY_ALL, weight=Weight(1, 1),
             )
             counts = classify_corpus(corpus, model)
             v, b = len(corpus.vulnerable), len(corpus.benign)
@@ -211,7 +210,6 @@ def test_criterion_6_roc_properties():
             for cutoff in (small, large):
                 model = TunedModel(
                     dangerous=dangerous, cutoff=cutoff, threshold=threshold,
-                    policy=POLICY_ALL,
                 )
                 pcts.append(classify(ident, model).percentage)
             assert pcts[1] >= pcts[0]
@@ -312,8 +310,9 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
             grid = SearchGrid(cutoff_step=2)
             best, cells = oracle_tune(corpus, [t for t, _ in words.words], 2,
                                       grid.thresholds)
-            result = find_best(words, corpus, grid, want_trace=True)
-            lib_cells = {(c.cutoff, c.threshold): c.f2 for c in result.grid_trace}
+            trace = []
+            result = find_best(words, corpus, grid, trace=trace)
+            lib_cells = {(c.cutoff, c.threshold): c.f2 for c in trace[0][1]}
             assert lib_cells == cells
             f2, cutoff, threshold = best
             assert (result.train_f2, result.model.cutoff) == (f2, cutoff)
@@ -330,7 +329,6 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
         # degenerate identity: full list, threshold 0 equals all-vulnerable
         model = TunedModel(
             dangerous=words, cutoff=len(words), threshold=Fraction(0),
-            policy=POLICY_ALL, source=words.source,
         )
         counts = classify_corpus(corpus, model)
         assert f_beta(counts, 2) == all_vulnerable_f2(

@@ -49,7 +49,11 @@ def test_split_fold_case(capsys):
 def test_usage_error_exits_one():
     assert main(["split"]) in (1,)  # missing positional
     assert main(["no-such-command"]) == 1
-    assert main(["split", "--config", "c.json", "read_file"]) == 1  # split reads no config
+    # Only train, eval, roc and baseline read a config file.
+    assert main(["split", "--config", "c.json", "read_file"]) == 1
+    assert main(["predict", "--model", "m.json", "--names", "n.txt", "--config", "c.json"]) == 1
+    assert main(["harvest", "code.c", "--config", "c.json"]) == 1
+    assert main(["synth", "--spec", "s.json", "--out", "o", "--config", "c.json"]) == 1
 
 
 def test_train_predict_roundtrip(tmp_path, corpus_files, capsys):
@@ -280,6 +284,27 @@ def test_csv_corpus_input(tmp_path):
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
+# Model-file and synth-spec values of the wrong type, by name.
+BAD_MODEL_FIELDS = {
+    "cutoff-float": {"cutoff": 1.9},
+    "cutoff-true": {"cutoff": True},
+    "cutoff-text": {"cutoff": "1"},
+    "threshold-text": {"threshold": "0.5"},
+    "threshold-false": {"threshold": False},
+    "weight-float": {"weight": {"plus": 1.5, "minus": 1}},
+    "weight-true": {"weight": {"plus": True, "minus": 1}},
+    "score-text": {"dangerous": [{"term": "read", "score": "1"}]},
+    "term-number": {"dangerous": [{"term": 5, "score": 1}]},
+}
+BAD_SPEC_FIELDS = {
+    "terms-per-name-float": {"terms_per_name": [2.5, 3]},
+    "planted-number": {"planted_dangerous": ["abc", 5]},
+    "planted-text": {"planted_dangerous": "abc"},
+    "seed-true": {"seed": True},
+    "n-vulnerable-float": {"n_vulnerable": 20.9},
+    "camel-case-text": {"camel_case": "false"},
+    "signal-strength-true": {"signal_strength": True},
+}
 BAD_INPUTS = {
     "predict-names-not-utf8": ["predict", "--model", "m.json", "--names", "latin1.txt"],
     "train-scores-not-utf8": ["train", "--vuln", "v.txt", "--benign", "b.txt",
@@ -363,6 +388,25 @@ BAD_INPUTS = {
                            "--config", "kfold_float.json", "--out-dir", "ev"],
     "config-seed-true": ["eval", "--vuln", "v.txt", "--benign", "b.txt",
                          "--config", "seed_true.json", "--out-dir", "ev"],
+    # Ten-digit decimal exponents: Fraction would build the power of ten
+    # exactly and never finish.
+    "train-beta-exponent": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                            "--beta", "1e1000000000", "--out", "x.json"],
+    "train-policy-exponent": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                              "--policy", "1e-1000000000", "--out", "x.json"],
+    "train-threshold-step-exponent": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                      "--threshold-step", "1e-1000000000", "--out", "x.json"],
+    "train-scores-exponent": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                              "--scores", "exponent_scores.csv", "--out", "x.json"],
+    # An integer too long for int(), as JSON reads it.
+    "config-integer-too-long": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                "--config", "long_int.json", "--out", "x.json"],
+    "model-integer-too-long": ["predict", "--model", "long_int.json", "--names", "v.txt"],
+    # Model-file and spec values of the wrong type, once cast to the right one.
+    **{f"model-{name}": ["predict", "--model", f"model_{name}.json", "--names", "v.txt"]
+       for name in BAD_MODEL_FIELDS},
+    **{f"spec-{name}": ["synth", "--spec", f"spec_{name}.json", "--out", "s"]
+       for name in BAD_SPEC_FIELDS},
 }
 # The config files BAD_INPUTS reads, by name.
 BAD_CONFIGS = {
@@ -405,8 +449,14 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     # One quoted field above the csv module's 131,072-character limit.
     (tmp_path / "big.csv").write_text('name,label\n"' + "a" * 200_000 + '",vulnerable\n')
     (tmp_path / "big_scores.csv").write_text('"' + "a" * 200_000 + '",0.5\n')
+    (tmp_path / "exponent_scores.csv").write_text("read,1e-1000000000\n")
+    (tmp_path / "long_int.json").write_text('{"seed": ' + "1" * 5000 + "}")
+    for name, field in BAD_MODEL_FIELDS.items():
+        (tmp_path / f"model_{name}.json").write_text(json.dumps(dict(model, **field)))
+    for name, field in BAD_SPEC_FIELDS.items():
+        (tmp_path / f"spec_{name}.json").write_text(json.dumps(dict(SYNTH_SPEC, **field)))
     proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("favd: data error: ")
@@ -471,24 +521,34 @@ not_a_string = json_value.filter(lambda v: not isinstance(v, str))
 letters = st.text(alphabet="abx_ -", min_size=1, max_size=5)
 
 _FUZZ_MODEL_WORDS = 3  # the fuzzed model's list length, so cutoffs above it are invalid
+# Numbers written as JSON text, and JSON values that are not numbers at all;
+# model files and specs hold numbers as JSON numbers only.
+number_text = st.integers(-2, 4).map(str) | st.floats(allow_nan=False).map(repr)
+not_a_json_number = not_a_number | letters | st.booleans() | number_text
+bad_count = not_a_json_number | st.floats() | st.integers(max_value=0)
 MODEL_FIELD = {
     "schema_version": not_a_number | letters,
     "policy": json_value.filter(lambda v: not isinstance(v, dict)),
-    "weight": st.one_of(st.integers().filter(bool), letters,
-                        st.lists(json_value, min_size=1, max_size=3), st.just(True)),
-    "cutoff": (not_a_number | letters | st.integers(max_value=0)
-               | st.integers(min_value=_FUZZ_MODEL_WORDS + 1)
-               | st.floats().filter(lambda x: not 1 <= x < _FUZZ_MODEL_WORDS + 1)),
-    "threshold": (not_a_number | letters | st.integers(max_value=-1)
+    "weight": st.one_of(st.integers(), letters, st.lists(json_value, min_size=1, max_size=3),
+                        st.booleans(),
+                        st.fixed_dictionaries({"plus": bad_count, "minus": st.just(1)}),
+                        st.fixed_dictionaries({"plus": st.just(1), "minus": bad_count})),
+    "cutoff": (not_a_json_number | st.floats() | st.integers(max_value=0)
+               | st.integers(min_value=_FUZZ_MODEL_WORDS + 1)),
+    "threshold": (not_a_json_number | st.integers(max_value=-1)
                   | st.floats().filter(lambda x: not 0 <= x <= 1)),
-    "dangerous": json_scalar | st.lists(json_scalar, min_size=1, max_size=3),
+    "dangerous": (json_scalar | st.lists(json_scalar, min_size=1, max_size=3)
+                  | st.lists(st.fixed_dictionaries({"term": not_a_string,
+                                                    "score": st.integers()}), min_size=1)
+                  | st.lists(st.fixed_dictionaries({"term": st.just("read"),
+                                                    "score": not_a_json_number}), min_size=1)),
 }
 malformed_model = st.one_of(
     st.sampled_from(sorted(MODEL_FIELD)).flatmap(
         lambda name: st.tuples(st.just("field"), st.tuples(st.just(name), MODEL_FIELD[name]))),
     st.tuples(st.just("policy-kind"),
               json_value.filter(lambda v: v not in ("all", "at_least"))),
-    st.tuples(st.just("policy-threshold"), not_a_number | letters),
+    st.tuples(st.just("policy-threshold"), not_a_json_number),
     st.tuples(st.just("document"), json_value.filter(lambda v: not isinstance(v, dict))),
     st.tuples(st.just("truncated"), st.floats(0, 1, exclude_max=True)),
 )
@@ -544,8 +604,7 @@ def _fuzz_model_document() -> dict:
     words = ["read", "parse", "copy"][:_FUZZ_MODEL_WORDS]
     dangerous = DangerousWordList(words=tuple((w, 3 - i) for i, w in enumerate(words)),
                                   policy=MinScorePolicy.at_least(0), weight=Weight(1, 1))
-    model = TunedModel(dangerous=dangerous, cutoff=2, threshold=Fraction(1, 2),
-                       policy=dangerous.policy, weight=dangerous.weight)
+    model = TunedModel(dangerous=dangerous, cutoff=2, threshold=Fraction(1, 2))
     return model_document(model, Fraction(1, 2))
 
 
@@ -603,6 +662,38 @@ def test_fuzzed_config_value_fails_cleanly(case):
     key, value = case
     argv = CONFIG_CASES[key][1] + ["--config", "fuzz.json"]
     _run_malformed({"fuzz.json": json.dumps({key: value})}, argv)
+
+
+# Synth-spec keys and the wrong values for each; SYNTH_SPEC sets the rest.
+not_a_string_list = json_value.filter(
+    lambda v: v is not None and not (isinstance(v, list) and v
+                                     and all(isinstance(t, str) for t in v)))
+SPEC_CASES = {
+    "seed": not_a_json_number | st.floats(),
+    "n_vulnerable": bad_count,
+    "n_benign": bad_count,
+    "vocab_size": bad_count,
+    "planted_count": bad_count,
+    "planted_dangerous": not_a_string_list,
+    "terms_per_name": (json_scalar
+                       | st.lists(not_a_json_number | st.floats(), min_size=1, max_size=3)),
+    "signal_strength": not_a_json_number | st.floats().filter(lambda x: not 0 <= x <= 1),
+    "vocab_overlap": not_a_json_number | st.floats().filter(lambda x: not 0 <= x <= 1),
+    "camel_case": json_value.filter(lambda v: not isinstance(v, bool)),
+}
+spec_case = st.sampled_from(sorted(SPEC_CASES)).flatmap(
+    lambda key: st.tuples(st.just(key), SPEC_CASES[key]))
+
+
+@_FUZZ
+@given(case=spec_case)
+def test_fuzzed_spec_value_fails_cleanly(case):
+    key, value = case
+    spec = json.dumps(dict(SYNTH_SPEC, **{key: value}))
+    proc = _run_malformed({"fuzz.json": spec}, ["synth", "--spec", "fuzz.json", "--out", "o"])
+    assert proc.returncode == 2, (spec, proc.stderr)
+    assert proc.stderr.startswith("favd: data error: bad synth spec: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @_FUZZ

@@ -171,7 +171,6 @@ class TestRoc:
         for point in curve.points:
             model = TunedModel(
                 dangerous=words, cutoff=2, threshold=point.threshold,
-                policy=words.policy, weight=words.weight,
             )
             tp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.vulnerable)
             fp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.benign)

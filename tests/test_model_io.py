@@ -21,7 +21,7 @@ def test_roundtrip_preserves_model(tmp_path, separable_corpus):
     assert loaded.cutoff == result.model.cutoff
     assert loaded.threshold == result.model.threshold
     assert loaded.weight == result.model.weight
-    assert loaded.policy == result.model.policy
+    assert loaded.dangerous.policy == result.model.dangerous.policy
     assert loaded.dangerous.words == result.model.dangerous.words
 
 
@@ -52,9 +52,8 @@ def test_document_carries_provenance(tmp_path, separable_corpus):
     doc = model_document(
         result.model, result.train_f2,
         inputs={"vulnerable": {"path": "v.txt", "sha256": "00"}},
-        seed=7, config={"policy": "at_least(0.0)"},
+        config={"policy": "at_least(0.0)"},
     )
-    assert doc["provenance"]["seed"] == 7
     assert doc["provenance"]["inputs"]["vulnerable"]["path"] == "v.txt"
     assert doc["schema_version"] == 1
     assert doc["train_f2"] == float(result.train_f2)

@@ -17,7 +17,6 @@ from favd.predictor import (
 )
 from favd.model_io import load_model, model_document, save_model
 from favd.ranking import (
-    EXTERNAL,
     DangerousWordList,
     MinScorePolicy,
     TermScoreTable,
@@ -39,8 +38,6 @@ def _model(words, cutoff, threshold) -> TunedModel:
         dangerous=dangerous,
         cutoff=cutoff,
         threshold=Fraction(str(threshold)),
-        policy=dangerous.policy,
-        weight=dangerous.weight,
     )
 
 
@@ -100,7 +97,7 @@ class TestModelValidation:
     def test_empty_list_needs_cutoff_zero(self):
         dangerous = DangerousWordList(words=(), policy=MinScorePolicy.all_terms())
         model = TunedModel(
-            dangerous=dangerous, cutoff=0, threshold=Fraction(1), policy=dangerous.policy
+            dangerous=dangerous, cutoff=0, threshold=Fraction(1)
         )
         assert classify("read_file", model).label == BENIGN
 
@@ -111,8 +108,7 @@ class TestClassifyCorpus:
             score_frequency(separable_corpus, Weight(1, 1)), MinScorePolicy.at_least(0)
         )
         model = TunedModel(
-            dangerous=words, cutoff=1, threshold=Fraction(0), policy=words.policy,
-            weight=words.weight,
+            dangerous=words, cutoff=1, threshold=Fraction(0),
         )
         counts = classify_corpus(separable_corpus, model)
         assert counts == ConfusionCounts(tp=3, fp=0, fn=0, tn=3)
@@ -120,7 +116,7 @@ class TestClassifyCorpus:
     def test_empty_dangerous_list_predicts_all_benign(self, separable_corpus):
         dangerous = DangerousWordList(words=(), policy=MinScorePolicy.at_least(0))
         model = TunedModel(
-            dangerous=dangerous, cutoff=0, threshold=Fraction(1), policy=dangerous.policy
+            dangerous=dangerous, cutoff=0, threshold=Fraction(1)
         )
         counts = classify_corpus(separable_corpus, model)
         assert counts == ConfusionCounts(
@@ -271,7 +267,7 @@ external_table = st.one_of(
     st.just(dict(ABSENT, **{term: Fraction(i % 5, 4) for i, term in enumerate(KERNEL_TERMS)})),
     st.dictionaries(st.sampled_from(KERNEL_TERMS + sorted(ABSENT)),
                     st.builds(Fraction, st.integers(0, 6), st.just(6)), max_size=8),
-).map(lambda scores: TermScoreTable(scores=scores, origin=EXTERNAL))
+).map(lambda scores: TermScoreTable(scores=scores))
 kernel_thresholds = st.lists(
     st.builds(lambda k, n: Fraction(min(k, n), n), st.integers(0, 13), st.integers(1, 13)),
     min_size=1, max_size=6,
@@ -287,7 +283,7 @@ def _looped_counts(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
 def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedModel:
     """The model of the first `cutoff` words; cutoff 0 or past the end is allowed."""
     top = DangerousWordList(words=words.words[:cutoff], policy=words.policy)
-    return TunedModel(dangerous=top, cutoff=len(top), threshold=threshold, policy=top.policy)
+    return TunedModel(dangerous=top, cutoff=len(top), threshold=threshold)
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,7 +291,7 @@ def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedMo
        table=external_table, thresholds=kernel_thresholds)
 @example(corpus=clean(RawLists(("alpha_Bravo_charlie_x1_y_delta_echo_fox_golf_hotel_india_juliet",
                                 "alpha"), ("kilo_alpha2",))),
-         weight=Weight(1, 1), table=TermScoreTable(scores=ABSENT, origin=EXTERNAL),
+         weight=Weight(1, 1), table=TermScoreTable(scores=ABSENT),
          thresholds=KERNEL_THRESHOLDS)
 def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
     lists = [rank(score_frequency(corpus, weight), MinScorePolicy.parse(policy))
@@ -311,10 +307,11 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
                 counts = _looped_counts(corpus, _rule(words, cutoff, threshold))
                 assert (tp[i][j], fp[i][j]) == (counts.tp, counts.fp), (threshold, cutoff)
                 if cutoff <= len(words) and (cutoff or not words.words):
-                    model = TunedModel(dangerous=words, cutoff=cutoff, threshold=threshold,
-                                       policy=words.policy)
+                    model = TunedModel(dangerous=words, cutoff=cutoff, threshold=threshold)
                     assert classify_corpus(corpus, model) == counts
-        for cell in find_best(words, corpus, grid, want_trace=True).grid_trace:
+        trace = []
+        find_best(words, corpus, grid, trace=trace)
+        for cell in trace[0][1]:
             counts = _looped_counts(corpus, _rule(words, cell.cutoff, cell.threshold))
             assert cell.counts == counts
             assert cell.f2 == f_beta(counts, 2)

@@ -1,12 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from favd.corpus import RawLists, clean
 from favd.errors import DataError
 from favd.ranking import (
-    EXTERNAL,
     MinScorePolicy,
     TermScoreTable,
     Weight,
@@ -16,6 +15,7 @@ from favd.ranking import (
     score_frequency,
     write_word_list_csv,
 )
+from favd.rational import MAX_EXPONENT, parse_fraction
 from favd.splitter import split
 
 
@@ -80,7 +80,7 @@ class TestRank:
         assert [t for t, _ in words.words] == ["read", "net", "file", "write"]
 
     def test_empty_table_is_legal(self):
-        table = TermScoreTable(scores={}, origin="frequency", weight=Weight(1, 1))
+        table = TermScoreTable(scores={}, weight=Weight(1, 1))
         assert rank(table, MinScorePolicy.all_terms()).words == ()
 
     def test_tie_break_prefers_vulnerable_count_then_text(self):
@@ -169,6 +169,24 @@ def test_policy_filter_equals_the_exact_comparison(vuln, benign, weight, thresho
     assert rank(table, policy).words == tuple(w for w in everything if policy.keeps(w[1]))
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)
+@example(-1.7976931348623157e308)
+def test_every_float_repr_parses_exactly(x):
+    """The exponent bound leaves room for every finite float, as a policy or a score."""
+    assert parse_fraction(repr(x)) == Fraction(repr(x))
+    assert MinScorePolicy.parse(repr(x)) == MinScorePolicy.at_least(Fraction(repr(x)))
+
+
+def test_exponent_bound_is_checked_before_fraction():
+    assert parse_fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_fraction(f"1_0E-{MAX_EXPONENT}") == Fraction(10, 10**MAX_EXPONENT)
+    for text in (f"1e{MAX_EXPONENT + 1}", "1e-1000000000", " 2.5E+99999999999 ",
+                 "1e1_000_000_000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_fraction(text)
+
+
 class TestPolicy:
     def test_parse_spellings(self):
         assert MinScorePolicy.parse("none") == MinScorePolicy.all_terms()
@@ -189,7 +207,7 @@ class TestExternalScores:
         p = tmp_path / "scores.csv"
         p.write_text("read,0.97\nget,0.12\n")
         table = load_external_scores(p)
-        assert table.origin == EXTERNAL
+        assert table.weight is None
         assert table.scores == {"read": Fraction("0.97"), "get": Fraction("0.12")}
         words = rank(table, MinScorePolicy.at_least(Fraction("0.90")))
         assert [t for t, _ in words.words] == ["read"]

@@ -75,9 +75,10 @@ class TestFindBest:
         # same term set on both sides: every cell predicts both names alike
         corpus = clean(RawLists(("a_b",), ("b_a",)))
         words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
-        result = find_best(words, corpus, small_grid(), want_trace=True)
+        trace = []
+        result = find_best(words, corpus, small_grid(), trace=trace)
         assert result.train_f2 == all_vulnerable_f2(1, 1)
-        zero_cells = [c for c in result.grid_trace if c.threshold == 0]
+        zero_cells = [c for c in trace[0][1] if c.threshold == 0]
         assert all(c.f2 == result.train_f2 for c in zero_cells)
 
     def test_empty_list_gives_degenerate_model(self, separable_corpus):
@@ -95,10 +96,13 @@ class TestFindBest:
     def test_trace_contains_every_cell_and_argmax_dominates(self, separable_corpus):
         words = rank(score_frequency(separable_corpus, Weight(1, 1)), POLICY_ZERO)
         grid = small_grid()
-        result = find_best(words, separable_corpus, grid, want_trace=True)
+        trace = []
+        result = find_best(words, separable_corpus, grid, trace=trace)
+        [(weight, cells)] = trace
+        assert weight == Weight(1, 1)
         expected_cells = len(grid.cutoff_values(len(words))) * len(set(grid.thresholds))
-        assert len(result.grid_trace) == expected_cells
-        assert all(cell.f2 <= result.train_f2 for cell in result.grid_trace)
+        assert len(cells) == expected_cells
+        assert all(cell.f2 <= result.train_f2 for cell in cells)
 
     def test_reported_f2_matches_fresh_classification(self, separable_corpus):
         words = rank(score_frequency(separable_corpus, Weight(2, 3)), POLICY_ZERO)
@@ -109,17 +113,19 @@ class TestFindBest:
     def test_tie_break_prefers_smaller_cutoff_then_larger_threshold(self):
         corpus = clean(RawLists(("danger_a", "danger_b"), ("safe_a", "safe_b")))
         words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
-        result = find_best(words, corpus, small_grid(), want_trace=True)
-        peers = [c for c in result.grid_trace if c.f2 == result.train_f2]
+        trace = []
+        result = find_best(words, corpus, small_grid(), trace=trace)
+        peers = [c for c in trace[0][1] if c.f2 == result.train_f2]
         assert result.model.cutoff == min(c.cutoff for c in peers)
         same_cutoff = [c for c in peers if c.cutoff == result.model.cutoff]
         assert result.model.threshold == max(c.threshold for c in same_cutoff)
 
     def test_determinism(self, separable_corpus):
         words = rank(score_frequency(separable_corpus, Weight(1, 1)), POLICY_ZERO)
-        a = find_best(words, separable_corpus, small_grid(), want_trace=True)
-        b = find_best(words, separable_corpus, small_grid(), want_trace=True)
-        assert a == b
+        trace_a, trace_b = [], []
+        a = find_best(words, separable_corpus, small_grid(), trace=trace_a)
+        b = find_best(words, separable_corpus, small_grid(), trace=trace_b)
+        assert (a, trace_a) == (b, trace_b)
 
 
 tuner_name = st.one_of(
@@ -147,8 +153,9 @@ tuner_corpus = st.builds(
 def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
     words = rank(score_frequency(corpus, Weight(1, 1)), policy)
     grid = SearchGrid(cutoff_step=2, thresholds=threshold_values(Fraction(1, 4)))
-    result = find_best(words, corpus, grid, beta=beta, want_trace=True)
-    cells = result.grid_trace
+    trace = []
+    result = find_best(words, corpus, grid, beta=beta, trace=trace)
+    [(_, cells)] = trace
     assert len(cells) == len(grid.cutoff_values(len(words))) * len(grid.thresholds)
     b2 = Fraction(beta) ** 2
     for cell in cells:
@@ -215,7 +222,7 @@ class TestSearchWeights:
             )
             corpus, truth = generate(spec)
             result = search_weights(corpus, POLICY_ZERO, SearchGrid(cutoff_step=1))
-            recovered = len(truth & result.model.top_terms()) / len(truth)
+            recovered = len(truth & result.model.top_terms) / len(truth)
             assert recovered >= 0.9
 
     def test_matches_bruteforce_oracle_on_small_corpora(self):
@@ -229,12 +236,12 @@ class TestSearchWeights:
             )
             corpus, _ = generate(spec)
             best, cells = oracle_sweep(corpus, weights, 3, grid.thresholds)
-            collector = []
-            result = search_weights(corpus, POLICY_ZERO, grid, trace_collector=collector)
+            trace = []
+            result = search_weights(corpus, POLICY_ZERO, grid, trace=trace)
             lib_cells = {
                 (w.tag(), cell.cutoff, cell.threshold): cell.f2
-                for w, trace in collector
-                for cell in trace
+                for w, cells in trace
+                for cell in cells
             }
             assert lib_cells == cells
             f2, w_index, cutoff, threshold = best
