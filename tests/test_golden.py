@@ -2,7 +2,8 @@
 
 Each CLI command runs in a fresh interpreter under a fixed PYTHONHASHSEED,
 from relative paths inside a temporary directory, on a fixed synthetic
-corpus, two small C files and a name list. The SHA-256 digest of every
+corpus (as two lists and as a CSV), three synthetic project directories, a
+synth spec, two small C files and a name list. The SHA-256 digest of every
 written file must equal its pin, so set iteration order cannot leak into
 reports and refactors cannot change a byte of output. After a deliberate
 output change, regenerate the pins with `python tests/test_golden.py DIR`,
@@ -12,6 +13,7 @@ which prints the digests of one run.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +42,12 @@ COMMANDS = [
      "--out", "out/pred_names.csv"],
     ["predict", "--model", "out/model.json", "--names", "out/harvest.csv",
      "--out", "out/pred_harvest.csv"],
+    ["eval", "--loo", "p/alpha", "p/beta", "p/gamma", "--weights", "1-1,2-1,1-2",
+     "--cutoff-step", "1", "--out-dir", "ev_loo"],
+    ["train", "--csv", "c.csv", "--weights", "1-1,2-1", "--cutoff-step", "1",
+     "--out", "out/csv_model.json"],
+    ["baseline", "--csv", "c.csv", "--out", "out/baseline.json"],
+    ["synth", "--spec", "spec.json", "--out", "syn"],
 ]
 PINNED = {
     "ev/eval_report.json": "393e9d34540a22517517af6657c71b498aa38131cffd4c739109b003a63e4b00",
@@ -56,7 +64,19 @@ PINNED = {
     "out/harvest.csv": "01dbba72b8d4e6dcc6c9a20aefe42f0ecb477d606269c0adc0c153bb7bde5e9d",
     "out/pred_names.csv": "83c11a05a7712133d98b128624cb0b729ddaa5764ca5fe4d2a6c858501094a9b",
     "out/pred_harvest.csv": "54e318bdfee6cd29fe95e4d90329e88a2ee5e5ea364dde1bbf0183e98ea3b08a",
+    "ev_loo/eval_report.json": "751264be690b402f0c9b8f8cd2547192dda567843a6106ee05f44e05bd893d7c",
+    "ev_loo/folds.csv": "301e7a3561215bb8adcbb3e20b159273cd6706794526191821f6d064fbb040b1",
+    "out/csv_model.json": "8fb7416d292ec32c5e23bfa6f409225e631e635067d309be7b805c46f18f259e",
+    "out/baseline.json": "efc9be76e9165129d72a60a7c22928d1df79e83db12be3d123639e94baba4848",
+    "syn/vulnerable.txt": "f3288d84348bf97770c877a666f69a369ba4f2589848635a583e9b7d02f7fc34",
+    "syn/benign.txt": "907c9f0d983a1a804968b070ddca8a4dd52d6c011ae3700abd2987ba7826cb12",
+    "syn/ground_truth.json": "106438d8e1e872339c944de27360c5e892b2ecf82dfb71539fc07620f2b1646a",
 }
+
+# The synth command's spec, and the specs of the three leave-one-out projects.
+SPEC = {"seed": 5, "n_vulnerable": 9, "n_benign": 25, "planted_count": 2, "vocab_size": 16,
+        "terms_per_name": [1, 3], "signal_strength": 0.8, "vocab_overlap": 0.25}
+PROJECTS = {"alpha": 11, "beta": 12, "gamma": 13}
 
 # Comments, literals, a prototype, a call site and a #define decoy; the
 # second file ends inside an unterminated block comment.
@@ -102,6 +122,21 @@ def make_inputs(root: Path) -> None:
     (code / "sample.c").write_text(C_SAMPLE, encoding="utf-8")
     (code / "tail.c").write_text(C_TAIL, encoding="utf-8")
     (root / "names.txt").write_text(NAMES, encoding="utf-8")
+    # The corpus again as a CSV, with one name on both sides and one repeated.
+    rows = [f"{n},vulnerable" for n in vuln.read_text().split()]
+    rows += [f"{n},benign" for n in benign.read_text().split()]
+    rows += [rows[-1], rows[0].replace("vulnerable", "benign")]
+    (root / "c.csv").write_text("name,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    (root / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    # Three projects; one of alpha's vulnerable names is also benign in beta.
+    for project, seed in PROJECTS.items():
+        spec = SynthSpec(seed=seed, n_vulnerable=6, n_benign=15,
+                         planted_dangerous=frozenset({"alpha", "omega"}), vocab_size=12,
+                         terms_per_name=(1, 3), signal_strength=0.8, vocab_overlap=0.3)
+        write_corpus(generate(spec)[0], root / "p" / project)
+    moved = (root / "p/alpha/vulnerable.txt").read_text().split()[-1]
+    with (root / "p/beta/benign.txt").open("a", encoding="utf-8") as fh:
+        fh.write(moved + "\n")
     (root / "scores.csv").write_text(
         "term,score\nalpha,0.9\nomega,1/2\nabsentterm,1\nnowhere,0.75\n", encoding="utf-8"
     )
