@@ -40,7 +40,7 @@ def main() -> None:
     parser.add_argument("--out", default="weight_sweep.csv")
     args = parser.parse_args()
 
-    corpus = clean(load_lists(args.vuln, args.benign))
+    corpus = clean(*load_lists(args.vuln, args.benign))
     if args.weights:
         weights = tuple(Weight.parse(w) for w in args.weights.split(","))
     else:

@@ -50,10 +50,13 @@ def integer(value, text: bool = False) -> int:
     raise DataError(f"must be an integer, got {value!r}")
 
 
-def count(value, text: bool = False) -> int:
+def count(value, text: bool = False, most: int | None = None) -> int:
+    """An integer of at least 1, and of at most `most` when given."""
     number = integer(value, text)
     if number < 1:
         raise DataError(f"must be >= 1, got {number}")
+    if most is not None and number > most:
+        raise DataError(f"must be at most {most:,}, got {number}")
     return number
 
 

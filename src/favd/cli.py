@@ -37,12 +37,14 @@ from .corpus import (
 from .errors import DataError, FavdError, InfeasibleError, reading, writing
 from .harvest import harvest
 from .metrics import (
+    DEFAULT_THRESHOLD_STEP,
     all_vulnerable_f2,
     f_beta,
     precision,
     recall,
     random_baseline_f2,
     roc,
+    threshold_values,
 )
 from .model_io import load_json_object, load_model, model_document, save_model
 from .predictor import classify, classify_corpus
@@ -59,7 +61,7 @@ from .ranking import (
 from .rational import format_rate
 from .splitter import split
 from .synth import generate, spec_from_dict, write_corpus
-from .tuner import SearchGrid, find_best, search_weights, threshold_values
+from .tuner import DEFAULT_BETA, SearchGrid, find_best, search_weights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 # JSON value (None when a config file gives null), and returns the value used.
 
 def _optional(check):
-    """`check` for a value that may be absent (None), as a path or a label may."""
+    """`check` for a value that may be absent (None), as a path may."""
     return lambda value: None if value is None else check(value)
 
 
@@ -124,12 +126,11 @@ OPTIONS = {
     "vuln": Option(_path, None, "vulnerable name list (one per line)"),
     "benign": Option(_path, None, "benign name list (one per line)"),
     "csv": Option(_path, None, "name,label CSV instead of two list files"),
-    "label": Option(_path, None, "corpus label for reports"),
     "policy": Option(MinScorePolicy.parse, "zero", "min-score policy: none|zero|NUMBER"),
     "weights": Option(_weights, None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
-    "cutoff_step": Option(_count, 100, "cutoff grid step"),
-    "threshold_step": Option(_threshold_step, "0.05", "threshold grid step"),
-    "beta": Option(_beta, "2", "F-beta objective for tuning"),
+    "cutoff_step": Option(_count, SearchGrid.cutoff_step, "cutoff grid step"),
+    "threshold_step": Option(_threshold_step, DEFAULT_THRESHOLD_STEP, "threshold grid step"),
+    "beta": Option(_beta, DEFAULT_BETA, "F-beta objective for tuning"),
     "scores": Option(_path, None, "external term,score CSV; replaces frequency scoring"),
     "kfold": Option(_integer, 5, "number of stratified folds"),
     "seed": Option(_integer, 0, "shuffle seed"),
@@ -138,13 +139,20 @@ OPTIONS = {
                   nargs="+", metavar="DIR"),
     "weight": Option(_weight, None, "PLUS-MINUS pair to rank the corpus itself"),
 }
-CORPUS_KEYS = ("vuln", "benign", "csv", "label")
+CORPUS_KEYS = ("vuln", "benign", "csv")
 GRID_KEYS = ("policy", "cutoff_step", "threshold_step")
 TUNING_KEYS = CORPUS_KEYS + GRID_KEYS + ("weights", "beta", "scores")
 
 
 def _options(args, config: dict) -> dict:
-    """Each of the command's options: the flag, else the config value, else the default, checked."""
+    """Each of the command's options: the flag, else the config value, else the default, checked.
+
+    A config key that no command reads is an error; one that another reads is ignored.
+    """
+    unknown = sorted(config.keys() - OPTIONS.keys())
+    if unknown:
+        raise DataError(f"config file {args.config} sets unknown key(s) "
+                        f"{', '.join(map(repr, unknown))}")
     values = {}
     for key in args.keys:
         value = getattr(args, key)
@@ -170,19 +178,23 @@ def _digest(path) -> dict:
     return {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
-def _load_pair(vuln, benign, label) -> tuple[LabeledCorpus, dict]:
+def _cleaned(names: tuple[list[str], list[str]], **paths) -> tuple[LabeledCorpus, dict]:
+    """The cleaned corpus of the names read from `paths`, and those files' digests."""
+    corpus = checked(" and ".join(map(str, paths.values())), lambda lists: clean(*lists), names)
+    return corpus, {key: _digest(path) for key, path in paths.items()}
+
+
+def _load_pair(vuln, benign) -> tuple[LabeledCorpus, dict]:
     """Load and clean two list files; also return their input digests."""
-    raw = load_lists(vuln, benign, source_label=label)
-    return clean(raw), {"vulnerable": _digest(vuln), "benign": _digest(benign)}
+    return _cleaned(load_lists(vuln, benign), vulnerable=vuln, benign=benign)
 
 
 def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
     """Load and clean the corpus named by csv or vuln/benign."""
     if opts["csv"]:
-        corpus = clean(load_csv(opts["csv"], source_label=opts["label"]))
-        return corpus, {"csv": _digest(opts["csv"])}
+        return _cleaned(load_csv(opts["csv"]), csv=opts["csv"])
     if opts["vuln"] and opts["benign"]:
-        return _load_pair(opts["vuln"], opts["benign"], opts["label"])
+        return _load_pair(opts["vuln"], opts["benign"])
     raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
 
 
@@ -307,14 +319,15 @@ def cmd_eval(args, opts) -> int:
     grid, external_table, config = _search(opts)
     policy, beta = opts["policy"], opts["beta"]
     if opts["loo"]:
-        corpora = []
-        digests = {}
-        for d in map(Path, opts["loo"]):
-            corpus, digests[d.name] = _load_pair(d / "vulnerable.txt", d / "benign.txt", d.name)
-            corpora.append(corpus)
+        # Each directory's name is its fold id and its key in the digests.
+        dirs = [Path(d) for d in opts["loo"]]
+        fold_ids = [d.name for d in dirs]
+        if len(set(fold_ids)) != len(fold_ids):
+            raise DataError(f"leave-one-out directories need distinct names, got {fold_ids}")
+        corpora, inputs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
         plan = make_leave_one_out(corpora)
-        del corpora, corpus
-        fold_ids = [test.source_label for _, test in plan.folds]
+        digests = dict(zip(fold_ids, inputs))
+        del corpora
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
         corpus, digests = _corpus_inputs(opts)

@@ -1,10 +1,11 @@
 """Labeled corpora of function names: loading, cleaning, fold plans.
 
-A corpus is two lists of identifiers, one labeled vulnerable and one benign.
-Cleaning removes duplicates within each list and resolves names present on
-both lists by keeping them vulnerable (the conservative reading). Fold plans
-are stratified and seeded, so a given (corpus, k, seed) always yields the
-same folds regardless of hash randomization.
+A corpus is read as two lists of identifiers, one labeled vulnerable and one
+benign. Cleaning removes duplicates within each list and resolves names
+present on both lists by keeping them vulnerable (the conservative reading),
+leaving two disjoint name sets. Fold plans are stratified and seeded, so a
+given (corpus, k, seed) always yields the same folds regardless of hash
+randomization.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 import sys
 from array import array
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
@@ -24,21 +26,11 @@ from .splitter import split
 
 
 @dataclass(frozen=True)
-class RawLists:
-    """Raw name lists as read from disk; may contain duplicates and overlaps."""
-
-    vulnerable: tuple[str, ...]
-    benign: tuple[str, ...]
-    source_label: str = "corpus"
-
-
-@dataclass(frozen=True)
 class LabeledCorpus:
     """Cleaned corpus: disjoint sets of vulnerable and benign names."""
 
     vulnerable: frozenset[str]
     benign: frozenset[str]
-    source_label: str = "corpus"
 
     def __post_init__(self) -> None:
         if self.vulnerable & self.benign:
@@ -115,27 +107,17 @@ def _read_lines(path: Path) -> list[str]:
     return [line for line in lines if line]
 
 
-def load_lists(
-    vulnerable_path: str | Path,
-    benign_path: str | Path,
-    source_label: str | None = None,
-) -> RawLists:
-    """Read one name per line from the two list files, in file order.
+def load_lists(vulnerable_path: str | Path, benign_path: str | Path) -> tuple[list[str], list[str]]:
+    """The vulnerable and benign names of two list files, one per line, in file order.
 
     Trailing whitespace (including CR from CRLF files) is stripped and blank
-    lines are dropped.
+    lines are dropped; duplicates and overlaps are left for `clean`.
     """
-    vpath, bpath = Path(vulnerable_path), Path(benign_path)
-    label = source_label if source_label is not None else vpath.resolve().parent.name
-    return RawLists(
-        vulnerable=tuple(_read_lines(vpath)),
-        benign=tuple(_read_lines(bpath)),
-        source_label=label,
-    )
+    return _read_lines(Path(vulnerable_path)), _read_lines(Path(benign_path))
 
 
-def load_csv(path: str | Path, source_label: str | None = None) -> RawLists:
-    """Read a two-column `name,label` CSV with labels vulnerable/benign."""
+def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
+    """The vulnerable and benign names of a two-column `name,label` CSV, in file order."""
     path = Path(path)
     vulnerable: list[str] = []
     benign: list[str] = []
@@ -158,35 +140,28 @@ def load_csv(path: str | Path, source_label: str | None = None) -> RawLists:
                 benign.append(name)
             else:
                 raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
-    label_out = source_label if source_label is not None else path.stem
-    return RawLists(tuple(vulnerable), tuple(benign), label_out)
+    return vulnerable, benign
 
 
-def overlap_names(raw: RawLists) -> set[str]:
-    """Names present on both raw lists (these move to vulnerable on clean)."""
-    return set(raw.vulnerable) & set(raw.benign)
+def overlap_names(vulnerable: Iterable[str], benign: Iterable[str]) -> set[str]:
+    """Names on both lists (these move to vulnerable on clean)."""
+    return set(vulnerable).intersection(benign)
 
 
-def clean(raw: RawLists) -> LabeledCorpus:
+def clean(vulnerable: Iterable[str], benign: Iterable[str]) -> LabeledCorpus:
     """Deduplicate both lists and keep names found on both as vulnerable."""
-    vulnerable = frozenset(raw.vulnerable)
-    benign = frozenset(raw.benign) - vulnerable
+    vulnerable = frozenset(vulnerable)
+    benign = frozenset(benign) - vulnerable
     if not vulnerable and not benign:
-        raise DataError(f"dataset {raw.source_label!r} is empty after cleaning")
-    return LabeledCorpus(vulnerable=vulnerable, benign=benign, source_label=raw.source_label)
+        raise DataError("both name lists are empty")
+    return LabeledCorpus(vulnerable=vulnerable, benign=benign)
 
 
 def _chunks(names: list[str], k: int) -> list[list[str]]:
     # First (len % k) chunks get one extra element; sizes differ by at most 1.
-    n = len(names)
-    base, extra = divmod(n, k)
-    out = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        out.append(names[start : start + size])
-        start += size
-    return out
+    base, extra = divmod(len(names), k)
+    starts = [i * base + min(i, extra) for i in range(k + 1)]
+    return [names[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
@@ -199,7 +174,7 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
         raise InfeasibleError(f"k must be at least 2, got {k}")
     if len(corpus.vulnerable) < k or len(corpus.benign) < k:
         raise InfeasibleError(
-            f"corpus {corpus.source_label!r} has {len(corpus.vulnerable)} vulnerable and "
+            f"corpus has {len(corpus.vulnerable)} vulnerable and "
             f"{len(corpus.benign)} benign names; both must be >= k={k}"
         )
     rng = random.Random(seed)
@@ -211,21 +186,15 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
     ben_chunks = _chunks(ben, k)
     folds = []
     for i in range(k):
-        test = LabeledCorpus(
-            vulnerable=frozenset(vuln_chunks[i]),
-            benign=frozenset(ben_chunks[i]),
-            source_label=f"{corpus.source_label}[fold {i + 1}/{k}]",
-        )
-        train = LabeledCorpus(
-            vulnerable=corpus.vulnerable - test.vulnerable,
-            benign=corpus.benign - test.benign,
-            source_label=f"{corpus.source_label}[train {i + 1}/{k}]",
-        )
+        test = LabeledCorpus(vulnerable=frozenset(vuln_chunks[i]),
+                             benign=frozenset(ben_chunks[i]))
+        train = LabeledCorpus(vulnerable=corpus.vulnerable - test.vulnerable,
+                              benign=corpus.benign - test.benign)
         folds.append((train, test))
     return FoldPlan(folds=tuple(folds))
 
 
-def make_leave_one_out(corpora: list[LabeledCorpus]) -> FoldPlan:
+def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
     """One fold per corpus; train is the re-cleaned union of all the others.
 
     Re-cleaning matters: a name vulnerable in one project and benign in
@@ -233,17 +202,10 @@ def make_leave_one_out(corpora: list[LabeledCorpus]) -> FoldPlan:
     """
     if len(corpora) < 2:
         raise InfeasibleError("leave-one-out needs at least two corpora")
-    labels = [c.source_label for c in corpora]
-    if len(set(labels)) != len(labels):
-        raise DataError(f"duplicate source labels in leave-one-out input: {labels}")
     folds = []
     for i, test in enumerate(corpora):
-        rest = [c for j, c in enumerate(corpora) if j != i]
-        union = RawLists(
-            vulnerable=tuple(name for c in rest for name in sorted(c.vulnerable)),
-            benign=tuple(name for c in rest for name in sorted(c.benign)),
-            source_label=f"all-but-{test.source_label}",
-        )
-        folds.append((clean(union), test))
+        rest = corpora[:i] + corpora[i + 1:]
+        train = clean(chain.from_iterable(c.vulnerable for c in rest),
+                      chain.from_iterable(c.benign for c in rest))
+        folds.append((train, test))
     return FoldPlan(folds=tuple(folds))
-

@@ -22,6 +22,29 @@ from .ranking import DangerousWordList
 from .rational import exact_fraction
 
 
+# The default threshold grid step, as text: reports record a step as written.
+DEFAULT_THRESHOLD_STEP = "0.05"
+# A step of 1e-5 gives 100,001 thresholds; a finer step makes a grid too large to search.
+MAX_THRESHOLDS = 100_001
+
+
+def threshold_values(step) -> tuple[Fraction, ...]:
+    """Multiples of `step` from 0 through 1, with 1 always present.
+
+    A step that would give more than MAX_THRESHOLDS values is a DataError.
+    """
+    step = exact_fraction(step)
+    if not 0 < step <= 1:
+        raise ValueError(f"threshold step must lie in (0, 1], got {step}")
+    count = 1 // step + 1
+    if count > MAX_THRESHOLDS:
+        raise DataError(f"threshold step too fine: over {MAX_THRESHOLDS} thresholds")
+    values = [k * step for k in range(count)]
+    if values[-1] != 1:
+        values.append(Fraction(1))
+    return tuple(values)
+
+
 def precision(c: ConfusionCounts) -> Fraction:
     if c.tp == 0:
         return Fraction(0)
@@ -92,16 +115,11 @@ class RocCurve:
     cutoff: int
 
 
-def default_thresholds() -> tuple[Fraction, ...]:
-    """1.00 down to 0.00 in steps of 0.05."""
-    return tuple(Fraction(k, 20) for k in range(20, -1, -1))
-
-
 def roc(
     dangerous: DangerousWordList,
     cutoffs: Sequence[int],
     corpus: LabeledCorpus,
-    thresholds: tuple[Fraction, ...] | None = None,
+    thresholds: Sequence[Fraction] = threshold_values(DEFAULT_THRESHOLD_STEP),
     include_zero_endpoint: bool = False,
 ) -> Iterator[RocCurve]:
     """One curve per cutoff, in the given order: TPR/FPR per threshold, descending.
@@ -117,8 +135,6 @@ def roc(
         raise ValueError(f"cutoffs must be >= 1, got {bad}")
     if not corpus.vulnerable or not corpus.benign:
         raise DataError("ROC rates need at least one vulnerable and one benign name")
-    if thresholds is None:
-        thresholds = default_thresholds()
     n_pos, n_neg = len(corpus.vulnerable), len(corpus.benign)
     kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
     tp, fp = count_flagged(dangerous, corpus, cutoffs, kept)

@@ -88,9 +88,10 @@ def load_json_object(path: str | Path, what: str) -> dict:
 
 def load_model(path: str | Path) -> TunedModel:
     doc = load_json_object(path, "model file")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema {doc.get('schema_version')!r} in {path}")
     try:
+        version = checked("schema_version", integer, doc.get("schema_version"))
+        if version != SCHEMA_VERSION:
+            raise DataError(f"unsupported model schema {version}")
         words = tuple(
             (checked("term", string, row["term"]), checked("score", number, row["score"]))
             for row in doc["dangerous"]

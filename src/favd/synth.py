@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from string import ascii_lowercase
 
-from .checks import boolean, checked, integer, list_of, number, string
-from .corpus import LabeledCorpus, RawLists, clean
+from .checks import boolean, checked, count, integer, list_of, number, string
+from .corpus import LabeledCorpus, clean
 from .errors import DataError, writing
 from .splitter import split
 
@@ -122,8 +123,7 @@ def generate(spec: SynthSpec) -> tuple[LabeledCorpus, frozenset[str]]:
 
     vulnerable = draw_unique(spec.n_vulnerable, vuln_filler, signal=True)
     benign = draw_unique(spec.n_benign, benign_pool, signal=False)
-    raw = RawLists(tuple(vulnerable), tuple(benign), source_label=f"synth(seed={spec.seed})")
-    return clean(raw), frozenset(planted)
+    return clean(vulnerable, benign), frozenset(planted)
 
 
 def write_corpus(corpus: LabeledCorpus, out_dir: str | Path) -> tuple[Path, Path]:
@@ -136,29 +136,38 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str | Path) -> tuple[Path, Path
     return vpath, bpath
 
 
+# Upper bounds on a spec file's counts, so that a typo cannot start a run
+# that does not end: names per class (VDISC, the largest published corpus,
+# has 932,741 benign names) and generated words (planted or filler).
+MAX_NAMES = 1_000_000
+MAX_WORDS = 100_000
+
+
 def spec_from_dict(doc: dict) -> SynthSpec:
     """Build a SynthSpec from a JSON document, checking each value's type.
 
     Accepts either an explicit `planted_dangerous` list or a `planted_count`
-    to auto-generate that many terms from the seed.
+    to auto-generate that many terms from the seed. Name counts are bounded
+    by MAX_NAMES, and `planted_count` and `vocab_size` by MAX_WORDS.
     """
     def get(key, check, default=None):  # default None: the key is required
         return checked(key, check, doc[key] if default is None else doc.get(key, default))
+
+    name_count, word_count = partial(count, most=MAX_NAMES), partial(count, most=MAX_WORDS)
 
     try:
         seed = get("seed", integer)
         planted = doc.get("planted_dangerous")
         if planted is None:
-            count = get("planted_count", integer, 0)
-            if count < 1:
-                raise DataError("needs planted_dangerous or planted_count >= 1")
-            planted = random_terms(random.Random(seed ^ 0x5EED), count)
+            if "planted_count" not in doc:
+                raise DataError("needs planted_dangerous or planted_count")
+            planted = random_terms(random.Random(seed ^ 0x5EED), get("planted_count", word_count))
         return SynthSpec(
             seed=seed,
-            n_vulnerable=get("n_vulnerable", integer),
-            n_benign=get("n_benign", integer),
+            n_vulnerable=get("n_vulnerable", name_count),
+            n_benign=get("n_benign", name_count),
             planted_dangerous=frozenset(checked("planted_dangerous", list_of(string), planted)),
-            vocab_size=get("vocab_size", integer),
+            vocab_size=get("vocab_size", word_count),
             terms_per_name=tuple(get("terms_per_name", list_of(integer), [2, 4])),
             signal_strength=float(get("signal_strength", number, 1.0)),
             vocab_overlap=float(get("vocab_overlap", number, 0.0)),

@@ -21,8 +21,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
-from .errors import DataError
-from .metrics import beta_squared, default_thresholds, f_beta, f_beta_terms
+from .metrics import (
+    DEFAULT_THRESHOLD_STEP,
+    beta_squared,
+    f_beta,
+    f_beta_terms,
+    threshold_values,
+)
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
@@ -32,28 +37,8 @@ from .ranking import (
     rank,
     score_frequency,
 )
-from .rational import exact_fraction
 
-DEFAULT_BETA = Fraction(2)
-# A step of 1e-5 gives 100,001 thresholds; a finer step makes a grid too large to search.
-MAX_THRESHOLDS = 100_001
-
-
-def threshold_values(step) -> tuple[Fraction, ...]:
-    """Multiples of `step` from 0 through 1, with 1 always present.
-
-    A step that would give more than MAX_THRESHOLDS values is a DataError.
-    """
-    step = exact_fraction(step)
-    if not 0 < step <= 1:
-        raise ValueError(f"threshold step must lie in (0, 1], got {step}")
-    count = 1 // step + 1
-    if count > MAX_THRESHOLDS:
-        raise DataError(f"threshold step too fine: over {MAX_THRESHOLDS} thresholds")
-    values = [k * step for k in range(count)]
-    if values[-1] != 1:
-        values.append(Fraction(1))
-    return tuple(values)
+DEFAULT_BETA = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +46,7 @@ class SearchGrid:
     """Grid axes for FindBest and the weight sweep."""
 
     cutoff_step: int = 100
-    thresholds: tuple[Fraction, ...] = default_thresholds()
+    thresholds: tuple[Fraction, ...] = threshold_values(DEFAULT_THRESHOLD_STEP)
     weights: tuple[Weight, ...] = default_weight_grid()
 
     def __post_init__(self) -> None:

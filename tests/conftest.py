@@ -1,21 +1,16 @@
 import pytest
 
-from favd.corpus import LabeledCorpus, RawLists, clean
+from favd.corpus import LabeledCorpus, clean
 
 
 @pytest.fixture
 def toy_corpus() -> LabeledCorpus:
     """Two vulnerable and one benign name sharing the term 'file'."""
-    return clean(RawLists(("read_file", "read_net"), ("write_file",), "toy"))
+    return clean(("read_file", "read_net"), ("write_file",))
 
 
 @pytest.fixture
 def separable_corpus() -> LabeledCorpus:
     """'danger' appears in every vulnerable name and no benign one."""
-    return clean(
-        RawLists(
-            ("danger_alpha", "danger_bravo", "danger_gamma"),
-            ("safe_alpha", "safe_bravo", "calm_gamma"),
-            "separable",
-        )
-    )
+    return clean(("danger_alpha", "danger_bravo", "danger_gamma"),
+                 ("safe_alpha", "safe_bravo", "calm_gamma"))

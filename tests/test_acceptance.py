@@ -18,7 +18,7 @@ import pytest
 
 from bruteforce import oracle_rank_external, oracle_sweep, oracle_tune
 from favd.cli import main as cli_main
-from favd.corpus import LabeledCorpus, RawLists, clean, load_lists, make_kfold
+from favd.corpus import LabeledCorpus, clean, load_lists, make_kfold
 from favd.metrics import all_vulnerable_f2, f_beta, random_baseline_f2, roc
 from favd.predictor import TunedModel, classify, classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
@@ -144,12 +144,9 @@ def test_criterion_4_oracle_equivalence_policy_none():
 
 def _suite_corpora() -> list[LabeledCorpus]:
     corpora = [
-        clean(RawLists(("read_file", "read_net"), ("write_file",), "toy")),
-        clean(RawLists(
-            ("danger_alpha", "danger_bravo", "danger_gamma"),
-            ("safe_alpha", "safe_bravo", "calm_gamma"),
-            "separable",
-        )),
+        clean(("read_file", "read_net"), ("write_file",)),
+        clean(("danger_alpha", "danger_bravo", "danger_gamma"),
+              ("safe_alpha", "safe_bravo", "calm_gamma")),
     ]
     for seed in (5, 6, 7):
         corpora.append(_small_corpus(seed))
@@ -165,7 +162,7 @@ def test_criterion_5_baseline_predictor_identity():
             )
             counts = classify_corpus(corpus, model)
             v, b = len(corpus.vulnerable), len(corpus.benign)
-            assert f_beta(counts, 2) == all_vulnerable_f2(v, b), corpus.source_label
+            assert f_beta(counts, 2) == all_vulnerable_f2(v, b), corpus
 
 
 # --- 6 -----------------------------------------------------------------
@@ -344,8 +341,7 @@ TABLE_MIN0_F2 = {"LibPNG": 0.639, "Pidgin": 0.601, "Asterisk": 0.000}
 
 def _replication_corpus(project: str) -> LabeledCorpus:
     base = REPLICATION_DIR / project
-    raw = load_lists(base / "vulnerable.txt", base / "benign.txt", source_label=project)
-    return clean(raw)
+    return clean(*load_lists(base / "vulnerable.txt", base / "benign.txt"))
 
 
 def test_criterion_9_replication_data_reproduction():

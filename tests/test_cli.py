@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from favd.cli import OPTIONS, main
+from favd.cli import OPTIONS, build_parser, main
 from favd.model_io import load_model, model_document
 from favd.predictor import TunedModel
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
+from favd.synth import MAX_NAMES, MAX_WORDS
 
 C_SOURCE = """\
 int read_header(char *buf) {
@@ -54,6 +57,9 @@ def test_usage_error_exits_one():
     assert main(["predict", "--model", "m.json", "--names", "n.txt", "--config", "c.json"]) == 1
     assert main(["harvest", "code.c", "--config", "c.json"]) == 1
     assert main(["synth", "--spec", "s.json", "--out", "o", "--config", "c.json"]) == 1
+    # There is no corpus label.
+    assert main(["train", "--vuln", "v.txt", "--benign", "b.txt", "--out", "m.json",
+                 "--label", "x"]) == 1
 
 
 def test_train_predict_roundtrip(tmp_path, corpus_files, capsys):
@@ -135,6 +141,55 @@ def test_eval_loo_over_project_dirs(tmp_path):
     report = json.loads((out / "eval_report.json").read_text())
     assert report["protocol"]["kind"] == "leave_one_out"
     assert [f["fold"] for f in report["folds"]] == ["projA", "projB", "projC"]
+
+
+def test_eval_loo_rejects_duplicate_directory_names(tmp_path, capsys):
+    # The names are the fold ids and the digest keys, so they must differ.
+    for parent in ("a", "b"):
+        d = tmp_path / parent / "proj"
+        d.mkdir(parents=True)
+        (d / "vulnerable.txt").write_text("danger_read\n")
+        (d / "benign.txt").write_text("log_write\n")
+    rc = main(["eval", "--loo", str(tmp_path / "a/proj"), str(tmp_path / "b/proj"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "distinct names" in capsys.readouterr().err
+
+
+def test_empty_corpus_error_names_its_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.txt").write_text("\n")
+    (tmp_path / "e.csv").write_text("name,label\n")
+    for corpus, named in ((["--vuln", "e.txt", "--benign", "e.txt"], "e.txt and e.txt"),
+                          (["--csv", "e.csv"], "e.csv")):
+        assert main(["baseline", *corpus]) == 2
+        assert capsys.readouterr().err == f"favd: data error: {named}: both name lists are empty\n"
+
+
+def test_unknown_config_key_is_a_data_error(tmp_path, corpus_files, capsys):
+    vuln, benign = corpus_files
+    train = ["train", "--vuln", str(vuln), "--benign", str(benign), "--cutoff-step", "1",
+             "--out", str(tmp_path / "m.json"), "--config", str(tmp_path / "c.json")]
+    # Typos, and the corpus label that no command reads any more.
+    for config in ({"cutof_step": 7, "polcy": "none"}, {"label": "x"}):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(train) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("favd: data error: ") and len(err.splitlines()) == 1
+        assert all(repr(key) in err for key in config)
+    # A key another command reads is ignored, so one file serves train and eval.
+    (tmp_path / "c.json").write_text(json.dumps({"kfold": 2, "seed": 3, "weight": "1-1"}))
+    assert main(train) == 0
+
+
+def test_readme_config_table_lists_each_commands_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {command: keys.split()
+             for command, keys in re.findall(r"^\| `(\w+)` \| `([\w ]+)` \|$", readme, re.M)}
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert table == {name: list(p.get_default("keys")) for name, p in commands.items()
+                     if p.get_default("keys")}
 
 
 def test_eval_infeasible_folds_exit_three(tmp_path, corpus_files):
@@ -286,6 +341,8 @@ _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.enviro
 
 # Model-file and synth-spec values of the wrong type, by name.
 BAD_MODEL_FIELDS = {
+    "schema-version-true": {"schema_version": True},
+    "schema-version-float": {"schema_version": 1.0},
     "cutoff-float": {"cutoff": 1.9},
     "cutoff-true": {"cutoff": True},
     "cutoff-text": {"cutoff": "1"},
@@ -304,6 +361,9 @@ BAD_SPEC_FIELDS = {
     "n-vulnerable-float": {"n_vulnerable": 20.9},
     "camel-case-text": {"camel_case": "false"},
     "signal-strength-true": {"signal_strength": True},
+    # Counts that would run for minutes before failing, or never end.
+    "planted-count-huge": {"planted_count": 1_000_000_000},
+    "n-vulnerable-huge": {"n_vulnerable": 1_000_000_000, "vocab_size": 10},
 }
 BAD_INPUTS = {
     "predict-names-not-utf8": ["predict", "--model", "m.json", "--names", "latin1.txt"],
@@ -370,7 +430,7 @@ BAD_INPUTS = {
                             "--out", "x.json"],
     "train-policy-overflow": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                               "--policy", "1e400", "--out", "x.json"],
-    # A threshold grid far above tuner.MAX_THRESHOLDS values.
+    # A threshold grid far above metrics.MAX_THRESHOLDS values.
     "train-threshold-step-too-fine": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                       "--threshold-step", "1e-400", "--out", "x.json"],
     # Values that were once read as something else: a falsy weights as the
@@ -569,7 +629,6 @@ CONFIG_CASES = {
     "beta": (not_a_number | letters | st.booleans() | st.integers(max_value=0) | too_large,
              _TRAIN),
     "scores": (not_a_string.filter(lambda v: v is not None), _TRAIN),
-    "label": (not_a_string.filter(lambda v: v is not None), _TRAIN),
     "vuln": (not_a_string, ["train", "--benign", "b.txt", "--out", "m.json"]),
     "benign": (not_a_string, ["train", "--vuln", "v.txt", "--out", "m.json"]),
     "csv": (not_a_string, ["train", "--out", "m.json"]),
@@ -664,16 +723,24 @@ def test_fuzzed_config_value_fails_cleanly(case):
     _run_malformed({"fuzz.json": json.dumps({key: value})}, argv)
 
 
+@_FUZZ
+@given(key=st.text(max_size=12).filter(lambda key: key not in OPTIONS))
+def test_fuzzed_unknown_config_key_fails_cleanly(key):
+    proc = _run_malformed({"fuzz.json": json.dumps({key: 1})}, [*_TRAIN, "--config", "fuzz.json"])
+    assert proc.returncode == 2, (key, proc.stderr)
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 # Synth-spec keys and the wrong values for each; SYNTH_SPEC sets the rest.
 not_a_string_list = json_value.filter(
     lambda v: v is not None and not (isinstance(v, list) and v
                                      and all(isinstance(t, str) for t in v)))
 SPEC_CASES = {
     "seed": not_a_json_number | st.floats(),
-    "n_vulnerable": bad_count,
-    "n_benign": bad_count,
-    "vocab_size": bad_count,
-    "planted_count": bad_count,
+    "n_vulnerable": bad_count | st.integers(min_value=MAX_NAMES + 1),
+    "n_benign": bad_count | st.integers(min_value=MAX_NAMES + 1),
+    "vocab_size": bad_count | st.integers(min_value=MAX_WORDS + 1),
+    "planted_count": bad_count | st.integers(min_value=MAX_WORDS + 1),
     "planted_dangerous": not_a_string_list,
     "terms_per_name": (json_scalar
                        | st.lists(not_a_json_number | st.floats(), min_size=1, max_size=3)),
@@ -740,15 +807,12 @@ def test_fuzzed_output_path_is_a_data_error(flag, under_file, parts):
 
 
 # For every option a flag and a config file both set: a value the run fails
-# on, and a command that reads the option. Paths name missing files, and the
-# label names the corpus in the error about its emptiness.
+# on, and a command that reads the option. Paths name missing files.
 _EVAL = ["eval", *_PAIR, "--out-dir", "ev"]
 OPTION_CASES = {
     "vuln": ("missing.txt", ["train", "--benign", "b.txt", "--out", "m.json"]),
     "benign": ("missing.txt", ["train", "--vuln", "v.txt", "--out", "m.json"]),
     "csv": ("missing.csv", ["train", "--out", "m.json"]),
-    "label": ("nameless", ["train", "--vuln", "empty.txt", "--benign", "empty.txt",
-                           "--out", "m.json"]),
     "policy": ("1e400", _TRAIN),
     "weights": ("", _TRAIN),
     "cutoff_step": ("2.5", _TRAIN),
@@ -768,7 +832,6 @@ def test_flag_and_config_value_fail_alike(tmp_path, monkeypatch, capsys, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "v.txt").write_text("danger_read_file\ndanger_parse_net\n")
     (tmp_path / "b.txt").write_text("log_msg_write\nopen_window_ui\n")
-    (tmp_path / "empty.txt").write_text("")
     (tmp_path / "c.json").write_text(json.dumps({key: [value] if key == "loo" else value}))
     by_flag = main([*argv, f"--{key.replace('_', '-')}", value]), capsys.readouterr().err
     by_config = main([*argv, "--config", "c.json"]), capsys.readouterr().err

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from favd.corpus import (
     LabeledCorpus,
-    RawLists,
     clean,
     load_csv,
     load_lists,
@@ -18,22 +17,18 @@ class TestLoadLists:
     def test_reads_lines_in_file_order(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\nb\n")
         (tmp_path / "b.txt").write_text("c\n")
-        raw = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
-        assert raw.vulnerable == ("a", "b")
-        assert raw.benign == ("c",)
+        assert load_lists(tmp_path / "v.txt", tmp_path / "b.txt") == (["a", "b"], ["c"])
 
     def test_blank_lines_dropped(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\n\nb\n")
         (tmp_path / "b.txt").write_text("\n\n")
-        raw = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
-        assert raw.vulnerable == ("a", "b")
-        assert raw.benign == ()
+        assert load_lists(tmp_path / "v.txt", tmp_path / "b.txt") == (["a", "b"], [])
 
     def test_crlf_and_trailing_whitespace(self, tmp_path):
         (tmp_path / "v.txt").write_bytes(b"a \r\nb\t\r\n")
         (tmp_path / "b.txt").write_bytes(b"c\r\n")
-        raw = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
-        assert raw.vulnerable == ("a", "b")
+        vulnerable, _ = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
+        assert vulnerable == ["a", "b"]
 
     def test_missing_file_mentions_path(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\n")
@@ -51,9 +46,7 @@ class TestLoadCsv:
     def test_two_column_corpus(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("name,label\nread_file,vulnerable\nlog_msg,benign\n")
-        raw = load_csv(p)
-        assert raw.vulnerable == ("read_file",)
-        assert raw.benign == ("log_msg",)
+        assert load_csv(p) == (["read_file"], ["log_msg"])
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -70,27 +63,26 @@ class TestLoadCsv:
 
 class TestClean:
     def test_dedupe_and_overlap_to_vulnerable(self):
-        out = clean(RawLists(("f", "f", "g"), ("g", "h")))
+        out = clean(("f", "f", "g"), ("g", "h"))
         assert out.vulnerable == {"f", "g"}
         assert out.benign == {"h"}
 
     def test_total_overlap_empties_benign(self):
-        out = clean(RawLists(("x",), ("x",)))
+        out = clean(("x",), ("x",))
         assert out.vulnerable == {"x"}
         assert out.benign == frozenset()
 
     def test_both_empty_is_an_error(self):
         with pytest.raises(DataError):
-            clean(RawLists((), ()))
+            clean((), ())
 
     def test_libtiff_shaped_overlap_resolution(self):
         # 75 vulnerable and 522 benign survivors with 8 names moved over.
         shared = [f"shared_{i}" for i in range(8)]
         vuln = [f"vuln_{i}" for i in range(67)] + shared
         benign = [f"benign_{i}" for i in range(522)] + shared
-        raw = RawLists(tuple(vuln), tuple(benign))
-        assert overlap_names(raw) == set(shared)
-        out = clean(raw)
+        assert overlap_names(vuln, benign) == set(shared)
+        out = clean(vuln, benign)
         assert len(out.vulnerable) == 75
         assert len(out.benign) == 522
 
@@ -99,10 +91,9 @@ class TestClean:
         st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=12),
     )
     def test_clean_is_idempotent_and_disjoint(self, vuln, benign):
-        raw = RawLists(tuple(vuln), tuple(benign))
-        once = clean(raw)
+        once = clean(vuln, benign)
         assert not once.vulnerable & once.benign
-        twice = clean(RawLists(tuple(sorted(once.vulnerable)), tuple(sorted(once.benign))))
+        twice = clean(sorted(once.vulnerable), sorted(once.benign))
         assert (twice.vulnerable, twice.benign) == (once.vulnerable, once.benign)
 
 
@@ -110,7 +101,6 @@ def _numbered_corpus(n_vuln: int, n_benign: int) -> LabeledCorpus:
     return LabeledCorpus(
         vulnerable=frozenset(f"v{i}" for i in range(n_vuln)),
         benign=frozenset(f"b{i}" for i in range(n_benign)),
-        source_label="numbered",
     )
 
 
@@ -168,16 +158,16 @@ class TestKfold:
 
 class TestLeaveOneOut:
     def _corpora(self):
-        a = clean(RawLists(("n", "a1"), ("a2",), "A"))
-        b = clean(RawLists(("b1",), ("n", "b2"), "B"))
-        c = clean(RawLists(("c1",), ("c2",), "C"))
+        a = clean(("n", "a1"), ("a2",))
+        b = clean(("b1",), ("n", "b2"))
+        c = clean(("c1",), ("c2",))
         return a, b, c
 
     def test_one_fold_per_corpus(self):
         a, b, c = self._corpora()
         plan = make_leave_one_out([a, b, c])
         assert len(plan.folds) == 3
-        assert [test.source_label for _, test in plan.folds] == ["A", "B", "C"]
+        assert [test for _, test in plan.folds] == [a, b, c]
 
     def test_train_is_cleaned_union_of_the_rest(self):
         a, b, c = self._corpora()
@@ -190,11 +180,6 @@ class TestLeaveOneOut:
         # With A held out, n is only known benign (from B).
         train_for_a = plan.folds[0][0]
         assert "n" in train_for_a.benign
-
-    def test_duplicate_labels_rejected(self):
-        a, b, _ = self._corpora()
-        with pytest.raises(DataError):
-            make_leave_one_out([a, b, clean(RawLists(("z",), ("y",), "A"))])
 
     def test_needs_two_corpora(self):
         a, _, _ = self._corpora()

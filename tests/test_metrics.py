@@ -3,17 +3,18 @@ from itertools import product
 
 import pytest
 
-from favd.corpus import RawLists, clean
+from favd.corpus import clean
 from favd.errors import DataError
 from favd.metrics import (
+    DEFAULT_THRESHOLD_STEP,
     RocPoint,
     all_vulnerable_f2,
-    default_thresholds,
     f_beta,
     precision,
     random_baseline_f2,
     recall,
     roc,
+    threshold_values,
 )
 from favd.predictor import VULNERABLE, ConfusionCounts, TunedModel, classify
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
@@ -146,9 +147,7 @@ class TestRoc:
         # are {read, net} (net beats file on vulnerable-name count).
         # Percentages at cutoff 2: net_read 1, net_read_file 2/3,
         # net_dump 1/2, write_log 0, alloc 0.
-        corpus = clean(
-            RawLists(("net_read_file", "net_read"), ("net_dump", "write_log", "alloc"))
-        )
+        corpus = clean(("net_read_file", "net_read"), ("net_dump", "write_log", "alloc"))
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         assert [t for t, _ in words.words][:2] == ["read", "net"]
         curve = next(roc(words, [2], corpus, thresholds=(
@@ -193,7 +192,7 @@ class TestRoc:
         assert past_end.points == full.points
 
     def test_one_sided_corpus_rejected(self):
-        corpus = clean(RawLists(("read_file",), ()))
+        corpus = clean(("read_file",), ())
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         with pytest.raises(DataError):
             roc(words, [1], corpus)
@@ -204,10 +203,10 @@ class TestRoc:
             roc(self._ranked(separable_corpus), [3], separable_corpus, thresholds=(threshold,))
 
     def test_default_threshold_grid(self):
-        grid = default_thresholds()
+        grid = threshold_values(DEFAULT_THRESHOLD_STEP)
         assert len(grid) == 21
-        assert grid[0] == 1 and grid[-1] == 0
-        assert grid[1] == Fraction(19, 20)
+        assert grid[0] == 0 and grid[-1] == 1
+        assert grid[1] == Fraction(1, 20)
 
 
 def test_roc_point_is_plain_data():

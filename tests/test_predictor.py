@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from favd.cli import main
-from favd.corpus import LabeledCorpus, RawLists, clean
+from favd.corpus import LabeledCorpus, clean
 from favd.metrics import f_beta, roc
 from favd.predictor import (
     BENIGN,
@@ -124,7 +124,7 @@ class TestClassifyCorpus:
         )
 
     def test_three_name_hand_tally(self):
-        corpus = clean(RawLists(("read_file", "net_poll"), ("write_log",)))
+        corpus = clean(("read_file", "net_poll"), ("write_log",))
         model = _model(["read", "write"], cutoff=2, threshold=0.4)
         # read_file: 1/2 > 0.4 -> TP; net_poll: 0 -> FN; write_log: 1/2 -> FP
         counts = classify_corpus(corpus, model)
@@ -139,8 +139,8 @@ class TestClassifyCorpus:
     def test_input_order_does_not_change_counts(self):
         names_v = ("read_file", "net_poll", "parse_hdr")
         names_b = ("write_log", "open_file")
-        a = clean(RawLists(names_v, names_b))
-        b = clean(RawLists(tuple(reversed(names_v)), tuple(reversed(names_b))))
+        a = clean(names_v, names_b)
+        b = clean(tuple(reversed(names_v)), tuple(reversed(names_b)))
         model = _model(["read", "parse", "open"], cutoff=3, threshold=0.3)
         assert classify_corpus(a, model) == classify_corpus(b, model)
 
@@ -255,7 +255,7 @@ kernel_name = st.one_of(
     ),
 )
 kernel_corpus = st.builds(
-    lambda vuln, benign: clean(RawLists(tuple(vuln), tuple(benign))),
+    clean,
     st.sets(kernel_name, min_size=1, max_size=8),
     st.sets(kernel_name, max_size=8),
 )
@@ -289,8 +289,8 @@ def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedMo
 @settings(max_examples=80, deadline=None)
 @given(corpus=kernel_corpus, weight=st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3)]),
        table=external_table, thresholds=kernel_thresholds)
-@example(corpus=clean(RawLists(("alpha_Bravo_charlie_x1_y_delta_echo_fox_golf_hotel_india_juliet",
-                                "alpha"), ("kilo_alpha2",))),
+@example(corpus=clean(("alpha_Bravo_charlie_x1_y_delta_echo_fox_golf_hotel_india_juliet",
+                       "alpha"), ("kilo_alpha2",)),
          weight=Weight(1, 1), table=TermScoreTable(scores=ABSENT),
          thresholds=KERNEL_THRESHOLDS)
 def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):

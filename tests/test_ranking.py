@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from favd.corpus import RawLists, clean
+from favd.corpus import clean
 from favd.errors import DataError
 from favd.ranking import (
     MinScorePolicy,
@@ -54,12 +54,12 @@ class TestScoreFrequency:
         assert table.scores == {"read": 6, "file": 1, "net": 3, "write": -2}
 
     def test_empty_vulnerable_gives_nonpositive_scores(self):
-        corpus = clean(RawLists((), ("log_msg", "log_file")))
+        corpus = clean((), ("log_msg", "log_file"))
         table = score_frequency(corpus, Weight(2, 3))
         assert all(s <= 0 for s in table.scores.values())
 
     def test_repeated_term_in_one_name_counts_once(self):
-        corpus = clean(RawLists(("read_read",), ("x_y",)))
+        corpus = clean(("read_read",), ("x_y",))
         table = score_frequency(corpus, Weight(1, 1))
         assert table.scores["read"] == 1
 
@@ -85,12 +85,7 @@ class TestRank:
 
     def test_tie_break_prefers_vulnerable_count_then_text(self):
         # 'beta' and 'zeta' tie on score but zeta has more vulnerable hits.
-        corpus = clean(
-            RawLists(
-                ("zeta_one", "zeta_two", "beta_three"),
-                ("zeta_a", "alpha_b"),
-            )
-        )
+        corpus = clean(("zeta_one", "zeta_two", "beta_three"), ("zeta_a", "alpha_b"))
         table = score_frequency(corpus, Weight(1, 1))
         assert table.scores["zeta"] == 1 and table.scores["beta"] == 1
         ordered = [t for t, _ in rank(table, MinScorePolicy.all_terms()).words]
@@ -105,12 +100,8 @@ class TestRank:
 
     @given(st.integers(min_value=1, max_value=7))
     def test_scaling_weights_preserves_order(self, c):
-        corpus = clean(
-            RawLists(
-                ("read_file", "read_net", "parse_read", "alloc_buf"),
-                ("write_file", "log_buf", "parse_log"),
-            )
-        )
+        corpus = clean(("read_file", "read_net", "parse_read", "alloc_buf"),
+                       ("write_file", "log_buf", "parse_log"))
         base = rank(score_frequency(corpus, Weight(2, 3)), MinScorePolicy.all_terms())
         scaled = rank(
             score_frequency(corpus, Weight(2 * c, 3 * c)), MinScorePolicy.all_terms()
@@ -128,24 +119,16 @@ class TestRank:
             previous_len = len(kept)
 
     def test_extreme_plus_weight_retains_vulnerable_term_set(self):
-        corpus = clean(
-            RawLists(
-                ("read_file", "parse_net"),
-                ("read_log", "read_buf", "write_log", "file_dump"),
-            )
-        )
+        corpus = clean(("read_file", "parse_net"),
+                       ("read_log", "read_buf", "write_log", "file_dump"))
         words = rank(
             score_frequency(corpus, Weight(1000, 1)), MinScorePolicy.at_least(0)
         )
         assert {t for t, _ in words.words} == unique_terms(corpus.vulnerable)
 
     def test_extreme_minus_weight_retains_terms_absent_from_benign(self):
-        corpus = clean(
-            RawLists(
-                ("read_file", "parse_net"),
-                ("read_log", "read_buf", "write_log", "file_dump"),
-            )
-        )
+        corpus = clean(("read_file", "parse_net"),
+                       ("read_log", "read_buf", "write_log", "file_dump"))
         words = rank(
             score_frequency(corpus, Weight(1, 1000)), MinScorePolicy.at_least(0)
         )
@@ -163,7 +146,7 @@ class TestRank:
 )
 def test_policy_filter_equals_the_exact_comparison(vuln, benign, weight, threshold):
     """Frequency scores are compared with ceil(threshold); keeps() compares exactly."""
-    table = score_frequency(clean(RawLists(tuple(vuln), tuple(benign))), weight)
+    table = score_frequency(clean(vuln, benign), weight)
     policy = MinScorePolicy.at_least(threshold)
     everything = rank(table, MinScorePolicy.all_terms()).words
     assert rank(table, policy).words == tuple(w for w in everything if policy.keeps(w[1]))

@@ -4,19 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import oracle_sweep
-from favd.corpus import LabeledCorpus, RawLists, clean
+from favd.corpus import LabeledCorpus, clean
 from favd.errors import DataError
-from favd.metrics import all_vulnerable_f2, f_beta
+from favd.metrics import MAX_THRESHOLDS, all_vulnerable_f2, f_beta
 from favd.predictor import classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.synth import SynthSpec, generate
-from favd.tuner import (
-    MAX_THRESHOLDS,
-    SearchGrid,
-    find_best,
-    search_weights,
-    threshold_values,
-)
+from favd.tuner import SearchGrid, find_best, search_weights, threshold_values
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
 
@@ -73,7 +67,7 @@ class TestFindBest:
 
     def test_indiscriminate_corpus_degenerates_to_all_vulnerable(self):
         # same term set on both sides: every cell predicts both names alike
-        corpus = clean(RawLists(("a_b",), ("b_a",)))
+        corpus = clean(("a_b",), ("b_a",))
         words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
         trace = []
         result = find_best(words, corpus, small_grid(), trace=trace)
@@ -83,7 +77,7 @@ class TestFindBest:
 
     def test_empty_list_gives_degenerate_model(self, separable_corpus):
         words = rank(
-            score_frequency(clean(RawLists((), ("safe_x", "calm_y"))), Weight(1, 1)),
+            score_frequency(clean((), ("safe_x", "calm_y")), Weight(1, 1)),
             POLICY_ZERO,
         )
         assert len(words) == 0
@@ -111,7 +105,7 @@ class TestFindBest:
         assert f_beta(counts, 2) == result.train_f2
 
     def test_tie_break_prefers_smaller_cutoff_then_larger_threshold(self):
-        corpus = clean(RawLists(("danger_a", "danger_b"), ("safe_a", "safe_b")))
+        corpus = clean(("danger_a", "danger_b"), ("safe_a", "safe_b"))
         words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
         trace = []
         result = find_best(words, corpus, small_grid(), trace=trace)
@@ -134,7 +128,7 @@ tuner_name = st.one_of(
              min_size=1, max_size=3).map("_".join),
 )
 tuner_corpus = st.builds(
-    lambda vuln, benign: clean(RawLists(tuple(vuln), tuple(benign))),
+    clean,
     st.sets(tuner_name, min_size=1, max_size=6),
     st.sets(tuner_name, max_size=6),
 )
@@ -146,9 +140,9 @@ tuner_corpus = st.builds(
 @given(corpus=tuner_corpus,
        beta=st.sampled_from([Fraction(1, 3), 1, Fraction(7, 5), 1000]),
        policy=st.sampled_from([POLICY_ZERO, MinScorePolicy.all_terms()]))
-@example(corpus=clean(RawLists(("__", "___"), ("alpha_bravo", "charlie"))), beta=1000,
+@example(corpus=clean(("__", "___"), ("alpha_bravo", "charlie")), beta=1000,
          policy=MinScorePolicy.all_terms())
-@example(corpus=clean(RawLists((), ("alpha_bravo", "charlie"))), beta=Fraction(1, 3),
+@example(corpus=clean((), ("alpha_bravo", "charlie")), beta=Fraction(1, 3),
          policy=MinScorePolicy.all_terms())
 def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
     words = rank(score_frequency(corpus, Weight(1, 1)), policy)
@@ -194,12 +188,8 @@ class TestSearchWeights:
     def test_inclusion_branch_picked_by_train_score(self):
         # 'risky' sits in 1 vulnerable and 3 benign names: weight 1-1 drops it
         # at policy zero, weight 4-1 keeps it; the sweep takes the better F2.
-        corpus = clean(
-            RawLists(
-                ("risky_alpha", "plain_beta"),
-                ("risky_one", "risky_two", "risky_three", "quiet_four"),
-            )
-        )
+        corpus = clean(("risky_alpha", "plain_beta"),
+                       ("risky_one", "risky_two", "risky_three", "quiet_four"))
         w_excl = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
         assert "risky" not in {t for t, _ in w_excl.words}
         w_incl = rank(score_frequency(corpus, Weight(4, 1)), POLICY_ZERO)
