@@ -271,7 +271,8 @@ def cmd_train(args, opts) -> int:
     return 0
 
 
-def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
+def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
+    train, test = fold
     result = _tune(train, external_table, policy, grid, beta)
     model = result.model
     counts = classify_corpus(test, model)
@@ -317,7 +318,6 @@ def _eval_fold(fold_id, train, test, policy, grid, beta, external_table):
 
 def cmd_eval(args, opts) -> int:
     grid, external_table, config = _search(opts)
-    policy, beta = opts["policy"], opts["beta"]
     if opts["loo"]:
         # Each directory's name is its fold id and its key in the digests.
         dirs = [Path(d) for d in opts["loo"]]
@@ -327,7 +327,6 @@ def cmd_eval(args, opts) -> int:
         corpora, inputs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
         plan = make_leave_one_out(corpora)
         digests = dict(zip(fold_ids, inputs))
-        del corpora
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
         corpus, digests = _corpus_inputs(opts)
@@ -336,21 +335,13 @@ def cmd_eval(args, opts) -> int:
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
 
-    # The plan's folds hold the only references to the fold corpora; take
-    # each out as it is run, so its corpora and encodings are freed before
-    # the next fold is encoded.
-    pending = list(zip(fold_ids, plan.folds))
-    del plan
-    folds = []
-    sums: dict[str, Fraction] = {}
-    while pending:
-        fold_id, (train, test) = pending.pop(0)
-        row, exact = _eval_fold(fold_id, train, test, policy, grid, beta, external_table)
-        folds.append(row)
-        for key, value in exact.items():
-            sums[key] = sums.get(key, Fraction(0)) + value
+    # map hands each fold straight to _eval_fold and keeps no reference to
+    # it, so a fold's corpora are freed before the next fold is built.
+    run = partial(_eval_fold, policy=opts["policy"], grid=grid, beta=opts["beta"],
+                  external_table=external_table)
+    folds, exacts = zip(*map(run, fold_ids, plan.folds))
     n = len(folds)
-    means = {key: format_rate(total / n) for key, total in sums.items()}
+    means = {key: format_rate(sum(e[key] for e in exacts) / n) for key in exacts[0]}
     report = {
         "schema_version": 1,
         "tool_version": __version__,

@@ -5,7 +5,7 @@ benign. Cleaning removes duplicates within each list and resolves names
 present on both lists by keeping them vulnerable (the conservative reading),
 leaving two disjoint name sets. Fold plans are stratified and seeded, so a
 given (corpus, k, seed) always yields the same folds regardless of hash
-randomization.
+randomization; each fold is built only when it is reached.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import random
 import sys
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, InfeasibleError, reading
 from .splitter import split
@@ -93,11 +94,10 @@ def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Ordered (train, test) pairs."""
+class FoldPlan(NamedTuple):
+    """Ordered (train, test) pairs, each built when iterated; `folds` is read once."""
 
-    folds: tuple[tuple[LabeledCorpus, LabeledCorpus], ...]
+    folds: Iterator[tuple[LabeledCorpus, LabeledCorpus]]
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -126,11 +126,11 @@ def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["name", "label"]:
             raise DataError(f"expected header 'name,label' in {path}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected two columns")
+                raise DataError(f"{path}:{reader.line_num}: expected two columns")
             name, label = row[0].strip(), row[1].strip().lower()
             if not name:
                 continue
@@ -139,7 +139,7 @@ def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
             elif label == "benign":
                 benign.append(name)
             else:
-                raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
+                raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
     return vulnerable, benign
 
 
@@ -182,16 +182,15 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
     ben = sorted(corpus.benign)
     rng.shuffle(vuln)
     rng.shuffle(ben)
-    vuln_chunks = _chunks(vuln, k)
-    ben_chunks = _chunks(ben, k)
-    folds = []
-    for i in range(k):
-        test = LabeledCorpus(vulnerable=frozenset(vuln_chunks[i]),
-                             benign=frozenset(ben_chunks[i]))
-        train = LabeledCorpus(vulnerable=corpus.vulnerable - test.vulnerable,
-                              benign=corpus.benign - test.benign)
-        folds.append((train, test))
-    return FoldPlan(folds=tuple(folds))
+    return FoldPlan(map(partial(_kfold_fold, corpus), _chunks(vuln, k), _chunks(ben, k)))
+
+
+def _kfold_fold(corpus: LabeledCorpus, vuln: list[str],
+                ben: list[str]) -> tuple[LabeledCorpus, LabeledCorpus]:
+    test = LabeledCorpus(vulnerable=frozenset(vuln), benign=frozenset(ben))
+    train = LabeledCorpus(vulnerable=corpus.vulnerable - test.vulnerable,
+                          benign=corpus.benign - test.benign)
+    return train, test
 
 
 def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
@@ -202,10 +201,11 @@ def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
     """
     if len(corpora) < 2:
         raise InfeasibleError("leave-one-out needs at least two corpora")
-    folds = []
-    for i, test in enumerate(corpora):
-        rest = corpora[:i] + corpora[i + 1:]
-        train = clean(chain.from_iterable(c.vulnerable for c in rest),
-                      chain.from_iterable(c.benign for c in rest))
-        folds.append((train, test))
-    return FoldPlan(folds=tuple(folds))
+    return FoldPlan(map(partial(_loo_fold, corpora), range(len(corpora))))
+
+
+def _loo_fold(corpora: Sequence[LabeledCorpus], i: int) -> tuple[LabeledCorpus, LabeledCorpus]:
+    rest = corpora[:i] + corpora[i + 1:]
+    train = clean(chain.from_iterable(c.vulnerable for c in rest),
+                  chain.from_iterable(c.benign for c in rest))
+    return train, corpora[i]

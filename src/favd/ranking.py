@@ -162,22 +162,23 @@ def load_external_scores(path: str | Path) -> TermScoreTable:
     path = Path(path)
     scores: dict[str, Fraction] = {}
     with reading(path, "score file"), path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
+            if reader.line_num == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
                 continue
             if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected term,score")
+                raise DataError(f"{path}:{reader.line_num}: expected term,score")
             term = row[0].strip()
             try:
                 score = parse_fraction(row[1].strip())
             except (ValueError, ZeroDivisionError) as exc:
-                raise DataError(f"{path}:{lineno}: bad score {row[1]!r}") from exc
+                raise DataError(f"{path}:{reader.line_num}: bad score {row[1]!r}") from exc
             if not 0 <= score <= 1:
-                raise DataError(f"{path}:{lineno}: score {row[1]} outside [0, 1]")
+                raise DataError(f"{path}:{reader.line_num}: score {row[1]} outside [0, 1]")
             if term in scores:
-                raise DataError(f"{path}:{lineno}: duplicate term {term!r}")
+                raise DataError(f"{path}:{reader.line_num}: duplicate term {term!r}")
             scores[term] = score
     return TermScoreTable(scores=scores, source=str(path))
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from math import perm
 from pathlib import Path
 from string import ascii_lowercase
 
@@ -107,6 +109,11 @@ def generate(spec: SynthSpec) -> tuple[LabeledCorpus, frozenset[str]]:
         return _join(terms, spec.camel_case)
 
     def draw_unique(count: int, pool: list[str], signal: bool) -> list[str]:
+        # A name is a sequence of distinct words: perm(words, n) of n words.
+        words = len(vuln_pool if signal else pool)
+        formable = accumulate(perm(words, n) for n in range(lo, min(hi, words) + 1))
+        if not any(total >= count for total in formable):
+            raise DataError(f"vocabulary too small: {words} words cannot form {count} names")
         names: list[str] = []
         seen: set[str] = set()
         tries = 0

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from favd.corpus import LabeledCorpus, clean
@@ -14,3 +16,12 @@ def separable_corpus() -> LabeledCorpus:
     """'danger' appears in every vulnerable name and no benign one."""
     return clean(("danger_alpha", "danger_bravo", "danger_gamma"),
                  ("safe_alpha", "safe_bravo", "calm_gamma"))
+
+
+@pytest.fixture
+def live_corpora():
+    """A counter of the LabeledCorpus objects still alive, after a collection."""
+    def count() -> int:
+        gc.collect()
+        return sum(isinstance(o, LabeledCorpus) for o in gc.get_objects())
+    return count

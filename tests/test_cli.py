@@ -143,6 +143,36 @@ def test_eval_loo_over_project_dirs(tmp_path):
     assert [f["fold"] for f in report["folds"]] == ["projA", "projB", "projC"]
 
 
+@pytest.mark.parametrize("protocol", ["kfold", "loo"])
+def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monkeypatch,
+                                                   live_corpora, protocol):
+    # Live corpora at each fold's tuning: the inputs, plus that fold's train
+    # and test (for leave-one-out the test corpus is an input).
+    import favd.cli
+
+    seen, real_tune = [], favd.cli._tune
+
+    def tune(*args):
+        seen.append(live_corpora() - before)
+        return real_tune(*args)
+
+    monkeypatch.setattr(favd.cli, "_tune", tune)
+    if protocol == "kfold":
+        vuln, benign = corpus_files
+        argv, expected = ["--vuln", str(vuln), "--benign", str(benign), "--kfold", "4"], [3] * 4
+    else:
+        argv, expected = ["--loo"], [4] * 3
+        for i in range(3):
+            d = tmp_path / f"p{i}"
+            d.mkdir()
+            (d / "vulnerable.txt").write_text(f"danger_read_{i}\ndanger_net_{i}\n")
+            (d / "benign.txt").write_text(f"log_write_{i}\nui_draw_{i}\n")
+            argv.append(str(d))
+    before = live_corpora()
+    assert main(["eval", *argv, "--cutoff-step", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+    assert seen == expected
+
+
 def test_eval_loo_rejects_duplicate_directory_names(tmp_path, capsys):
     # The names are the fold ids and the digest keys, so they must differ.
     for parent in ("a", "b"):
@@ -364,6 +394,9 @@ BAD_SPEC_FIELDS = {
     # Counts that would run for minutes before failing, or never end.
     "planted-count-huge": {"planted_count": 1_000_000_000},
     "n-vulnerable-huge": {"n_vulnerable": 1_000_000_000, "vocab_size": 10},
+    # Seven vulnerable-side words form at most 1,092 names of 2 to 4 words.
+    "vocabulary-too-small": {"seed": 1, "n_vulnerable": 1_000_000, "n_benign": 5,
+                             "vocab_size": 10, "terms_per_name": [2, 4]},
 }
 BAD_INPUTS = {
     "predict-names-not-utf8": ["predict", "--model", "m.json", "--names", "latin1.txt"],

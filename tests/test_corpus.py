@@ -60,6 +60,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="dangerous"):
             load_csv(p)
 
+    def test_error_cites_the_line_after_a_multi_line_field(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text('name,label\n"two\nlines",vulnerable\nread_file,benign\nbad,oops\n')
+        with pytest.raises(DataError, match=r"c\.csv:5: unknown label 'oops'"):
+            load_csv(p)
+
 
 class TestClean:
     def test_dedupe_and_overlap_to_vulnerable(self):
@@ -104,6 +110,23 @@ def _numbered_corpus(n_vuln: int, n_benign: int) -> LabeledCorpus:
     )
 
 
+def test_fold_plans_build_each_fold_when_iterated(live_corpora):
+    corpus = _numbered_corpus(8, 12)
+    before = live_corpora()
+    kfold = make_kfold(corpus, 4, seed=0)
+    a, b, c = clean(("a1",), ("a2",)), clean(("b1",), ("b2",)), clean(("c1",), ("c2",))
+    loo = make_leave_one_out([a, b, c])
+    assert live_corpora() == before + 3  # only a, b and c
+    folds = iter(kfold.folds)
+    fold = next(folds)
+    assert live_corpora() == before + 5
+    del fold
+    assert live_corpora() == before + 3
+    assert len(list(folds)) == 3
+    assert len(list(loo.folds)) == 3
+    assert list(kfold.folds) == [] and list(loo.folds) == []  # read once
+
+
 class TestKfold:
     def test_exact_stratification(self):
         plan = make_kfold(_numbered_corpus(10, 90), k=5, seed=1)
@@ -115,11 +138,12 @@ class TestKfold:
         corpus = _numbered_corpus(13, 40)
         a = make_kfold(corpus, 4, seed=9)
         b = make_kfold(corpus, 4, seed=9)
-        assert a == b
+        assert list(a.folds) == list(b.folds)
 
     def test_different_seed_changes_plan(self):
         corpus = _numbered_corpus(13, 40)
-        assert make_kfold(corpus, 4, seed=1) != make_kfold(corpus, 4, seed=2)
+        one, two = make_kfold(corpus, 4, seed=1), make_kfold(corpus, 4, seed=2)
+        assert list(one.folds) != list(two.folds)
 
     def test_folds_partition_the_corpus(self):
         corpus = _numbered_corpus(13, 41)
@@ -136,16 +160,16 @@ class TestKfold:
         assert seen_b == corpus.benign
 
     def test_fold_sizes_differ_by_at_most_one(self):
-        plan = make_kfold(_numbered_corpus(13, 41), k=4, seed=3)
-        v_sizes = {len(t.vulnerable) for _, t in plan.folds}
-        b_sizes = {len(t.benign) for _, t in plan.folds}
+        folds = list(make_kfold(_numbered_corpus(13, 41), k=4, seed=3).folds)
+        v_sizes = {len(t.vulnerable) for _, t in folds}
+        b_sizes = {len(t.benign) for _, t in folds}
         assert max(v_sizes) - min(v_sizes) <= 1
         assert max(b_sizes) - min(b_sizes) <= 1
 
     def test_asterisk_sized_fold_means(self):
-        plan = make_kfold(_numbered_corpus(49, 10102), k=5, seed=0)
-        v_counts = [len(t.vulnerable) for _, t in plan.folds]
-        b_counts = [len(t.benign) for _, t in plan.folds]
+        folds = list(make_kfold(_numbered_corpus(49, 10102), k=5, seed=0).folds)
+        v_counts = [len(t.vulnerable) for _, t in folds]
+        b_counts = [len(t.benign) for _, t in folds]
         assert sum(v_counts) / 5 == pytest.approx(9.8)
         assert sum(b_counts) / 5 == pytest.approx(2020.4)
 
@@ -165,20 +189,20 @@ class TestLeaveOneOut:
 
     def test_one_fold_per_corpus(self):
         a, b, c = self._corpora()
-        plan = make_leave_one_out([a, b, c])
-        assert len(plan.folds) == 3
-        assert [test for _, test in plan.folds] == [a, b, c]
+        folds = list(make_leave_one_out([a, b, c]).folds)
+        assert len(folds) == 3
+        assert [test for _, test in folds] == [a, b, c]
 
     def test_train_is_cleaned_union_of_the_rest(self):
         a, b, c = self._corpora()
-        plan = make_leave_one_out([a, b, c])
+        folds = list(make_leave_one_out([a, b, c]).folds)
         # n is vulnerable in A and benign in B; the union rule keeps it
         # vulnerable when both sides are in training.
-        train_for_c = plan.folds[2][0]
+        train_for_c = folds[2][0]
         assert "n" in train_for_c.vulnerable
         assert "n" not in train_for_c.benign
         # With A held out, n is only known benign (from B).
-        train_for_a = plan.folds[0][0]
+        train_for_a = folds[0][0]
         assert "n" in train_for_a.benign
 
     def test_needs_two_corpora(self):

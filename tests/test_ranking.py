@@ -212,6 +212,12 @@ class TestExternalScores:
         with pytest.raises(DataError, match="duplicate"):
             load_external_scores(p)
 
+    def test_error_cites_the_line_after_a_multi_line_field(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text('term,score\n"two\nlines",0.5\nread,2\n')
+        with pytest.raises(DataError, match=r"scores\.csv:4: score 2 outside"):
+            load_external_scores(p)
+
     def test_external_ties_break_lexicographically(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("zeta,0.5\nalpha,0.5\nmid,0.7\n")
