@@ -10,6 +10,7 @@ min-score policies side by side.
 import argparse
 import csv
 from fractions import Fraction
+from itertools import product
 
 from favd.corpus import clean, load_lists, make_kfold
 from favd.metrics import f_beta
@@ -18,15 +19,20 @@ from favd.ranking import MinScorePolicy, Weight, default_weight_grid
 from favd.tuner import SearchGrid, search_weights
 
 
-def mean_cv_f2(corpus, weight, policy, k, seed, cutoff_step):
-    grid = SearchGrid(cutoff_step=cutoff_step, weights=(weight,))
-    total, folds = Fraction(0), 0
+POLICIES = (MinScorePolicy.at_least(0), MinScorePolicy.all_terms())
+
+
+def mean_cv_f2(corpus, weights, k, seed, cutoff_step):
+    """Mean held-out F2 per (weight, policy) pair, over folds built once each."""
+    grids = {w: SearchGrid(cutoff_step=cutoff_step, weights=(w,)) for w in weights}
+    totals = dict.fromkeys(product(grids, POLICIES), Fraction(0))
+    folds = 0
     for train, test in make_kfold(corpus, k, seed).folds:
-        result = search_weights(train, policy, grid)
-        counts = classify_corpus(test, result.model)
-        total += f_beta(counts, 2)
+        for weight, policy in totals:
+            result = search_weights(train, policy, grids[weight])
+            totals[weight, policy] += f_beta(classify_corpus(test, result.model), 2)
         folds += 1
-    return total / folds
+    return {pair: total / folds for pair, total in totals.items()}
 
 
 def main() -> None:
@@ -46,13 +52,11 @@ def main() -> None:
     else:
         weights = default_weight_grid()
 
+    means = mean_cv_f2(corpus, weights, args.kfold, args.seed, args.cutoff_step)
     rows = []
     print(f"{'weight':>8} {'F2 (min 0)':>11} {'F2 (all)':>9}")
     for weight in weights:
-        zero = mean_cv_f2(corpus, weight, MinScorePolicy.at_least(0),
-                          args.kfold, args.seed, args.cutoff_step)
-        keep_all = mean_cv_f2(corpus, weight, MinScorePolicy.all_terms(),
-                              args.kfold, args.seed, args.cutoff_step)
+        zero, keep_all = (means[weight, policy] for policy in POLICIES)
         print(f"{weight.tag():>8} {float(zero):>11.3f} {float(keep_all):>9.3f}")
         rows.append([weight.tag(), f"{float(zero):.6f}", f"{float(keep_all):.6f}"])
 

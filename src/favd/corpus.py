@@ -134,6 +134,8 @@ def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
             name, label = row[0].strip(), row[1].strip().lower()
             if not name:
                 continue
+            if name.splitlines() != [name]:  # a list file could not hold it
+                raise DataError(f"{path}:{reader.line_num}: name holds a line break")
             if label == "vulnerable":
                 vulnerable.append(name)
             elif label == "benign":

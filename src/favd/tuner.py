@@ -10,8 +10,14 @@ then smaller cutoff, then larger threshold, and for weight sweeps the earlier
 grid entry. Only the winner's score becomes a Fraction: its `train_f2` is one
 `metrics.f_beta` call on the winning cell's counts.
 
+The weight sweep tunes each distinct ranking once: the grid reads nothing
+of a ranked list but its order of terms, so a weight that ranks the same
+terms in the same order as an earlier one reuses that weight's cells, and
+cannot win, because ties go to the earlier weight.
+
 A trace, when asked for, is a list that receives, for each ranked list
-tuned, its weight (None for external scores) and one `GridCell` per cell.
+tuned or reused, its weight (None for external scores) and one `GridCell`
+per cell.
 """
 
 from __future__ import annotations
@@ -139,17 +145,25 @@ def search_weights(
     beta=DEFAULT_BETA,
     trace: list | None = None,
 ) -> TuneResult:
-    """Score, rank, and tune once per weight; return the best overall result.
+    """Score and rank once per weight, tune once per ranking; return the best result.
 
-    Ties go to the earlier weight in the grid. A `trace` list receives one
-    (weight, cells) pair per weight tried, in grid order.
+    Ties go to the earlier weight in the grid, so a weight whose ranked terms
+    repeat an earlier weight's is not tuned again: its cells would be the
+    same, and it could not win. A `trace` list receives one (weight, cells)
+    pair per weight, in grid order; a repeated ranking reuses the cells of
+    the first weight that ranked so.
     """
     best: TuneResult | None = None
+    tuned: dict[tuple[str, ...], list[GridCell] | None] = {}  # ranked terms -> cells
     for weight in grid.weights:
-        table = score_frequency(train, weight)
-        dangerous = rank(table, policy)
+        dangerous = rank(score_frequency(train, weight), policy)
+        key = tuple(term for term, _ in dangerous.words)
+        if key in tuned:
+            if trace is not None:
+                trace.append((weight, tuned[key]))
+            continue
         result = find_best(dangerous, train, grid, beta=beta, trace=trace)
+        tuned[key] = trace[-1][1] if trace is not None else None
         if best is None or result.train_f2 > best.train_f2:
             best = result
     return best
-

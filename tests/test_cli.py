@@ -437,6 +437,7 @@ BAD_INPUTS = {
                              "--config", "deep.json", "--out", "x.json"],
     "predict-names-csv-field-too-large": ["predict", "--model", "m.json", "--names", "big.csv"],
     "train-csv-field-too-large": ["train", "--csv", "big.csv", "--out", "x.json"],
+    "train-csv-name-line-break": ["train", "--csv", "line_break.csv", "--out", "x.json"],
     "train-scores-field-too-large": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                      "--scores", "big_scores.csv", "--out", "x.json"],
     # Outputs that are directories or lie under a file.
@@ -542,6 +543,8 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     # One quoted field above the csv module's 131,072-character limit.
     (tmp_path / "big.csv").write_text('name,label\n"' + "a" * 200_000 + '",vulnerable\n')
     (tmp_path / "big_scores.csv").write_text('"' + "a" * 200_000 + '",0.5\n')
+    (tmp_path / "line_break.csv").write_text('name,label\n"two\nlines",vulnerable\n'
+                                             'read_file,benign\n')
     (tmp_path / "exponent_scores.csv").write_text("read,1e-1000000000\n")
     (tmp_path / "long_int.json").write_text('{"seed": ' + "1" * 5000 + "}")
     for name, field in BAD_MODEL_FIELDS.items():

@@ -62,8 +62,18 @@ class TestLoadCsv:
 
     def test_error_cites_the_line_after_a_multi_line_field(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text('name,label\n"two\nlines",vulnerable\nread_file,benign\nbad,oops\n')
+        p.write_text('name,label\nread_file,vulnerable,"two\nlines"\nlog_msg,benign\nbad,oops\n')
         with pytest.raises(DataError, match=r"c\.csv:5: unknown label 'oops'"):
+            load_csv(p)
+
+    # The cited line is the file line where the record ends; U+2028 ends no file line.
+    @pytest.mark.parametrize(("name", "line"), [("two\nlines", 4), ("two\r\nlines", 4),
+                                                ("two\rlines", 4), ("two\u2028lines", 3)])
+    def test_name_with_a_line_break_is_rejected(self, tmp_path, name, line):
+        # Only names that a list file could hold, one per line, are read.
+        p = tmp_path / "c.csv"
+        p.write_text(f'name,label\nread_file,vulnerable\n"{name}",benign\n', newline="")
+        with pytest.raises(DataError, match=rf"c\.csv:{line}: name holds a line break"):
             load_csv(p)
 
 

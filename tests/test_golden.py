@@ -30,6 +30,10 @@ COMMANDS = [
      "--weights", "1-1,2-1,1-1000", "--out-dir", "ev"],
     ["train", *CORPUS, "--policy", "none", "--weights", "1-1,3-2", "--cutoff-step", "1",
      "--trace", "out/trace.csv", "--words-csv", "out/words.csv", "--out", "out/model.json"],
+    ["train", *CORPUS, "--policy", "zero", "--cutoff-step", "1",
+     "--trace", "out/grid_zero_trace.csv", "--out", "out/grid_zero.json"],
+    ["train", *CORPUS, "--policy", "none", "--cutoff-step", "1",
+     "--trace", "out/grid_none_trace.csv", "--out", "out/grid_none.json"],
     ["train", *CORPUS, "--scores", "scores.csv", "--policy", "1/2", "--cutoff-step", "1",
      "--threshold-step", "1/7", "--trace", "out/external_trace.csv",
      "--words-csv", "out/external_words.csv", "--out", "out/external.json"],
@@ -55,6 +59,10 @@ PINNED = {
     "out/model.json": "272494673e1969a651a651e675d42c115cbdbfe3cd2d78af8b1b24d0ddae206b",
     "out/trace.csv": "f8aee50246446e99261d9e80e124b01a6b0c1732290864a9e96644d4c7ba7fa2",
     "out/words.csv": "7af9944a866f1bf78a9d8e97a768999f71032fb19a6365e6b9fc96ea252afc0c",
+    "out/grid_zero_trace.csv": "ed29003ecc672de7fbc398e261341a236b922fec169f0061fc64a3cb49f07d26",
+    "out/grid_zero.json": "c1ba14eb5d4ef8361adb5c71286ca8aac78f7d6ff6f2ed3ffb8eb289da7e2617",
+    "out/grid_none_trace.csv": "82dd2ca89f99a68195157360edba9f6a532db57fb4178dac37ebe0c2eec235a8",
+    "out/grid_none.json": "56700cccc55b372daca9df6cd2f7df9de4bf855fbc063a0252fae2d1d7121a54",
     "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
     "out/external_trace.csv": "7dabe200a4ed507875eacc8c401cac9f701d028a325aecce3f0a11817d003d36",
     "out/external_words.csv": "bdeba04ac2f5547763384efcae56096c38a05edd003607ef1a2316d802c618ac",

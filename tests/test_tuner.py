@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import oracle_sweep
+from favd import tuner
 from favd.corpus import LabeledCorpus, clean
 from favd.errors import DataError
 from favd.metrics import MAX_THRESHOLDS, all_vulnerable_f2, f_beta
@@ -240,6 +241,80 @@ class TestSearchWeights:
             assert result.model.cutoff == cutoff
             if cutoff:
                 assert result.model.threshold == threshold
+
+
+# Weight grids with repeated and scale-equal pairs, so that rankings repeat.
+REPEATING_WEIGHTS = (Weight(1, 1), Weight(2, 2), Weight(1, 2), Weight(2, 4), Weight(3, 3))
+
+
+def synth_corpus(seed, n_vulnerable=8, n_benign=12, signal_strength=0.6, vocab_overlap=0.5):
+    return generate(SynthSpec(
+        seed=seed, n_vulnerable=n_vulnerable, n_benign=n_benign,
+        planted_dangerous=frozenset({"alpha", "omega"}), vocab_size=10, terms_per_name=(1, 3),
+        signal_strength=signal_strength, vocab_overlap=vocab_overlap,
+    ))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=st.builds(synth_corpus, st.integers(0, 10**6), st.integers(2, 8),
+                        st.integers(2, 12), st.sampled_from([0.3, 0.6, 0.9]),
+                        st.sampled_from([0.0, 0.5])),
+       weights=st.lists(st.sampled_from(REPEATING_WEIGHTS + (Weight(3, 1), Weight(1, 5))),
+                        min_size=1, max_size=6),
+       keep_all=st.booleans(),
+       cutoff_step=st.integers(1, 3))
+@example(corpus=synth_corpus(4000), weights=list(REPEATING_WEIGHTS), keep_all=False,
+         cutoff_step=1)
+@example(corpus=synth_corpus(4000), weights=list(REPEATING_WEIGHTS), keep_all=True,
+         cutoff_step=1)
+def test_sweep_with_repeated_rankings_matches_oracle(corpus, weights, keep_all, cutoff_step):
+    policy = MinScorePolicy.all_terms() if keep_all else POLICY_ZERO
+    grid = SearchGrid(cutoff_step=cutoff_step, thresholds=threshold_values(Fraction(1, 4)),
+                      weights=tuple(weights))
+    best, cells = oracle_sweep(corpus, grid.weights, cutoff_step, grid.thresholds,
+                               keep_all=keep_all)
+    trace = []
+    result = search_weights(corpus, policy, grid, trace=trace)
+    # One entry per weight, in grid order, holding every cell of that weight.
+    assert [weight for weight, _ in trace] == list(grid.weights)
+    for weight, traced in trace:
+        expected = {(cutoff, threshold): f2 for (tag, cutoff, threshold), f2 in cells.items()
+                    if tag == weight.tag()}
+        assert len(traced) == len(expected)
+        assert {(cell.cutoff, cell.threshold): cell.f2 for cell in traced} == expected
+    f2, w_index, cutoff, threshold = best
+    assert result.train_f2 == f2
+    assert result.model.weight == grid.weights[w_index]
+    assert result.model.cutoff == cutoff
+    if cutoff:
+        assert result.model.threshold == threshold
+
+
+@pytest.mark.parametrize("policy", [POLICY_ZERO, MinScorePolicy.all_terms()],
+                         ids=["zero", "none"])
+def test_find_best_runs_once_per_distinct_ranking(monkeypatch, policy):
+    corpus = synth_corpus(7, n_vulnerable=20, n_benign=60, vocab_overlap=0.8)
+    grid = SearchGrid(cutoff_step=2)  # the default 38-weight grid
+    first_weights = {}  # ranked term order -> the first weight that ranks so
+    for weight in grid.weights:
+        words = rank(score_frequency(corpus, weight), policy).words
+        first_weights.setdefault(tuple(term for term, _ in words), weight)
+    firsts = list(first_weights.values())
+    assert 1 < len(firsts) < len(grid.weights)
+    tuned = []
+
+    def counting_find_best(dangerous, *args, **kwargs):
+        tuned.append(dangerous.weight)
+        return find_best(dangerous, *args, **kwargs)
+
+    monkeypatch.setattr(tuner, "find_best", counting_find_best)
+    untraced = search_weights(corpus, policy, grid)
+    assert tuned == firsts
+    tuned.clear()
+    trace = []
+    assert search_weights(corpus, policy, grid, trace=trace) == untraced
+    assert tuned == firsts
+    assert [weight for weight, _ in trace] == list(grid.weights)
 
 
 class TestUpperBound:
