@@ -11,10 +11,9 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
@@ -33,8 +32,9 @@ from .corpus import (
     load_lists,
     make_kfold,
     make_leave_one_out,
+    read_lines,
 )
-from .errors import DataError, FavdError, InfeasibleError, reading, writing
+from .errors import DataError, InfeasibleError, csv_rows, reading, write_csv
 from .harvest import harvest
 from .metrics import (
     DEFAULT_THRESHOLD_STEP,
@@ -162,20 +162,9 @@ def _options(args, config: dict) -> dict:
     return values
 
 
-def _write_csv(out: str | Path | None, header: list[str], rows) -> None:
-    """Write a CSV to stdout for None or '-', else to the file."""
-    with contextlib.ExitStack() as stack:
-        fh = sys.stdout
-        if out not in (None, "-"):
-            path = stack.enter_context(writing(out))
-            fh = stack.enter_context(path.open("w", newline="", encoding="utf-8"))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _digest(path) -> dict:
-    return {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    with reading(path, "input file"):
+        return {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
 def _cleaned(names: tuple[list[str], list[str]], **paths) -> tuple[LabeledCorpus, dict]:
@@ -198,11 +187,12 @@ def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
     raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
 
 
-def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict]:
-    """train's and eval's grid, external score table, and the config their reports record."""
+def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict, dict]:
+    """train's and eval's grid and external score table, and the config and inputs they record."""
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]),
                       opts["weights"])
     external_table = load_external_scores(opts["scores"]) if opts["scores"] else None
+    inputs = {"scores": _digest(opts["scores"])} if opts["scores"] else {}
     config = {
         "policy": opts["policy"].tag(),
         "weights": [w.tag() for w in grid.weights],
@@ -213,7 +203,7 @@ def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict]:
         "mode": "exhaustive",
         "scorer": "external" if external_table is not None else "frequency",
     }
-    return grid, external_table, config
+    return grid, external_table, config, inputs
 
 
 def _trace_rows(trace):
@@ -246,23 +236,21 @@ def cmd_split(args, opts) -> int:
 
 def cmd_train(args, opts) -> int:
     corpus, digests = _corpus_inputs(opts)
-    grid, external_table, config = _search(opts)
+    grid, external_table, config, inputs = _search(opts)
     trace: list | None = [] if args.trace else None
     result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], trace)
-    if external_table is not None:
-        digests["scores"] = _digest(opts["scores"])
     warnings = []
     if len(result.model.dangerous) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
-    doc = model_document(result.model, result.train_f2, inputs=digests, config=config,
+    doc = model_document(result.model, result.train_f2, inputs=digests | inputs, config=config,
                          warnings=warnings)
     out = Path(args.out)
     save_model(doc, out)
     if args.words_csv:
         write_word_list_csv(result.model.dangerous, args.words_csv)
     if args.trace:
-        _write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
-                   _trace_rows(trace))
+        write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
+                  _trace_rows(trace))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"model written to {out} (train F2 {format_rate(result.train_f2)}, "
@@ -317,16 +305,18 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
 
 
 def cmd_eval(args, opts) -> int:
-    grid, external_table, config = _search(opts)
+    grid, external_table, config, inputs = _search(opts)
     if opts["loo"]:
         # Each directory's name is its fold id and its key in the digests.
         dirs = [Path(d) for d in opts["loo"]]
         fold_ids = [d.name for d in dirs]
-        if len(set(fold_ids)) != len(fold_ids):
-            raise DataError(f"leave-one-out directories need distinct names, got {fold_ids}")
-        corpora, inputs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
+        keys = fold_ids + list(inputs)
+        if len(set(keys)) != len(keys):
+            raise DataError(f"leave-one-out directories need distinct names, none of them "
+                            f"'scores' under --scores, got {fold_ids}")
+        corpora, pairs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
         plan = make_leave_one_out(corpora)
-        digests = dict(zip(fold_ids, inputs))
+        digests = dict(zip(fold_ids, pairs))
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
         corpus, digests = _corpus_inputs(opts)
@@ -346,14 +336,14 @@ def cmd_eval(args, opts) -> int:
         "schema_version": 1,
         "tool_version": __version__,
         "config": config,
-        "inputs": digests,
+        "inputs": digests | inputs,
         "protocol": protocol,
         "folds": folds,
         "means": means,
     }
     out_dir = Path(args.out_dir)
     save_model(report, out_dir / "eval_report.json")
-    _write_csv(out_dir / "folds.csv", [
+    write_csv(out_dir / "folds.csv", [
         "fold", "train_vuln", "train_benign", "test_vuln", "test_benign",
         "weight", "cutoff", "threshold", "tp", "fp", "fn", "tn",
         "precision", "recall", "f1", "f2", "all_vulnerable_f2", "random_f2",
@@ -377,14 +367,13 @@ def cmd_eval(args, opts) -> int:
 
 def _read_names(path: Path) -> list[str]:
     """A plain name list, or the first column of a `name,...` CSV such as harvest's."""
-    with reading(path, "names file"):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not (lines and lines[0].strip().lower().startswith("name,")):
-            return [line.rstrip() for line in lines if line.rstrip()]
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            next(rows)
-            return [row[0].strip() for row in rows if row and row[0].strip()]
+    with reading(path, "names file"), path.open(encoding="utf-8") as fh:
+        first = fh.readline().splitlines()[:1]  # the text's first line, as splitlines ends it
+    if not (first and first[0].strip().lower().startswith("name,")):
+        return read_lines(path)
+    rows = csv_rows(path, "names file")
+    next(rows)  # the header
+    return [fields[0] for _, fields in rows]
 
 
 def cmd_predict(args, opts) -> int:
@@ -395,7 +384,7 @@ def cmd_predict(args, opts) -> int:
         [name, label, f"{len(matched) / terms if terms else 0:.6f}", ";".join(sorted(matched))]
         for name, label, matched, terms in map(classify, names, repeat(model))
     )
-    _write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)
+    write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)
     return 0
 
 
@@ -422,7 +411,7 @@ def cmd_roc(args, opts) -> int:
         for curve in curves
         for point in curve.points
     )
-    _write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows)
+    write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows)
     return 0
 
 
@@ -456,8 +445,8 @@ def cmd_harvest(args, opts) -> int:
     names, warnings = harvest([Path(p) for p in args.paths])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _write_csv(args.out, ["name", "file", "line"],
-               ([item.name, item.file, item.line] for item in names))
+    write_csv(args.out, ["name", "file", "line"],
+              ([item.name, item.file, item.line] for item in names))
     return 0
 
 
@@ -549,15 +538,22 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         config = load_json_object(args.config, "config file") if args.keys and args.config else {}
-        return args.func(args, _options(args, config))
+        code = args.func(args, _options(args, config))
+        if sys.stdout is not None:  # None when favd starts with stdout closed
+            sys.stdout.flush()
+        return code
     except DataError as exc:
         print(f"favd: data error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"favd: infeasible protocol: {exc}", file=sys.stderr)
         return 3
-    except FavdError as exc:
-        print(f"favd: error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # Files are read and written in the guards, so stdout failed: drop what it buffers.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader stopped early, as `| head` does
+        print(f"favd: data error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,9 +10,7 @@ randomization; each fold is built only when it is reached.
 
 from __future__ import annotations
 
-import csv
 import random
-import sys
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
@@ -22,7 +20,7 @@ from itertools import chain, count
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError, InfeasibleError, reading
+from .errors import DataError, InfeasibleError, csv_rows, reading
 from .splitter import split
 
 
@@ -67,17 +65,13 @@ class EncodedCorpus:
 
 
 def encode(corpus: LabeledCorpus) -> EncodedCorpus:
-    """Split every name once; see EncodedCorpus for the layout.
-
-    Terms are interned, so the encodings of overlapping corpora, such as
-    k-fold parts, share their strings.
-    """
+    """Split every name once; see EncodedCorpus for the layout."""
     vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # new term: next id
     groups = []
     for names in (corpus.vulnerable, corpus.benign):
         rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
         for name in sorted(names):
-            terms = dict.fromkeys(map(sys.intern, split(name)))
+            terms = dict.fromkeys(split(name))
             rows[len(terms)].extend(map(vocabulary.__getitem__, terms))
         rows.pop(0, None)
         groups.append(dict(rows))
@@ -100,49 +94,34 @@ class FoldPlan(NamedTuple):
     folds: Iterator[tuple[LabeledCorpus, LabeledCorpus]]
 
 
-def _read_lines(path: Path) -> list[str]:
+def read_lines(path: Path) -> list[str]:
+    """A list file's names, one per line in file order, less trailing whitespace and blank lines."""
     with reading(path, "input file"):
-        text = path.read_text(encoding="utf-8")
-    lines = [line.rstrip() for line in text.splitlines()]
-    return [line for line in lines if line]
+        lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in map(str.rstrip, lines) if line]
 
 
 def load_lists(vulnerable_path: str | Path, benign_path: str | Path) -> tuple[list[str], list[str]]:
-    """The vulnerable and benign names of two list files, one per line, in file order.
-
-    Trailing whitespace (including CR from CRLF files) is stripped and blank
-    lines are dropped; duplicates and overlaps are left for `clean`.
-    """
-    return _read_lines(Path(vulnerable_path)), _read_lines(Path(benign_path))
+    """The names of two list files; duplicates and overlaps are left for `clean`."""
+    return read_lines(Path(vulnerable_path)), read_lines(Path(benign_path))
 
 
 def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
     """The vulnerable and benign names of a two-column `name,label` CSV, in file order."""
     path = Path(path)
-    vulnerable: list[str] = []
-    benign: list[str] = []
-    with reading(path, "input file"), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["name", "label"]:
-            raise DataError(f"expected header 'name,label' in {path}")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{reader.line_num}: expected two columns")
-            name, label = row[0].strip(), row[1].strip().lower()
-            if not name:
-                continue
-            if name.splitlines() != [name]:  # a list file could not hold it
-                raise DataError(f"{path}:{reader.line_num}: name holds a line break")
-            if label == "vulnerable":
-                vulnerable.append(name)
-            elif label == "benign":
-                benign.append(name)
-            else:
-                raise DataError(f"{path}:{reader.line_num}: unknown label {row[1]!r}")
-    return vulnerable, benign
+    names: dict[str, list[str]] = {"vulnerable": [], "benign": []}
+    rows = csv_rows(path, "input file")
+    _, header = next(rows, (0, []))
+    if [h.lower() for h in header[:2]] != ["name", "label"]:
+        raise DataError(f"expected header 'name,label' in {path}")
+    for line, fields in rows:
+        if len(fields) < 2:
+            raise DataError(f"{path}:{line}: expected two columns")
+        label = fields[1].lower()
+        if label not in names:
+            raise DataError(f"{path}:{line}: unknown label {fields[1]!r}")
+        names[label].append(fields[0])
+    return names["vulnerable"], names["benign"]
 
 
 def overlap_names(vulnerable: Iterable[str], benign: Iterable[str]) -> set[str]:

@@ -1,15 +1,18 @@
-"""Exception hierarchy shared across the package, and the two file guards.
+"""Exception hierarchy shared across the package, the two file guards, and CSV.
 
 The CLI maps these onto exit codes: DataError -> 2, InfeasibleError -> 3.
 Every file favd reads is read inside `reading`, and every file it writes is
 written inside `writing`; each turns the ways a file can fail into one
-DataError whose one-line message names the path.
+DataError whose one-line message names the path. `csv_rows` and `write_csv`
+are the one CSV reader and writer.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import sys
+from contextlib import ExitStack, contextmanager
+from itertools import chain
 from pathlib import Path
 
 
@@ -56,3 +59,31 @@ def writing(path):
         yield path
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def csv_rows(path, what: str, key: str = "name"):
+    """Yield (file line, stripped fields) for each row of CSV `path` with a non-blank field.
+
+    The line is where the row ends, as a quoted field may span lines. The
+    first field, the row's `key`, must be non-empty and fit on one line.
+    """
+    path = Path(path)
+    with reading(path, what), path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            fields = [field.strip() for field in row]
+            if any(fields):
+                if fields[0].splitlines() != [fields[0]]:  # a list file could not hold it
+                    problem = "holds a line break" if fields[0] else "is empty"
+                    raise DataError(f"{path}:{reader.line_num}: {key} {problem}")
+                yield reader.line_num, fields
+
+
+def write_csv(out, header: list[str], rows) -> None:
+    """Write `header`, then `rows`, as CSV to the file `out`, or to stdout for None or '-'."""
+    with ExitStack() as stack:
+        fh = sys.stdout
+        if out not in (None, "-"):
+            path = stack.enter_context(writing(out))
+            fh = stack.enter_context(path.open("w", newline="", encoding="utf-8"))
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))

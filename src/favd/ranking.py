@@ -11,7 +11,6 @@ any offline scorer can drive the rest of the pipeline.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .checks import number, string
 from .corpus import LabeledCorpus
-from .errors import DataError, reading, writing
+from .errors import DataError, csv_rows, write_csv
 from .rational import exact_fraction, parse_fraction
 
 Score = int | Fraction
@@ -161,35 +160,28 @@ def load_external_scores(path: str | Path) -> TermScoreTable:
     """Load a `term,score` CSV (header optional) as an external score table."""
     path = Path(path)
     scores: dict[str, Fraction] = {}
-    with reading(path, "score file"), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if reader.line_num == 1 and [c.strip().lower() for c in row[:2]] == ["term", "score"]:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{reader.line_num}: expected term,score")
-            term = row[0].strip()
-            try:
-                score = parse_fraction(row[1].strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DataError(f"{path}:{reader.line_num}: bad score {row[1]!r}") from exc
-            if not 0 <= score <= 1:
-                raise DataError(f"{path}:{reader.line_num}: score {row[1]} outside [0, 1]")
-            if term in scores:
-                raise DataError(f"{path}:{reader.line_num}: duplicate term {term!r}")
-            scores[term] = score
+    for line, fields in csv_rows(path, "score file", "term"):
+        if line == 1 and [f.lower() for f in fields[:2]] == ["term", "score"]:
+            continue
+        if len(fields) < 2:
+            raise DataError(f"{path}:{line}: expected term,score")
+        term, text = fields[:2]
+        try:
+            score = parse_fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DataError(f"{path}:{line}: bad score {text!r}") from exc
+        if not 0 <= score <= 1:
+            raise DataError(f"{path}:{line}: score {text} outside [0, 1]")
+        if term in scores:
+            raise DataError(f"{path}:{line}: duplicate term {term!r}")
+        scores[term] = score
     return TermScoreTable(scores=scores, source=str(path))
 
 
 def write_word_list_csv(words: DangerousWordList, path: str | Path) -> None:
     """Export as `rank,term,score` CSV, rank starting at 1."""
-    with writing(path) as path, path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "term", "score"])
-        for i, (term, score) in enumerate(words.words, start=1):
-            writer.writerow([i, term, score_out(score)])
+    rows = ([i, term, score_out(score)] for i, (term, score) in enumerate(words.words, start=1))
+    write_csv(path, ["rank", "term", "score"], rows)
 
 
 def score_out(score: Score) -> int | float:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -186,6 +187,34 @@ def test_eval_loo_rejects_duplicate_directory_names(tmp_path, capsys):
     assert "distinct names" in capsys.readouterr().err
 
 
+def test_eval_loo_rejects_a_directory_named_scores_under_scores(tmp_path, capsys):
+    # With --scores, the score file's digest is recorded under the key "scores".
+    for name in ("scores", "other"):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "vulnerable.txt").write_text("danger_read\n")
+        (d / "benign.txt").write_text("log_write\n")
+    (tmp_path / "s.csv").write_text("danger,0.9\n")
+    argv = ["eval", "--loo", str(tmp_path / "scores"), str(tmp_path / "other"),
+            "--cutoff-step", "1", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--scores", str(tmp_path / "s.csv")]) == 2
+    assert "distinct names" in capsys.readouterr().err
+
+
+def test_eval_records_the_score_file_digest(tmp_path, corpus_files):
+    vuln, benign = corpus_files
+    scores = tmp_path / "scores.csv"
+    scores.write_text("danger,0.9\nread,0.5\n")
+    assert main(["eval", "--vuln", str(vuln), "--benign", str(benign), "--scores", str(scores),
+                 "--kfold", "2", "--cutoff-step", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+    inputs = json.loads((tmp_path / "ev" / "eval_report.json").read_text())["inputs"]
+    assert set(inputs) == {"vulnerable", "benign", "scores"}
+    assert inputs["scores"] == {"path": str(scores),
+                                "sha256": hashlib.sha256(scores.read_bytes()).hexdigest()}
+
+
 def test_empty_corpus_error_names_its_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "e.txt").write_text("\n")
@@ -278,6 +307,21 @@ def test_harvest_then_predict(tmp_path, corpus_files, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "name,label,percentage,matched_terms"
     assert len(out) == 3
+
+
+def test_predict_plain_list_whose_first_name_is_name_stays_a_list(tmp_path, corpus_files,
+                                                                  capsys):
+    # Only a first line that starts with `name,` marks a harvest CSV.
+    vuln, benign = corpus_files
+    model = tmp_path / "m.json"
+    assert main(["train", "--vuln", str(vuln), "--benign", str(benign),
+                 "--cutoff-step", "1", "--out", str(model)]) == 0
+    names = tmp_path / "names.txt"
+    names.write_text("name\ndanger_read\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--names", str(names)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["name", "name", "danger_read"]
 
 
 def test_train_starved_vocabulary_persists_model_with_warning(tmp_path, capsys):
@@ -438,6 +482,10 @@ BAD_INPUTS = {
     "predict-names-csv-field-too-large": ["predict", "--model", "m.json", "--names", "big.csv"],
     "train-csv-field-too-large": ["train", "--csv", "big.csv", "--out", "x.json"],
     "train-csv-name-line-break": ["train", "--csv", "line_break.csv", "--out", "x.json"],
+    "train-scores-empty-term": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                "--scores", "empty_term_scores.csv", "--out", "x.json"],
+    "train-scores-term-line-break": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                                     "--scores", "line_break_scores.csv", "--out", "x.json"],
     "train-scores-field-too-large": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                      "--scores", "big_scores.csv", "--out", "x.json"],
     # Outputs that are directories or lie under a file.
@@ -546,6 +594,8 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "line_break.csv").write_text('name,label\n"two\nlines",vulnerable\n'
                                              'read_file,benign\n')
     (tmp_path / "exponent_scores.csv").write_text("read,1e-1000000000\n")
+    (tmp_path / "empty_term_scores.csv").write_text("read,0.5\n,0.9\n")
+    (tmp_path / "line_break_scores.csv").write_text('read,0.5\n"two\nlines",0.7\n')
     (tmp_path / "long_int.json").write_text('{"seed": ' + "1" * 5000 + "}")
     for name, field in BAD_MODEL_FIELDS.items():
         (tmp_path / f"model_{name}.json").write_text(json.dumps(dict(model, **field)))
@@ -557,6 +607,43 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("favd: data error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _stdout_command(command: str, tmp_path: Path, corpus_files) -> list[str]:
+    """A favd command that writes to stdout; predict writes more than a pipe holds."""
+    if command == "baseline":
+        return ["baseline", "--counts", "3", "4"]
+    if command == "split":
+        return ["split", "foo_bar"]
+    vuln, benign = corpus_files
+    assert main(["train", "--vuln", str(vuln), "--benign", str(benign),
+                 "--cutoff-step", "1", "--out", str(tmp_path / "m.json")]) == 0
+    (tmp_path / "names.txt").write_text("".join(f"danger_read_{i}\n" for i in range(20_000)))
+    return ["predict", "--model", "m.json", "--names", "names.txt"]
+
+
+@pytest.mark.parametrize("command", ["predict", "baseline"])
+def test_closed_stdout_pipe_ends_quietly(tmp_path, corpus_files, command):
+    argv = _stdout_command(command, tmp_path, corpus_files)
+    proc = subprocess.Popen([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["split", "predict"])
+def test_full_stdout_is_a_data_error(tmp_path, corpus_files, command):
+    argv = _stdout_command(command, tmp_path, corpus_files)
+    with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+        proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("favd: data error: cannot write standard output: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):

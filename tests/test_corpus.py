@@ -45,7 +45,8 @@ class TestLoadLists:
 class TestLoadCsv:
     def test_two_column_corpus(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text("name,label\nread_file,vulnerable\nlog_msg,benign\n")
+        # A row whose fields are all blank is skipped.
+        p.write_text("name,label\n\nread_file,vulnerable\n , \nlog_msg,benign\n")
         assert load_csv(p) == (["read_file"], ["log_msg"])
 
     def test_header_required(self, tmp_path):
@@ -74,6 +75,12 @@ class TestLoadCsv:
         p = tmp_path / "c.csv"
         p.write_text(f'name,label\nread_file,vulnerable\n"{name}",benign\n', newline="")
         with pytest.raises(DataError, match=rf"c\.csv:{line}: name holds a line break"):
+            load_csv(p)
+
+    def test_empty_name_is_rejected(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("name,label\nread_file,vulnerable\n ,benign\n")
+        with pytest.raises(DataError, match=r"c\.csv:3: name is empty"):
             load_csv(p)
 
 

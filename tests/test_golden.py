@@ -66,7 +66,7 @@ PINNED = {
     "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
     "out/external_trace.csv": "7dabe200a4ed507875eacc8c401cac9f701d028a325aecce3f0a11817d003d36",
     "out/external_words.csv": "bdeba04ac2f5547763384efcae56096c38a05edd003607ef1a2316d802c618ac",
-    "ev_external/eval_report.json": "a82f16c64a79ff2e4149b53c96829922d97082fbb16861a6667b77d5414b4330",
+    "ev_external/eval_report.json": "ca7041148d1feb804c579a80fa856c7bcd169b97aa1298a89200cd0fb8c13229",
     "ev_external/folds.csv": "f417e7f447042f35e51988810d70746510dabff7eed7c23f2d4e50bd141a37e2",
     "out/roc.csv": "8cff5a4ffc35da645d072c7daf249266073ebc14c69151debfb736d59ddfc9d1",
     "out/harvest.csv": "01dbba72b8d4e6dcc6c9a20aefe42f0ecb477d606269c0adc0c153bb7bde5e9d",

@@ -214,9 +214,27 @@ class TestExternalScores:
 
     def test_error_cites_the_line_after_a_multi_line_field(self, tmp_path):
         p = tmp_path / "scores.csv"
-        p.write_text('term,score\n"two\nlines",0.5\nread,2\n')
+        p.write_text('term,score\nwrite,0.5,"two\nlines"\nread,2\n')
         with pytest.raises(DataError, match=r"scores\.csv:4: score 2 outside"):
             load_external_scores(p)
+
+    # The cited line is the file line where the record ends; U+2028 ends no file line.
+    @pytest.mark.parametrize(("term", "line", "problem"), [
+        ("", 3, "is empty"), ("two\nlines", 4, "holds a line break"),
+        ("two\r\nlines", 4, "holds a line break"), ("two\rlines", 4, "holds a line break"),
+        ("two\u2028lines", 3, "holds a line break"),
+    ])
+    def test_empty_or_multi_line_term_is_rejected(self, tmp_path, term, line, problem):
+        # A term no name's terms could match would rank without effect.
+        p = tmp_path / "scores.csv"
+        p.write_text(f'term,score\nread,0.5\n"{term}",0.7\n', newline="")
+        with pytest.raises(DataError, match=rf"scores\.csv:{line}: term {problem}"):
+            load_external_scores(p)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("term,score\n\n , \nread,0.5\n")
+        assert load_external_scores(p).scores == {"read": Fraction("0.5")}
 
     def test_external_ties_break_lexicographically(self, tmp_path):
         p = tmp_path / "scores.csv"
