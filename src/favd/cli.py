@@ -163,8 +163,8 @@ def _options(args, config: dict) -> dict:
 
 
 def _digest(path) -> dict:
-    with reading(path, "input file"):
-        return {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    with reading(path, "input file") as fh:  # the bytes on disk, a byte-order mark included
+        return {"path": str(path), "sha256": hashlib.sha256(fh.buffer.read()).hexdigest()}
 
 
 def _cleaned(names: tuple[list[str], list[str]], **paths) -> tuple[LabeledCorpus, dict]:
@@ -229,8 +229,10 @@ def _tune(train, external_table, policy, grid, beta, trace: list | None = None):
 
 
 def cmd_split(args, opts) -> int:
-    for term in split(args.name, fold_case=bool(args.fold_case)):
-        print(term)
+    if not args.name:
+        raise DataError("identifier must be non-empty")
+    for term in split(args.name):
+        print(term.lower() if args.fold_case else term)
     return 0
 
 
@@ -367,7 +369,7 @@ def cmd_eval(args, opts) -> int:
 
 def _read_names(path: Path) -> list[str]:
     """A plain name list, or the first column of a `name,...` CSV such as harvest's."""
-    with reading(path, "names file"), path.open(encoding="utf-8") as fh:
+    with reading(path, "names file") as fh:
         first = fh.readline().splitlines()[:1]  # the text's first line, as splitlines ends it
     if not (first and first[0].strip().lower().startswith("name,")):
         return read_lines(path)
@@ -399,8 +401,10 @@ def cmd_roc(args, opts) -> int:
         raise DataError("provide --model FILE or --weight PLUS-MINUS")
     if len(dangerous) == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
-    if args.cutoffs:
+    if args.cutoffs is not None:
         cutoffs = [checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
+        if not cutoffs:
+            raise DataError(f"cutoffs: must name at least one cutoff, got {args.cutoffs!r}")
     else:
         cutoffs = grid.cutoff_values(len(dangerous))
     curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
@@ -417,7 +421,7 @@ def cmd_roc(args, opts) -> int:
 
 def cmd_baseline(args, opts) -> int:
     if args.counts:
-        v, b = args.counts
+        v, b = (checked("counts", _integer, c) for c in args.counts)
         if v < 0 or b < 0 or v + b == 0:
             raise DataError("counts must be non-negative and not both zero")
         inputs = {}
@@ -516,7 +520,7 @@ def build_parser() -> _Parser:
 
     p = command("baseline", cmd_baseline, "all-vulnerable and random baseline report",
                 CORPUS_KEYS)
-    p.add_argument("--counts", nargs=2, type=int, metavar=("VULN", "BENIGN"))
+    p.add_argument("--counts", nargs=2, metavar=("VULN", "BENIGN"))
     p.add_argument("--out", help="also write the JSON report here")
 
     p = command("harvest", cmd_harvest, "extract function-definition names from C/C++ files")

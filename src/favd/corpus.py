@@ -48,13 +48,13 @@ class EncodedCorpus:
     """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
     `vulnerable[t]` holds the term ids of every vulnerable name with t unique
-    terms as one flat `array('i')`, t ids per name, name after name (sorted
-    names, each name's terms in order of appearance); `benign` does the same
-    for the benign names. Names with no terms have no row. Term ids follow
-    first appearance in that walk. `vulnerable_counts[i]` and
-    `benign_counts[i]` count the vulnerable and benign names holding term id
-    i; they do not depend on the weight, so each weight's scores are read
-    straight from them.
+    terms as one flat `array('i')`, t ids per name, name after name (in set
+    order, so no result may read row or term-id order; each name's terms in
+    order of appearance); `benign` does the same for the benign names. Names
+    with no terms have no row. Term ids follow first appearance in that walk.
+    `vulnerable_counts[i]` and `benign_counts[i]` count the vulnerable and
+    benign names holding term id i; they do not depend on the weight, so
+    each weight's scores are read straight from them.
     """
 
     vocabulary: dict[str, int]
@@ -70,7 +70,7 @@ def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     groups = []
     for names in (corpus.vulnerable, corpus.benign):
         rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
-        for name in sorted(names):
+        for name in names:
             terms = dict.fromkeys(split(name))
             rows[len(terms)].extend(map(vocabulary.__getitem__, terms))
         rows.pop(0, None)
@@ -96,8 +96,8 @@ class FoldPlan(NamedTuple):
 
 def read_lines(path: Path) -> list[str]:
     """A list file's names, one per line in file order, less trailing whitespace and blank lines."""
-    with reading(path, "input file"):
-        lines = path.read_text(encoding="utf-8").splitlines()
+    with reading(path, "input file") as fh:
+        lines = fh.read().splitlines()
     return [line for line in map(str.rstrip, lines) if line]
 
 
@@ -122,11 +122,6 @@ def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
             raise DataError(f"{path}:{line}: unknown label {fields[1]!r}")
         names[label].append(fields[0])
     return names["vulnerable"], names["benign"]
-
-
-def overlap_names(vulnerable: Iterable[str], benign: Iterable[str]) -> set[str]:
-    """Names on both lists (these move to vulnerable on clean)."""
-    return set(vulnerable).intersection(benign)
 
 
 def clean(vulnerable: Iterable[str], benign: Iterable[str]) -> LabeledCorpus:

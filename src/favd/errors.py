@@ -1,43 +1,42 @@
-"""Exception hierarchy shared across the package, the two file guards, and CSV.
+"""The package's two exceptions, the two file guards, and CSV.
 
 The CLI maps these onto exit codes: DataError -> 2, InfeasibleError -> 3.
-Every file favd reads is read inside `reading`, and every file it writes is
-written inside `writing`; each turns the ways a file can fail into one
-DataError whose one-line message names the path. `csv_rows` and `write_csv`
-are the one CSV reader and writer.
+Every file favd reads is opened by `reading`, and every file it writes by
+`writing`, so these two alone decide the text format. Each turns the ways a
+file can fail into one DataError whose one-line message names the path.
+`csv_rows` and `write_csv` are the one CSV reader and writer.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
 
 
-class FavdError(Exception):
-    """Base class for all favd-specific failures."""
-
-
-class DataError(FavdError):
+class DataError(Exception):
     """Input data is missing, malformed, or unusable."""
 
 
-class InfeasibleError(FavdError):
+class InfeasibleError(Exception):
     """A requested protocol cannot be carried out on the given data."""
 
 
 @contextmanager
 def reading(path, what: str):
-    """Map a failed read of `path` (`what`, e.g. "model file") to a DataError.
+    """Yield `path` open to read; map a failed read (`what`, e.g. "model file") to a DataError.
 
-    Mapped: a missing file, bytes that are not UTF-8, malformed or too deeply
-    nested JSON (or an integer in it too long to read), a malformed CSV, a
-    path holding a null byte, and any other OSError, such as a directory.
+    The text is UTF-8 less a leading byte-order mark, its line ends as they
+    are; `fh.buffer` reads the bytes on disk. Mapped: a missing file, bytes
+    that are not UTF-8, malformed or too deeply nested JSON (or an integer in
+    it too long to read), a malformed CSV, a path holding a null byte, and any
+    other OSError, such as a directory.
     """
     try:
-        yield
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield fh
     except FileNotFoundError as exc:
         raise DataError(f"{what} not found: {path}") from exc
     except UnicodeDecodeError as exc:
@@ -52,11 +51,15 @@ def reading(path, what: str):
 
 @contextmanager
 def writing(path):
-    """Create `path`'s parent directory, yield `path` as a Path, map OSError to DataError."""
+    """Create `path`'s parent directory, yield `path` open to write, map OSError to DataError.
+
+    The text is UTF-8, and `\\n` is written as it is on every platform.
+    """
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        yield path
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
@@ -67,8 +70,7 @@ def csv_rows(path, what: str, key: str = "name"):
     The line is where the row ends, as a quoted field may span lines. The
     first field, the row's `key`, must be non-empty and fit on one line.
     """
-    path = Path(path)
-    with reading(path, what), path.open(newline="", encoding="utf-8") as fh:
+    with reading(path, what) as fh:
         reader = csv.reader(fh)
         for row in reader:
             fields = [field.strip() for field in row]
@@ -81,9 +83,5 @@ def csv_rows(path, what: str, key: str = "name"):
 
 def write_csv(out, header: list[str], rows) -> None:
     """Write `header`, then `rows`, as CSV to the file `out`, or to stdout for None or '-'."""
-    with ExitStack() as stack:
-        fh = sys.stdout
-        if out not in (None, "-"):
-            path = stack.enter_context(writing(out))
-            fh = stack.enter_context(path.open("w", newline="", encoding="utf-8"))
+    with nullcontext(sys.stdout) if out in (None, "-") else writing(out) as fh:
         csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))

@@ -108,7 +108,9 @@ def harvest_text(text: str, file_label: str) -> list[HarvestedName]:
 def harvest(paths: list[str | Path]) -> tuple[list[HarvestedName], list[str]]:
     """Scan files and return (names ordered by (file, line), warnings).
 
-    Unreadable files are skipped; one warning string per skipped file.
+    Unreadable files are skipped, one warning string per skipped file, and
+    bytes that are not UTF-8 are replaced: sources are read here, not through
+    `errors.reading`, which would end the scan at the first bad file.
     """
     names: list[HarvestedName] = []
     warnings: list[str] = []

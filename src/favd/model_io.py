@@ -73,14 +73,14 @@ def model_document(
 
 def save_model(document: dict, path: str | Path) -> None:
     """Write a model, or any other report document, as sorted, indented JSON."""
-    with writing(path) as path:
-        path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with writing(path) as fh:
+        fh.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
 def load_json_object(path: str | Path, what: str) -> dict:
     """Read a file that must hold one JSON object: a model, config or spec file."""
-    with reading(path, what):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    with reading(path, what) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DataError(f"malformed {what} {path}: expected a JSON object")
     return doc

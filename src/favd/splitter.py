@@ -8,15 +8,15 @@ An identifier is cut only at explicit boundaries:
 
 Nothing else splits, so compound lowercase words such as ``maxstrlen`` or
 ``readwrite`` stay whole, and all-caps prefixes (``LZWDecode``, ``LOADSparse``)
-are not separated from the trailing lowercase run. Term case is preserved
-unless the caller asks for folding. Characters that are neither letters,
-digits, nor underscores never introduce a boundary.
+are not separated from the trailing lowercase run. Term case is preserved.
+Characters that are neither letters, digits, nor underscores never introduce
+a boundary.
 """
 
 from __future__ import annotations
 
 
-def split(identifier: str, fold_case: bool = False) -> list[str]:
+def split(identifier: str) -> list[str]:
     """Split an identifier into its terms, in order.
 
     An identifier made only of underscores yields an empty list. Terms are
@@ -44,6 +44,4 @@ def split(identifier: str, fold_case: bool = False) -> list[str]:
                 start = i
             prev = ch
         terms.append(segment[start:])
-    if fold_case:
-        terms = [t.lower() for t in terms]
     return terms

@@ -138,8 +138,8 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str | Path) -> tuple[Path, Path
     out = Path(out_dir)
     vpath, bpath = out / "vulnerable.txt", out / "benign.txt"
     for path, names in ((vpath, corpus.vulnerable), (bpath, corpus.benign)):
-        with writing(path):
-            path.write_text("".join(f"{n}\n" for n in sorted(names)), encoding="utf-8")
+        with writing(path) as fh:
+            fh.write("".join(f"{n}\n" for n in sorted(names)))
     return vpath, bpath
 
 

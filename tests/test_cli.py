@@ -48,6 +48,9 @@ def test_split_prints_terms(capsys):
 def test_split_fold_case(capsys):
     assert main(["split", "LZWDecode", "--fold-case"]) == 0
     assert capsys.readouterr().out.splitlines() == ["lzwdecode"]
+    # Folded after splitting, so case boundaries still cut.
+    assert main(["split", "readFile", "--fold-case"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["read", "file"]
 
 
 def test_usage_error_exits_one():
@@ -452,6 +455,13 @@ BAD_INPUTS = {
                          "--cutoffs", "0"],
     "roc-cutoffs-negative": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
                              "--cutoffs", "-3"],
+    "roc-cutoffs-none": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                         "--cutoffs", ","],
+    "roc-cutoffs-empty": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                          "--cutoffs", ""],
+    "split-empty": ["split", ""],
+    "baseline-counts-text": ["baseline", "--counts", "x", "5"],
+    "baseline-counts-float": ["baseline", "--counts", "1.5", "5"],
     "roc-cutoff-step-zero": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
                              "--cutoff-step", "0"],
     "roc-threshold-step-zero": ["roc", "--vuln", "v.txt", "--benign", "b.txt",

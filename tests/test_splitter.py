@@ -81,7 +81,6 @@ def test_leading_and_trailing_underscores():
 
 
 def test_case_folding_flag():
-    assert split("readFile", fold_case=True) == ["read", "file"]
     assert split("readFile") == ["read", "File"]
 
 
