@@ -11,12 +11,10 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -35,7 +33,6 @@ from .corpus import (
     read_lines,
 )
 from .errors import DataError, InfeasibleError, csv_rows, reading, write_csv
-from .harvest import harvest
 from .metrics import (
     DEFAULT_THRESHOLD_STEP,
     all_vulnerable_f2,
@@ -60,8 +57,9 @@ from .ranking import (
 )
 from .rational import format_rate
 from .splitter import split
-from .synth import generate, spec_from_dict, write_corpus
-from .tuner import DEFAULT_BETA, SearchGrid, find_best, search_weights
+from .tuner import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, SearchGrid, find_best, search_weights
+# favd.harvest, favd.synth and hashlib are imported by the commands that use
+# them, so that the other commands start without loading them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +126,7 @@ OPTIONS = {
     "csv": Option(_path, None, "name,label CSV instead of two list files"),
     "policy": Option(MinScorePolicy.parse, "zero", "min-score policy: none|zero|NUMBER"),
     "weights": Option(_weights, None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
-    "cutoff_step": Option(_count, SearchGrid.cutoff_step, "cutoff grid step"),
+    "cutoff_step": Option(_count, DEFAULT_CUTOFF_STEP, "cutoff grid step"),
     "threshold_step": Option(_threshold_step, DEFAULT_THRESHOLD_STEP, "threshold grid step"),
     "beta": Option(_beta, DEFAULT_BETA, "F-beta objective for tuning"),
     "scores": Option(_path, None, "external term,score CSV; replaces frequency scoring"),
@@ -163,6 +161,7 @@ def _options(args, config: dict) -> dict:
 
 
 def _digest(path) -> dict:
+    import hashlib
     with reading(path, "input file") as fh:  # the bytes on disk, a byte-order mark included
         return {"path": str(path), "sha256": hashlib.sha256(fh.buffer.read()).hexdigest()}
 
@@ -403,8 +402,9 @@ def cmd_roc(args, opts) -> int:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs is not None:
         cutoffs = [checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
-        if not cutoffs:
-            raise DataError(f"cutoffs: must name at least one cutoff, got {args.cutoffs!r}")
+        if not cutoffs or len(set(cutoffs)) < len(cutoffs) or max(cutoffs) > len(dangerous):
+            raise DataError(f"cutoffs: must name distinct cutoffs of at most {len(dangerous)}, "
+                            f"the dangerous list's length, got {args.cutoffs!r}")
     else:
         cutoffs = grid.cutoff_values(len(dangerous))
     curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
@@ -446,6 +446,7 @@ def cmd_baseline(args, opts) -> int:
 
 
 def cmd_harvest(args, opts) -> int:
+    from .harvest import harvest
     names, warnings = harvest([Path(p) for p in args.paths])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -455,6 +456,7 @@ def cmd_harvest(args, opts) -> int:
 
 
 def cmd_synth(args, opts) -> int:
+    from .synth import generate, spec_from_dict, write_corpus
     spec = spec_from_dict(load_json_object(args.spec, "spec file"))
     corpus, planted = generate(spec)
     out_dir = Path(args.out)
@@ -462,7 +464,7 @@ def cmd_synth(args, opts) -> int:
     truth = {
         "schema_version": 1,
         "tool_version": __version__,
-        "spec": {k: v for k, v in asdict(spec).items() if k != "planted_dangerous"},
+        "spec": {k: v for k, v in spec._asdict().items() if k != "planted_dangerous"},
         "planted_dangerous": sorted(planted),
         "counts": {"vulnerable": len(corpus.vulnerable), "benign": len(corpus.benign)},
     }

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count
 from pathlib import Path
@@ -24,18 +23,15 @@ from .errors import DataError, InfeasibleError, csv_rows, reading
 from .splitter import split
 
 
-@dataclass(frozen=True)
-class LabeledCorpus:
+class LabeledCorpus(namedtuple("LabeledCorpus", "vulnerable benign")):
     """Cleaned corpus: disjoint sets of vulnerable and benign names."""
 
-    vulnerable: frozenset[str]
-    benign: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.vulnerable & self.benign:
+    def __new__(cls, vulnerable: frozenset[str], benign: frozenset[str]) -> "LabeledCorpus":
+        if vulnerable & benign:
             raise ValueError("vulnerable and benign sets must be disjoint")
-        if "" in self.vulnerable or "" in self.benign:
+        if "" in vulnerable or "" in benign:
             raise ValueError("identifiers must be non-empty")
+        return super().__new__(cls, vulnerable, benign)
 
     @cached_property
     def encoded(self) -> "EncodedCorpus":
@@ -43,8 +39,7 @@ class LabeledCorpus:
         return encode(self)
 
 
-@dataclass(frozen=True, eq=False)
-class EncodedCorpus:
+class EncodedCorpus(NamedTuple):
     """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
     `vulnerable[t]` holds the term ids of every vulnerable name with t unique

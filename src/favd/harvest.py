@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 # Reserved words are not identifiers; they also legitimately precede '('.
 _KEYWORDS = frozenset(
@@ -42,8 +42,7 @@ _PAREN = re.compile(r"[()]")
 _BRACE_NEXT = re.compile(r"[ \t\n\r]*\{")
 
 
-@dataclass(frozen=True)
-class HarvestedName:
+class HarvestedName(NamedTuple):
     name: str
     file: str
     line: int

@@ -12,8 +12,8 @@ numerator and denominator, which the tuner compares by cross-multiplying;
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .corpus import LabeledCorpus
 from .errors import DataError
@@ -102,15 +102,13 @@ def random_baseline_f2(p) -> Fraction:
     return Fraction(5, 2) * p / (4 * p + Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(NamedTuple):
     threshold: Fraction
     tpr: Fraction
     fpr: Fraction
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(NamedTuple):
     points: tuple[RocPoint, ...]
     cutoff: int
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -29,32 +29,26 @@ VULNERABLE = "vulnerable"
 BENIGN = "benign"
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
     tn: int = 0
 
 
-@dataclass(frozen=True)
-class TunedModel:
+class TunedModel(namedtuple("TunedModel", "dangerous cutoff threshold")):
     """Dangerous word list plus the cutoff/threshold pair that deploys it."""
 
-    dangerous: DangerousWordList
-    cutoff: int
-    threshold: Fraction
-
-    def __post_init__(self) -> None:
-        if len(self.dangerous) == 0:
-            if self.cutoff != 0:
+    def __new__(cls, dangerous: DangerousWordList, cutoff: int,
+                threshold: Fraction) -> "TunedModel":
+        if len(dangerous) == 0:
+            if cutoff != 0:
                 raise ValueError("empty dangerous list requires cutoff 0")
-        elif not 1 <= self.cutoff <= len(self.dangerous):
-            raise ValueError(
-                f"cutoff {self.cutoff} outside [1, {len(self.dangerous)}]"
-            )
-        if not 0 <= self.threshold <= 1:
-            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
+        elif not 1 <= cutoff <= len(dangerous):
+            raise ValueError(f"cutoff {cutoff} outside [1, {len(dangerous)}]")
+        if not 0 <= threshold <= 1:
+            raise ValueError(f"threshold {threshold} outside [0, 1]")
+        return super().__new__(cls, dangerous, cutoff, threshold)
 
     @property
     def weight(self) -> Weight | None:

@@ -12,9 +12,10 @@ any offline scorer can drive the rest of the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .checks import number, string
 from .corpus import LabeledCorpus
@@ -24,16 +25,15 @@ from .rational import exact_fraction, parse_fraction
 Score = int | Fraction
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "plus minus")):
     """Per-occurrence increment (vulnerable names) and decrement (benign)."""
 
-    plus: int
-    minus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.plus < 1 or self.minus < 1:
-            raise ValueError(f"weight components must be >= 1, got {self.plus}-{self.minus}")
+    def __new__(cls, plus: int, minus: int) -> "Weight":
+        if plus < 1 or minus < 1:
+            raise ValueError(f"weight components must be >= 1, got {plus}-{minus}")
+        return super().__new__(cls, plus, minus)
 
     def tag(self) -> str:
         return f"{self.plus}-{self.minus}"
@@ -56,24 +56,21 @@ def default_weight_grid() -> tuple[Weight, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class TermScoreTable:
+class TermScoreTable(namedtuple("TermScoreTable", "scores weight source vuln_counts")):
     """Scores per term and what ranks them; no weight means external scores in [0, 1]."""
 
-    scores: dict[str, Score]
-    weight: Weight | None = None
-    source: str | None = None
-    vuln_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.weight is None:
-            bad = {t: s for t, s in self.scores.items() if not 0 <= s <= 1}
+    def __new__(cls, scores: dict[str, Score], weight: Weight | None = None,
+                source: str | None = None, vuln_counts: dict | None = None) -> "TermScoreTable":
+        if weight is None:
+            bad = {t: s for t, s in scores.items() if not 0 <= s <= 1}
             if bad:
                 raise ValueError(f"external scores outside [0, 1]: {bad}")
+        return super().__new__(cls, scores, weight, source, vuln_counts or {})
 
 
-@dataclass(frozen=True)
-class MinScorePolicy:
+class MinScorePolicy(NamedTuple):
     """Filter applied before ranking: keep scores >= threshold, or all for None."""
 
     threshold: Fraction | None = None
@@ -108,14 +105,27 @@ class MinScorePolicy:
         return self.threshold is None or score >= self.threshold
 
 
-@dataclass(frozen=True)
 class DangerousWordList:
     """Terms ordered most dangerous first, and the one record of how they were ranked."""
 
-    words: tuple[tuple[str, Score], ...]
-    policy: MinScorePolicy
-    weight: Weight | None = None
-    source: str | None = None
+    __slots__ = ("words", "policy", "weight", "source")
+
+    def __init__(self, words: tuple[tuple[str, Score], ...], policy: MinScorePolicy,
+                 weight: Weight | None = None, source: str | None = None) -> None:
+        for key, value in zip(self.__slots__, (words, policy, weight, source)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key, value) -> None:
+        raise AttributeError(f"cannot set {key}: a DangerousWordList is read-only")
+
+    def _values(self) -> tuple:
+        return self.words, self.policy, self.weight, self.source
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DangerousWordList and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __len__(self) -> int:
         return len(self.words)

@@ -11,7 +11,7 @@ degrades achievable cross-validated scores.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import accumulate
 from math import perm
@@ -24,37 +24,36 @@ from .errors import DataError, writing
 from .splitter import split
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    seed: int
-    n_vulnerable: int
-    n_benign: int
-    planted_dangerous: frozenset[str]
-    vocab_size: int
-    terms_per_name: tuple[int, int] = (2, 4)
-    signal_strength: float = 1.0
-    vocab_overlap: float = 0.0
-    camel_case: bool = False
+class SynthSpec(namedtuple("SynthSpec", "seed n_vulnerable n_benign planted_dangerous vocab_size "
+                           "terms_per_name signal_strength vocab_overlap camel_case")):
+    """What `generate` draws: name counts, planted words, vocabulary and name shape."""
 
-    def __post_init__(self) -> None:
-        if self.n_vulnerable < 1 or self.n_benign < 1:
+    __slots__ = ()
+
+    def __new__(cls, seed: int, n_vulnerable: int, n_benign: int, planted_dangerous: frozenset[str],
+                vocab_size: int, terms_per_name: tuple[int, int] = (2, 4),
+                signal_strength: float = 1.0, vocab_overlap: float = 0.0,
+                camel_case: bool = False) -> "SynthSpec":
+        if n_vulnerable < 1 or n_benign < 1:
             raise ValueError("name counts must be positive")
-        if self.vocab_size < 1:
+        if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        lo, hi = self.terms_per_name
+        lo, hi = terms_per_name
         if not 1 <= lo <= hi:
-            raise ValueError(f"bad terms_per_name range {self.terms_per_name}")
-        if not 0 <= self.signal_strength <= 1:
+            raise ValueError(f"bad terms_per_name range {terms_per_name}")
+        if not 0 <= signal_strength <= 1:
             raise ValueError("signal_strength must lie in [0, 1]")
-        if not 0 <= self.vocab_overlap <= 1:
+        if not 0 <= vocab_overlap <= 1:
             raise ValueError("vocab_overlap must lie in [0, 1]")
-        if not self.planted_dangerous:
+        if not planted_dangerous:
             raise ValueError("at least one planted dangerous term is required")
-        for term in self.planted_dangerous:
+        for term in planted_dangerous:
             if split(term) != [term] or not term.islower():
                 raise ValueError(
                     f"planted term {term!r} must be a single lowercase splitter-atomic word"
                 )
+        return super().__new__(cls, seed, n_vulnerable, n_benign, planted_dangerous, vocab_size,
+                               terms_per_name, signal_strength, vocab_overlap, camel_case)
 
 
 def random_terms(rng: random.Random, count: int, exclude: frozenset[str] = frozenset()) -> list[str]:

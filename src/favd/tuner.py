@@ -22,7 +22,7 @@ per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,23 +45,24 @@ from .ranking import (
 )
 
 DEFAULT_BETA = 2
+DEFAULT_CUTOFF_STEP = 100
 
 
-@dataclass(frozen=True)
-class SearchGrid:
+class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):
     """Grid axes for FindBest and the weight sweep."""
 
-    cutoff_step: int = 100
-    thresholds: tuple[Fraction, ...] = threshold_values(DEFAULT_THRESHOLD_STEP)
-    weights: tuple[Weight, ...] = default_weight_grid()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cutoff_step < 1:
+    def __new__(cls, cutoff_step: int = DEFAULT_CUTOFF_STEP,
+                thresholds: tuple[Fraction, ...] = threshold_values(DEFAULT_THRESHOLD_STEP),
+                weights: tuple[Weight, ...] = default_weight_grid()) -> "SearchGrid":
+        if cutoff_step < 1:
             raise ValueError("cutoff_step must be >= 1")
-        if not self.thresholds or not self.weights:
+        if not thresholds or not weights:
             raise ValueError("threshold and weight grids must be non-empty")
-        if any(not 0 <= t <= 1 for t in self.thresholds):
+        if any(not 0 <= t <= 1 for t in thresholds):
             raise ValueError("thresholds must lie in [0, 1]")
+        return super().__new__(cls, cutoff_step, thresholds, weights)
 
     def cutoff_values(self, list_length: int) -> tuple[int, ...]:
         """1, 1+step, 1+2*step, ... capped at and always including list_length."""
@@ -94,8 +95,7 @@ class GridCell(NamedTuple):
         return Fraction(self.num, self.den)
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     model: TunedModel
     train_f2: Fraction
 

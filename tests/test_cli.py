@@ -459,6 +459,11 @@ BAD_INPUTS = {
                          "--cutoffs", ","],
     "roc-cutoffs-empty": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
                           "--cutoffs", ""],
+    "roc-cutoffs-repeated": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                             "--cutoffs", "2,2"],
+    # The 1-1 list of this corpus holds 9 words.
+    "roc-cutoffs-past-list": ["roc", "--vuln", "v.txt", "--benign", "b.txt", "--weight", "1-1",
+                              "--cutoffs", "9,10"],
     "split-empty": ["split", ""],
     "baseline-counts-text": ["baseline", "--counts", "x", "5"],
     "baseline-counts-float": ["baseline", "--counts", "1.5", "5"],
@@ -656,9 +661,10 @@ def test_full_stdout_is_a_data_error(tmp_path, corpus_files, command):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):
-    """favd needs nothing outside the standard library: numpy cannot be imported here."""
-    vuln, benign = corpus_files
+@pytest.fixture
+def every_command(tmp_path, corpus_files):
+    """One command line per subcommand (eval twice), keyed by name, run in this order
+    from `tmp_path`, with the inputs they read written there."""
     (tmp_path / "code.c").write_text(C_SOURCE)
     for project, names in (("p1", "danger_read\nlog_write\n"), ("p2", "danger_net\nui_draw\n"),
                            ("p3", "danger_copy\nui_open\n")):
@@ -667,19 +673,23 @@ def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):
         (tmp_path / project / "vulnerable.txt").write_text(danger + "\n")
         (tmp_path / project / "benign.txt").write_text(safe + "\n")
     (tmp_path / "spec.json").write_text(json.dumps(SYNTH_SPEC))
-    pair = ["--vuln", str(vuln), "--benign", str(benign)]
-    commands = [
-        ["split", "png_push_read_chunk"],
-        ["train", *pair, "--cutoff-step", "1", "--out", "m.json", "--trace", "t.csv",
-         "--words-csv", "w.csv"],
-        ["eval", *pair, "--kfold", "2", "--cutoff-step", "1", "--out-dir", "ev"],
-        ["eval", "--loo", "p1", "p2", "p3", "--cutoff-step", "1", "--out-dir", "loo"],
-        ["roc", *pair, "--weight", "1-1", "--out", "roc.csv"],
-        ["harvest", "code.c", "--out", "h.csv"],
-        ["predict", "--model", "m.json", "--names", "h.csv", "--out", "p.csv"],
-        ["baseline", "--counts", "75", "522"],
-        ["synth", "--spec", "spec.json", "--out", "synth"],
-    ]
+    pair = ["--vuln", corpus_files[0].name, "--benign", corpus_files[1].name]
+    return {
+        "split": ["split", "png_push_read_chunk"],
+        "train": ["train", *pair, "--cutoff-step", "1", "--out", "m.json", "--trace", "t.csv",
+                  "--words-csv", "w.csv"],
+        "eval-kfold": ["eval", *pair, "--kfold", "2", "--cutoff-step", "1", "--out-dir", "ev"],
+        "eval-loo": ["eval", "--loo", "p1", "p2", "p3", "--cutoff-step", "1", "--out-dir", "loo"],
+        "roc": ["roc", *pair, "--weight", "1-1", "--out", "roc.csv"],
+        "harvest": ["harvest", "code.c", "--out", "h.csv"],
+        "predict": ["predict", "--model", "m.json", "--names", "h.csv", "--out", "p.csv"],
+        "baseline": ["baseline", "--counts", "75", "522"],
+        "synth": ["synth", "--spec", "spec.json", "--out", "synth"],
+    }
+
+
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path, every_command):
+    """favd needs nothing outside the standard library: numpy cannot be imported here."""
     script = (
         "import json, sys\n"
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
@@ -687,13 +697,33 @@ def test_every_subcommand_runs_with_numpy_blocked(tmp_path, corpus_files):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
-                          env=_ENV, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(list(every_command.values()))],
+                          cwd=tmp_path, env=_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "p.csv").read_text().count("\n") == 3
     for output in ("t.csv", "w.csv", "ev/folds.csv", "loo/folds.csv", "roc.csv",
                    "synth/vulnerable.txt"):
         assert (tmp_path / output).stat().st_size > 0, output
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, every_command):
+    """Start-up cost: each command, in a fresh interpreter, loads no module it does not use."""
+    script = (
+        "import json, sys\n"
+        "from favd.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    for name, argv in every_command.items():
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=tmp_path,
+                              env=_ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)
+        modules = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "dataclasses" not in modules, name
+        assert ("favd.harvest" in modules) == (name == "harvest"), name
+        assert ("favd.synth" in modules) == (name == "synth"), name
+        if name in ("split", "predict", "harvest"):
+            assert "hashlib" not in modules, name
 
 
 # Fuzz of the same contract: a malformed model file, a malformed name file or

@@ -83,6 +83,19 @@ class TestLoadCsv:
             load_csv(p)
 
 
+class TestLabeledCorpus:
+    def test_overlapping_sets_are_rejected(self):
+        with pytest.raises(ValueError, match="must be disjoint"):
+            LabeledCorpus(frozenset({"f", "g"}), frozenset({"g"}))
+
+    @pytest.mark.parametrize("side", ["vulnerable", "benign"])
+    def test_empty_name_is_rejected(self, side):
+        sets = {"vulnerable": frozenset({"f"}), "benign": frozenset({"h"})}
+        sets[side] |= {""}
+        with pytest.raises(ValueError, match="must be non-empty"):
+            LabeledCorpus(**sets)
+
+
 class TestClean:
     def test_dedupe_and_overlap_to_vulnerable(self):
         out = clean(("f", "f", "g"), ("g", "h"))

@@ -39,7 +39,8 @@ COMMANDS = [
      "--words-csv", "out/external_words.csv", "--out", "out/external.json"],
     ["eval", *CORPUS, "--scores", "scores.csv", "--kfold", "3", "--seed", "0",
      "--cutoff-step", "1", "--out-dir", "ev_external"],
-    ["roc", *CORPUS, "--weight", "1-1", "--policy", "none", "--cutoffs", "1,5,1000000",
+    # 31 is the length of the 1-1 list: the last curve is the whole list's.
+    ["roc", *CORPUS, "--weight", "1-1", "--policy", "none", "--cutoffs", "1,5,31",
      "--threshold-step", "1/7", "--include-zero-endpoint", "--out", "out/roc.csv"],
     ["harvest", "code/sample.c", "code/tail.c", "--out", "out/harvest.csv"],
     ["predict", "--model", "out/external.json", "--names", "names.txt",
@@ -68,7 +69,7 @@ PINNED = {
     "out/external_words.csv": "bdeba04ac2f5547763384efcae56096c38a05edd003607ef1a2316d802c618ac",
     "ev_external/eval_report.json": "ca7041148d1feb804c579a80fa856c7bcd169b97aa1298a89200cd0fb8c13229",
     "ev_external/folds.csv": "f417e7f447042f35e51988810d70746510dabff7eed7c23f2d4e50bd141a37e2",
-    "out/roc.csv": "8cff5a4ffc35da645d072c7daf249266073ebc14c69151debfb736d59ddfc9d1",
+    "out/roc.csv": "c1c48648fd21780e0fef8b2c3de33fe9667ce88c570d0a90b76971ca817a6352",
     "out/harvest.csv": "01dbba72b8d4e6dcc6c9a20aefe42f0ecb477d606269c0adc0c153bb7bde5e9d",
     "out/pred_names.csv": "83c11a05a7712133d98b128624cb0b729ddaa5764ca5fe4d2a6c858501094a9b",
     "out/pred_harvest.csv": "54e318bdfee6cd29fe95e4d90329e88a2ee5e5ea364dde1bbf0183e98ea3b08a",

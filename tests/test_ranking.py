@@ -30,6 +30,11 @@ class TestWeight:
         with pytest.raises(ValueError):
             Weight(1, -2)
 
+    def test_equal_weights_compare_and_hash_alike(self):
+        assert Weight(3, 2) == Weight(3, 2) != Weight(2, 3)
+        assert {Weight(3, 2): "a"}[Weight(3, 2)] == "a"
+        assert len({Weight(1, 1), Weight(1, 1), Weight(1, 2)}) == 2
+
     def test_parse(self):
         assert Weight.parse("3-2") == Weight(3, 2)
         assert Weight.parse("1000-1") == Weight(1000, 1)
@@ -78,6 +83,28 @@ class TestRank:
         table = score_frequency(toy_corpus, Weight(1, 1))
         words = rank(table, MinScorePolicy.all_terms())
         assert [t for t, _ in words.words] == ["read", "net", "file", "write"]
+
+    @pytest.mark.parametrize("score", [Fraction(-1, 10), Fraction(11, 10), 2])
+    def test_external_table_rejects_a_score_outside_0_1(self, score):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            TermScoreTable(scores={"read": Fraction(1, 2), "net": score})
+        assert TermScoreTable(scores={"net": score}, weight=Weight(1, 1)).scores == {"net": score}
+
+    def test_equal_policies_compare_and_hash_alike(self):
+        assert MinScorePolicy.at_least(0) == MinScorePolicy.parse("zero") == MinScorePolicy(0)
+        assert MinScorePolicy.all_terms() == MinScorePolicy.parse("none")
+        assert MinScorePolicy.all_terms() != MinScorePolicy.at_least(0)
+        policies = {MinScorePolicy.at_least(Fraction(1, 2)), MinScorePolicy.parse("0.5"),
+                    MinScorePolicy.all_terms(), MinScorePolicy.parse("all")}
+        assert len(policies) == 2
+
+    def test_ranked_lists_compare_and_hash_by_value_and_are_read_only(self, toy_corpus):
+        table = score_frequency(toy_corpus, Weight(1, 1))
+        one, two = (rank(table, MinScorePolicy.at_least(0)) for _ in range(2))
+        assert one == two and hash(one) == hash(two) and len(one) == 3
+        assert one != rank(table, MinScorePolicy.all_terms())
+        with pytest.raises(AttributeError):
+            one.words = ()
 
     def test_empty_table_is_legal(self):
         table = TermScoreTable(scores={}, weight=Weight(1, 1))
