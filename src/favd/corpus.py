@@ -15,7 +15,8 @@ from array import array
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import chain, count
+from itertools import chain, compress, count
+from operator import add, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,18 +39,33 @@ class LabeledCorpus(namedtuple("LabeledCorpus", "vulnerable benign")):
         """The corpus split into term ids, computed on first use and kept."""
         return encode(self)
 
+    @cached_property
+    def term_counts(self) -> tuple[list[str], list[int], list[int]]:
+        """The terms that the rows hold and their vulnerable and benign name counts, kept.
+
+        In ranking's tie-break order: more vulnerable names first, then text.
+        """
+        encoded = self.encoded
+        v, b = encoded.vulnerable_counts, encoded.benign_counts
+        terms = list(encoded.vocabulary)  # in id order
+        ids = sorted(compress(range(len(terms)), map(add, v, b)), key=terms.__getitem__)
+        ids.sort(key=v.__getitem__, reverse=True)  # stable: equal counts stay in text order
+        return [terms[i] for i in ids], [v[i] for i in ids], [b[i] for i in ids]
+
 
 class EncodedCorpus(NamedTuple):
     """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
     `vulnerable[t]` holds the term ids of every vulnerable name with t unique
-    terms as one flat `array('i')`, t ids per name, name after name (in set
-    order, so no result may read row or term-id order; each name's terms in
-    order of appearance); `benign` does the same for the benign names. Names
-    with no terms have no row. Term ids follow first appearance in that walk.
+    terms as one flat `array('i')`, t ids per name, name after name (in no
+    fixed order, so no result may read row or term-id order; each name's
+    terms in order of appearance); `benign` does the same for the benign names.
+    Names with no terms have no row. The vocabulary lists its terms in id
+    order. The folds of one k-fold plan share one vocabulary, so a fold's
+    vocabulary may hold terms that its own rows lack.
     `vulnerable_counts[i]` and `benign_counts[i]` count the vulnerable and
     benign names holding term id i; they do not depend on the weight, so
-    each weight's scores are read straight from them.
+    `LabeledCorpus.term_counts` orders them once for every weight's scores.
     """
 
     vocabulary: dict[str, int]
@@ -61,26 +77,29 @@ class EncodedCorpus(NamedTuple):
 
 def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     """Split every name once; see EncodedCorpus for the layout."""
+    return _encode_parts([(corpus.vulnerable, corpus.benign)])[0]
+
+
+def _encode_parts(parts: Iterable[tuple[Iterable[str], Iterable[str]]]) -> list[EncodedCorpus]:
+    """The encoding of each (vulnerable, benign) pair of names, over one shared vocabulary."""
     vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # new term: next id
-    groups = []
-    for names in (corpus.vulnerable, corpus.benign):
-        rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
-        for name in names:
-            terms = dict.fromkeys(split(name))
-            rows[len(terms)].extend(map(vocabulary.__getitem__, terms))
-        rows.pop(0, None)
-        groups.append(dict(rows))
-    vulnerable, benign = groups
-    ids = range(len(vocabulary))
-    vulnerable_counts = Counter(chain.from_iterable(vulnerable.values()))
-    benign_counts = Counter(chain.from_iterable(benign.values()))
-    return EncodedCorpus(
-        vocabulary=dict(vocabulary),
-        vulnerable=vulnerable,
-        benign=benign,
-        vulnerable_counts=[vulnerable_counts[i] for i in ids],
-        benign_counts=[benign_counts[i] for i in ids],
-    )
+    rows = [(_rows(v, vocabulary), _rows(b, vocabulary)) for v, b in parts]
+    shared, ids = dict(vocabulary), range(len(vocabulary))
+    return [EncodedCorpus(shared, v, b, _counts(v, ids), _counts(b, ids)) for v, b in rows]
+
+
+def _rows(names: Iterable[str], vocabulary: defaultdict[str, int]) -> dict[int, array]:
+    rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
+    for name in names:
+        terms = dict.fromkeys(split(name))
+        rows[len(terms)].extend(map(vocabulary.__getitem__, terms))
+    rows.pop(0, None)
+    return dict(rows)
+
+
+def _counts(rows: dict[int, array], ids: range) -> list[int]:
+    counts = Counter(chain.from_iterable(rows.values()))
+    return list(map(counts.__getitem__, ids))
 
 
 class FoldPlan(NamedTuple):
@@ -139,7 +158,9 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
     """Stratified k-fold plan with a seeded shuffle per class.
 
     Deterministic for a given (corpus, k, seed): names are sorted before
-    shuffling so set iteration order cannot leak in.
+    shuffling so set iteration order cannot leak in. The first fold reached
+    encodes each chunk once against one shared vocabulary; a fold carries its
+    test chunk's encoding, and the other chunks' rows for training.
     """
     if k < 2:
         raise InfeasibleError(f"k must be at least 2, got {k}")
@@ -153,15 +174,39 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
     ben = sorted(corpus.benign)
     rng.shuffle(vuln)
     rng.shuffle(ben)
-    return FoldPlan(map(partial(_kfold_fold, corpus), _chunks(vuln, k), _chunks(ben, k)))
+    return FoldPlan(_kfold_folds(corpus, _chunks(vuln, k), _chunks(ben, k)))
 
 
-def _kfold_fold(corpus: LabeledCorpus, vuln: list[str],
-                ben: list[str]) -> tuple[LabeledCorpus, LabeledCorpus]:
+def _kfold_folds(corpus: LabeledCorpus, vuln: list[list[str]],
+                 ben: list[list[str]]) -> Iterator[tuple[LabeledCorpus, LabeledCorpus]]:
+    chunks = _encode_parts(zip(vuln, ben))
+    vulnerable_total = [sum(column) for column in zip(*(c.vulnerable_counts for c in chunks))]
+    benign_total = [sum(column) for column in zip(*(c.benign_counts for c in chunks))]
+    for i, chunk in enumerate(chunks):
+        rest = chunks[:i] + chunks[i + 1:]
+        # Built in the call and yielded unbound, so a fold is freed before the next one is built.
+        yield _kfold_fold(corpus, vuln[i], ben[i], chunk, EncodedCorpus(
+            chunk.vocabulary, _joined(c.vulnerable for c in rest), _joined(c.benign for c in rest),
+            list(map(sub, vulnerable_total, chunk.vulnerable_counts)),
+            list(map(sub, benign_total, chunk.benign_counts))))
+
+
+def _kfold_fold(corpus: LabeledCorpus, vuln: list[str], ben: list[str], test_encoded: EncodedCorpus,
+                train_encoded: EncodedCorpus) -> tuple[LabeledCorpus, LabeledCorpus]:
     test = LabeledCorpus(vulnerable=frozenset(vuln), benign=frozenset(ben))
     train = LabeledCorpus(vulnerable=corpus.vulnerable - test.vulnerable,
                           benign=corpus.benign - test.benign)
+    test.encoded, train.encoded = test_encoded, train_encoded
     return train, test
+
+
+def _joined(groups: Iterable[dict[int, array]]) -> dict[int, array]:
+    """The rows of several encodings over one vocabulary, as one encoding's rows."""
+    rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
+    for group in groups:
+        for t, ids in group.items():
+            rows[t].extend(ids)
+    return dict(rows)
 
 
 def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:

@@ -3,17 +3,21 @@
 Frequency scoring gives every unique term of a vulnerable name `plus` and
 every unique term of a benign name `-minus`. A term therefore scores
 plus*V_t - minus*B_t where V_t and B_t count the names (not occurrences)
-containing it; both counts come from the corpus encoding, so trying another
-weight does not split the names again. External per-term scores in
-[0, 1] can be loaded from CSV instead; they plug into the same rank step, so
-any offline scorer can drive the rest of the pipeline.
+containing it. Both counts come from the corpus encoding, with the terms
+already in tie-break order (`LabeledCorpus.term_counts`), so trying another
+weight neither splits the names again nor sorts by anything but score.
+External per-term scores in [0, 1] can be loaded from CSV instead, their
+terms in text order; they plug into the same rank step, so any offline
+scorer can drive the rest of the pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,18 +60,18 @@ def default_weight_grid() -> tuple[Weight, ...]:
     return tuple(grid)
 
 
-class TermScoreTable(namedtuple("TermScoreTable", "scores weight source vuln_counts")):
-    """Scores per term and what ranks them; no weight means external scores in [0, 1]."""
+class TermScoreTable(namedtuple("TermScoreTable", "terms scores weight source")):
+    """Terms in tie-break order and their scores; no weight means external scores in [0, 1]."""
 
     __slots__ = ()
 
-    def __new__(cls, scores: dict[str, Score], weight: Weight | None = None,
-                source: str | None = None, vuln_counts: dict | None = None) -> "TermScoreTable":
+    def __new__(cls, terms: Sequence[str], scores: Sequence[Score], weight: Weight | None = None,
+                source: str | None = None) -> "TermScoreTable":
         if weight is None:
-            bad = {t: s for t, s in scores.items() if not 0 <= s <= 1}
+            bad = {t: s for t, s in zip(terms, scores) if not 0 <= s <= 1}
             if bad:
                 raise ValueError(f"external scores outside [0, 1]: {bad}")
-        return super().__new__(cls, scores, weight, source, vuln_counts or {})
+        return super().__new__(cls, terms, scores, weight, source)
 
 
 class MinScorePolicy(NamedTuple):
@@ -132,27 +136,24 @@ class DangerousWordList:
 
 
 def score_frequency(train: LabeledCorpus, weight: Weight) -> TermScoreTable:
-    """Frequency-based scores over the unique terms of each training name."""
+    """Frequency-based scores of the terms that the training names hold."""
     if not train.vulnerable and not train.benign:
         raise DataError("cannot score an empty training corpus")
-    encoded = train.encoded
-    scores: dict[str, int] = {}
-    vuln_counts: dict[str, int] = {}
-    for term, v, b in zip(encoded.vocabulary, encoded.vulnerable_counts, encoded.benign_counts):
-        scores[term] = weight.plus * v - weight.minus * b
-        if v:
-            vuln_counts[term] = v
-    return TermScoreTable(scores=scores, weight=weight, vuln_counts=vuln_counts)
+    terms, v, b = train.term_counts
+    plus, minus = weight
+    scores = [plus * x - minus * y for x, y in zip(v, b)]
+    return TermScoreTable(terms, scores, weight)
 
 
 def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
-    """Filter by policy and sort by score descending with a total tie-break.
+    """Filter by policy, then sort by score descending, keeping the table's order in ties.
 
-    Score ties go to the higher vulnerable-name count, then to term text;
-    external tables have no counts, so their ties go to term text. The
-    ordering is deterministic, so exported lists are byte-reproducible.
+    So score ties go to the higher vulnerable-name count, then to term text
+    (see `LabeledCorpus.term_counts`); external tables list their terms in
+    text order, so their ties go to term text. The ordering is
+    deterministic, so exported lists are byte-reproducible.
     """
-    kept = table.scores.items()
+    kept = zip(table.terms, table.scores)
     if policy.threshold is not None:
         if table.weight is None and not 0 <= policy.threshold <= 1:
             raise DataError(
@@ -161,8 +162,7 @@ def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
         # Frequency scores are ints, so the int ceil(threshold) is an exact bound.
         bound = policy.threshold if table.weight is None else math.ceil(policy.threshold)
         kept = [(t, s) for t, s in kept if s >= bound]
-    vc = table.vuln_counts
-    words = tuple(sorted(kept, key=lambda item: (-item[1], -vc.get(item[0], 0), item[0])))
+    words = tuple(sorted(kept, key=itemgetter(1), reverse=True))
     return DangerousWordList(words=words, policy=policy, weight=table.weight, source=table.source)
 
 
@@ -185,7 +185,8 @@ def load_external_scores(path: str | Path) -> TermScoreTable:
         if term in scores:
             raise DataError(f"{path}:{line}: duplicate term {term!r}")
         scores[term] = score
-    return TermScoreTable(scores=scores, source=str(path))
+    terms = sorted(scores)  # so that rank leaves score ties in text order
+    return TermScoreTable(terms, list(map(scores.__getitem__, terms)), source=str(path))
 
 
 def write_word_list_csv(words: DangerousWordList, path: str | Path) -> None:

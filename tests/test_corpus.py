@@ -1,15 +1,23 @@
-import pytest
-from hypothesis import given, strategies as st
+from collections import Counter
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import favd.corpus
 from favd.corpus import (
+    EncodedCorpus,
     LabeledCorpus,
     clean,
+    encode,
     load_csv,
     load_lists,
     make_kfold,
     make_leave_one_out,
 )
 from favd.errors import DataError, InfeasibleError
+from favd.predictor import classify_corpus
+from favd.ranking import MinScorePolicy, Weight
+from favd.tuner import SearchGrid, search_weights
 
 
 class TestLoadLists:
@@ -207,6 +215,53 @@ class TestKfold:
             make_kfold(_numbered_corpus(3, 90), k=5, seed=0)
         with pytest.raises(InfeasibleError):
             make_kfold(_numbered_corpus(10, 10), k=1, seed=0)
+
+
+def test_kfold_splits_each_name_once(monkeypatch):
+    """Building every fold and tuning and testing on it splits each name once."""
+    calls = Counter()
+    real_split = favd.corpus.split
+
+    def counting_split(name):
+        calls[name] += 1
+        return real_split(name)
+
+    monkeypatch.setattr(favd.corpus, "split", counting_split)
+    words = ("read", "file", "net", "buf", "log", "parse", "alloc")
+    corpus = clean((f"{a}_{b}" for a in words[:4] for b in words[3:]),
+                   (f"{a}{b.title()}" for a in words for b in words[::2]))
+    grid = SearchGrid(cutoff_step=2, weights=(Weight(1, 1), Weight(2, 1), Weight(1, 3)))
+    for train, test in make_kfold(corpus, 5, seed=0).folds:
+        model = search_weights(train, MinScorePolicy.at_least(0), grid).model
+        classify_corpus(test, model)
+    assert calls == Counter(corpus.vulnerable | corpus.benign)
+
+
+def _terms_and_rows(encoded: EncodedCorpus) -> tuple[dict, list]:
+    """(V, B) per term the rows hold, and each label's multiset of rows per t, by term text."""
+    terms = list(encoded.vocabulary)
+    counts = {terms[i]: (v, b) for i, (v, b) in
+              enumerate(zip(encoded.vulnerable_counts, encoded.benign_counts)) if v or b}
+    rows = [{t: Counter(tuple(map(terms.__getitem__, ids[j:j + t])) for j in range(0, len(ids), t))
+             for t, ids in group.items()} for group in (encoded.vulnerable, encoded.benign)]
+    return counts, rows
+
+
+fold_name = st.lists(st.sampled_from(["read", "file", "net", "buf", "x", "2"]), max_size=4).map(
+    "_".join)  # "" and "x_x" too: a name of no terms is dropped, one of repeated terms kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(vuln=st.sets(fold_name, min_size=5, max_size=12), benign=st.sets(fold_name, min_size=5,
+       max_size=20), k=st.integers(2, 5), seed=st.integers(0, 3))
+def test_fold_encodings_equal_a_fresh_encode_up_to_term_ids(vuln, benign, k, seed):
+    corpus = clean(vuln - {""}, benign - {""})
+    assume(min(len(corpus.vulnerable), len(corpus.benign)) >= k)
+    for fold in (f for pair in make_kfold(corpus, k, seed).folds for f in pair):
+        fresh = LabeledCorpus(fold.vulnerable, fold.benign)
+        assert _terms_and_rows(fold.encoded) == _terms_and_rows(encode(fresh))
+        assert fold.term_counts == fresh.term_counts
+        assert set(fresh.encoded.vocabulary) <= set(fold.encoded.vocabulary)
 
 
 class TestLeaveOneOut:

@@ -267,7 +267,7 @@ external_table = st.one_of(
     st.just(dict(ABSENT, **{term: Fraction(i % 5, 4) for i, term in enumerate(KERNEL_TERMS)})),
     st.dictionaries(st.sampled_from(KERNEL_TERMS + sorted(ABSENT)),
                     st.builds(Fraction, st.integers(0, 6), st.just(6)), max_size=8),
-).map(lambda scores: TermScoreTable(scores=scores))
+).map(lambda scores: TermScoreTable(list(scores), list(scores.values())))
 kernel_thresholds = st.lists(
     st.builds(lambda k, n: Fraction(min(k, n), n), st.integers(0, 13), st.integers(1, 13)),
     min_size=1, max_size=6,
@@ -291,7 +291,7 @@ def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedMo
        table=external_table, thresholds=kernel_thresholds)
 @example(corpus=clean(("alpha_Bravo_charlie_x1_y_delta_echo_fox_golf_hotel_india_juliet",
                        "alpha"), ("kilo_alpha2",)),
-         weight=Weight(1, 1), table=TermScoreTable(scores=ABSENT),
+         weight=Weight(1, 1), table=TermScoreTable(list(ABSENT), list(ABSENT.values())),
          thresholds=KERNEL_THRESHOLDS)
 def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
     lists = [rank(score_frequency(corpus, weight), MinScorePolicy.parse(policy))

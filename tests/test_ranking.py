@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from favd.corpus import clean
+from favd.corpus import clean, make_kfold
 from favd.errors import DataError
 from favd.ranking import (
     MinScorePolicy,
@@ -21,6 +21,10 @@ from favd.splitter import split
 
 def unique_terms(names) -> set[str]:
     return {term for name in names for term in split(name)}
+
+
+def scores_of(table: TermScoreTable) -> dict:
+    return dict(zip(table.terms, table.scores))
 
 
 class TestWeight:
@@ -51,26 +55,42 @@ class TestWeight:
 class TestScoreFrequency:
     def test_unit_weights_hand_count(self, toy_corpus):
         table = score_frequency(toy_corpus, Weight(1, 1))
-        assert table.scores == {"read": 2, "file": 0, "net": 1, "write": -1}
-        assert table.vuln_counts == {"read": 2, "file": 1, "net": 1}
+        assert scores_of(table) == {"read": 2, "file": 0, "net": 1, "write": -1}
+        # Vulnerable-name counts 2, 1, 1, 0: more first, then text.
+        assert toy_corpus.term_counts == (["read", "file", "net", "write"], [2, 1, 1, 0],
+                                          [0, 1, 0, 1])
+        # So equal scores go to the higher vulnerable-name count, then to text.
+        tied = TermScoreTable(table.terms, [0] * 4, Weight(1, 1))
+        ranked = rank(tied, MinScorePolicy.all_terms()).words
+        assert [t for t, _ in ranked] == ["read", "file", "net", "write"]
 
     def test_asymmetric_weights_hand_count(self, toy_corpus):
         table = score_frequency(toy_corpus, Weight(3, 2))
-        assert table.scores == {"read": 6, "file": 1, "net": 3, "write": -2}
+        assert scores_of(table) == {"read": 6, "file": 1, "net": 3, "write": -2}
 
     def test_empty_vulnerable_gives_nonpositive_scores(self):
         corpus = clean((), ("log_msg", "log_file"))
         table = score_frequency(corpus, Weight(2, 3))
-        assert all(s <= 0 for s in table.scores.values())
+        assert all(s <= 0 for s in table.scores)
 
     def test_repeated_term_in_one_name_counts_once(self):
         corpus = clean(("read_read",), ("x_y",))
         table = score_frequency(corpus, Weight(1, 1))
-        assert table.scores["read"] == 1
+        assert scores_of(table)["read"] == 1
 
     def test_table_covers_exactly_the_training_terms(self, toy_corpus):
         table = score_frequency(toy_corpus, Weight(1, 1))
-        assert set(table.scores) == unique_terms(toy_corpus.vulnerable | toy_corpus.benign)
+        assert set(table.terms) == unique_terms(toy_corpus.vulnerable | toy_corpus.benign)
+        # A k-fold train encoding shares the plan's vocabulary, which holds
+        # the test chunk's terms too. "only" is in one name, so some fold's
+        # train names lack it, and that fold's table must not score it.
+        corpus = clean(("read_file", "read_net", "only_net"), ("write_file", "log_net", "log"))
+        folds = list(make_kfold(corpus, 3, seed=0).folds)
+        assert any("only" not in unique_terms(train.vulnerable) for train, _ in folds)
+        for train, _ in folds:
+            assert "only" in train.encoded.vocabulary
+            table = score_frequency(train, Weight(1, 1))
+            assert sorted(table.terms) == sorted(unique_terms(train.vulnerable | train.benign))
 
 
 class TestRank:
@@ -87,8 +107,8 @@ class TestRank:
     @pytest.mark.parametrize("score", [Fraction(-1, 10), Fraction(11, 10), 2])
     def test_external_table_rejects_a_score_outside_0_1(self, score):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            TermScoreTable(scores={"read": Fraction(1, 2), "net": score})
-        assert TermScoreTable(scores={"net": score}, weight=Weight(1, 1)).scores == {"net": score}
+            TermScoreTable(["read", "net"], [Fraction(1, 2), score])
+        assert TermScoreTable(["net"], [score], Weight(1, 1)).scores == [score]
 
     def test_equal_policies_compare_and_hash_alike(self):
         assert MinScorePolicy.at_least(0) == MinScorePolicy.parse("zero") == MinScorePolicy(0)
@@ -107,14 +127,14 @@ class TestRank:
             one.words = ()
 
     def test_empty_table_is_legal(self):
-        table = TermScoreTable(scores={}, weight=Weight(1, 1))
+        table = TermScoreTable([], [], Weight(1, 1))
         assert rank(table, MinScorePolicy.all_terms()).words == ()
 
     def test_tie_break_prefers_vulnerable_count_then_text(self):
         # 'beta' and 'zeta' tie on score but zeta has more vulnerable hits.
         corpus = clean(("zeta_one", "zeta_two", "beta_three"), ("zeta_a", "alpha_b"))
         table = score_frequency(corpus, Weight(1, 1))
-        assert table.scores["zeta"] == 1 and table.scores["beta"] == 1
+        assert scores_of(table)["zeta"] == 1 and scores_of(table)["beta"] == 1
         ordered = [t for t, _ in rank(table, MinScorePolicy.all_terms()).words]
         assert ordered.index("zeta") < ordered.index("beta")
         # equal score and equal vulnerable count: lexicographic
@@ -218,14 +238,15 @@ class TestExternalScores:
         p.write_text("read,0.97\nget,0.12\n")
         table = load_external_scores(p)
         assert table.weight is None
-        assert table.scores == {"read": Fraction("0.97"), "get": Fraction("0.12")}
+        assert scores_of(table) == {"read": Fraction("0.97"), "get": Fraction("0.12")}
+        assert table.terms == ["get", "read"]  # text order, whatever the file's
         words = rank(table, MinScorePolicy.at_least(Fraction("0.90")))
         assert [t for t, _ in words.words] == ["read"]
 
     def test_header_row_is_optional(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("term,score\nread,0.97\n")
-        assert load_external_scores(p).scores == {"read": Fraction("0.97")}
+        assert scores_of(load_external_scores(p)) == {"read": Fraction("0.97")}
 
     def test_out_of_range_score_rejected(self, tmp_path):
         p = tmp_path / "scores.csv"
@@ -261,7 +282,7 @@ class TestExternalScores:
     def test_blank_rows_are_skipped(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("term,score\n\n , \nread,0.5\n")
-        assert load_external_scores(p).scores == {"read": Fraction("0.5")}
+        assert scores_of(load_external_scores(p)) == {"read": Fraction("0.5")}
 
     def test_external_ties_break_lexicographically(self, tmp_path):
         p = tmp_path / "scores.csv"
