@@ -101,8 +101,8 @@ def _weights(value) -> tuple[Weight, ...]:
     if value is None:
         return default_weight_grid()
     weights = tuple(Weight.parse(part) for part in string(value).split(",") if part.strip())
-    if not weights:
-        raise DataError(f"must name at least one PLUS-MINUS pair, got {value!r}")
+    if not weights or len(set(weights)) < len(weights):
+        raise DataError(f"must name at least one PLUS-MINUS pair, none twice, got {value!r}")
     return weights
 
 
@@ -395,7 +395,7 @@ def cmd_roc(args, opts) -> int:
     if args.model:
         dangerous = load_model(args.model).dangerous
     elif opts["weight"]:
-        dangerous = rank(score_frequency(corpus, opts["weight"]), opts["policy"])
+        dangerous = rank(score_frequency(corpus, opts["weight"], opts["policy"]), opts["policy"])
     else:
         raise DataError("provide --model FILE or --weight PLUS-MINUS")
     if len(dangerous) == 0:

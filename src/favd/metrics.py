@@ -131,6 +131,8 @@ def roc(
     bad = [cutoff for cutoff in cutoffs if cutoff < 1]
     if bad:
         raise ValueError(f"cutoffs must be >= 1, got {bad}")
+    if not all(0 <= threshold <= 1 for threshold in thresholds):
+        raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
     if not corpus.vulnerable or not corpus.benign:
         raise DataError("ROC rates need at least one vulnerable and one benign name")
     n_pos, n_neg = len(corpus.vulnerable), len(corpus.benign)

@@ -91,13 +91,11 @@ def count_flagged(
 
     Both are lists of len(thresholds) rows of len(cutoffs) ints, tp[i][j]
     for thresholds[i] and cutoffs[j], and hold what classify() gives name by
-    name; a threshold outside [0, 1] is a ValueError. A name with t unique
-    terms is flagged at threshold p/q once more than p*t/q of its terms rank
-    within the cutoff, that is from the rank of its (floor(p*t/q) + 1)-th
-    best-ranked term on.
+    name. A name with t unique terms is flagged at threshold p/q once more
+    than p*t/q of its terms rank within the cutoff, that is from the rank of
+    its (floor(p*t/q) + 1)-th best-ranked term on. Thresholds are trusted to lie
+    in [0, 1]: `tuner.SearchGrid`, `TunedModel` and `metrics.roc` check them.
     """
-    if not all(0 <= threshold <= 1 for threshold in thresholds):
-        raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
     encoded = corpus.encoded
     rank_of = [0] * len(encoded.vocabulary)  # 0: the term is not ranked
     for position, (term, _) in enumerate(dangerous.words, start=1):

@@ -5,7 +5,8 @@ every unique term of a benign name `-minus`. A term therefore scores
 plus*V_t - minus*B_t where V_t and B_t count the names (not occurrences)
 containing it. Both counts come from the corpus encoding, with the terms
 already in tie-break order (`LabeledCorpus.term_counts`), so trying another
-weight neither splits the names again nor sorts by anything but score.
+weight neither splits the names again nor sorts by anything but score. The
+terms that the min-score policy cannot keep are not scored (score_frequency).
 External per-term scores in [0, 1] can be loaded from CSV instead, their
 terms in text order; they plug into the same rank step, so any offline
 scorer can drive the rest of the pipeline.
@@ -105,9 +106,6 @@ class MinScorePolicy(NamedTuple):
             return "all"
         return f"at_least({float(self.threshold)})"
 
-    def keeps(self, score: Score) -> bool:
-        return self.threshold is None or score >= self.threshold
-
 
 class DangerousWordList:
     """Terms ordered most dangerous first, and the one record of how they were ranked."""
@@ -135,14 +133,21 @@ class DangerousWordList:
         return len(self.words)
 
 
-def score_frequency(train: LabeledCorpus, weight: Weight) -> TermScoreTable:
-    """Frequency-based scores of the terms that the training names hold."""
+def score_frequency(train: LabeledCorpus, weight: Weight,
+                    policy: MinScorePolicy = MinScorePolicy()) -> TermScoreTable:
+    """Frequency-based scores of the training terms that `policy` may keep.
+
+    A term that no vulnerable name holds scores -minus*B <= -1, so under a threshold
+    above -1 it is not scored (`term_counts` lists such terms last); others score all.
+    """
     if not train.vulnerable and not train.benign:
         raise DataError("cannot score an empty training corpus")
     terms, v, b = train.term_counts
+    if policy.threshold is not None and policy.threshold > -1:
+        v = v[:len(v) - v.count(0)]  # the terms with V >= 1
     plus, minus = weight
     scores = [plus * x - minus * y for x, y in zip(v, b)]
-    return TermScoreTable(terms, scores, weight)
+    return TermScoreTable(terms[:len(scores)], scores, weight)
 
 
 def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:

@@ -8,7 +8,8 @@ compared by exact integer cross-products, so no float or Fraction is made per
 cell and argmax ties resolve identically on every run: better score first,
 then smaller cutoff, then larger threshold, and for weight sweeps the earlier
 grid entry. Only the winner's score becomes a Fraction: its `train_f2` is one
-`metrics.f_beta` call on the winning cell's counts.
+`metrics.f_beta` call on the winning cell's counts. `SearchGrid` checks its
+thresholds once and holds them unique and descending, so no search call does.
 
 The weight sweep tunes each distinct ranking once: the grid reads nothing
 of a ranked list but its order of terms, so a weight that ranks the same
@@ -49,7 +50,7 @@ DEFAULT_CUTOFF_STEP = 100
 
 
 class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):
-    """Grid axes for FindBest and the weight sweep."""
+    """Grid axes for FindBest and the weight sweep; thresholds are kept unique and descending."""
 
     __slots__ = ()
 
@@ -62,6 +63,7 @@ class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):
             raise ValueError("threshold and weight grids must be non-empty")
         if any(not 0 <= t <= 1 for t in thresholds):
             raise ValueError("thresholds must lie in [0, 1]")
+        thresholds = tuple(sorted(set(thresholds), reverse=True))
         return super().__new__(cls, cutoff_step, thresholds, weights)
 
     def cutoff_values(self, list_length: int) -> tuple[int, ...]:
@@ -112,8 +114,7 @@ def find_best(
     An empty dangerous list yields the degenerate all-benign model with
     score 0. A `trace` list receives (dangerous.weight, cells).
     """
-    cutoffs = grid.cutoff_values(len(dangerous))
-    thresholds = tuple(sorted(set(grid.thresholds), reverse=True))
+    cutoffs, thresholds = grid.cutoff_values(len(dangerous)), grid.thresholds
     tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
     n_pos, n_neg = len(train.vulnerable), len(train.benign)
     r, s = beta_squared(beta)
@@ -156,7 +157,7 @@ def search_weights(
     best: TuneResult | None = None
     tuned: dict[tuple[str, ...], list[GridCell] | None] = {}  # ranked terms -> cells
     for weight in grid.weights:
-        dangerous = rank(score_frequency(train, weight), policy)
+        dangerous = rank(score_frequency(train, weight, policy), policy)
         key = tuple(term for term, _ in dangerous.words)
         if key in tuned:
             if trace is not None:

@@ -534,9 +534,12 @@ BAD_INPUTS = {
     # default grid, a float or boolean as an integer.
     "train-weights-empty": ["train", "--vuln", "v.txt", "--benign", "b.txt", "--weights", "",
                             "--out", "x.json"],
+    # A repeated weight would tune and trace the same cells twice.
+    "train-weights-repeated": ["train", "--vuln", "v.txt", "--benign", "b.txt",
+                               "--weights", "1-1,2-1,1-1", "--out", "x.json"],
     **{f"config-weights-{name}": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                   "--config", f"weights_{name}.json", "--out", "x.json"]
-       for name in ("empty-list", "empty-string", "zero", "false")},
+       for name in ("empty-list", "empty-string", "zero", "false", "repeated")},
     "config-cutoff-step-float": ["train", "--vuln", "v.txt", "--benign", "b.txt",
                                  "--config", "cutoff_step_float.json", "--out", "x.json"],
     "config-cutoff-step-true": ["train", "--vuln", "v.txt", "--benign", "b.txt",
@@ -576,6 +579,7 @@ BAD_CONFIGS = {
     "weights_empty-string.json": {"weights": ""},
     "weights_zero.json": {"weights": 0},
     "weights_false.json": {"weights": False},
+    "weights_repeated.json": {"weights": "1-1,2-1,01-1"},
     "cutoff_step_float.json": {"cutoff_step": 2.5},
     "cutoff_step_true.json": {"cutoff_step": True},
     "kfold_float.json": {"kfold": 2.9},

@@ -27,6 +27,11 @@ def scores_of(table: TermScoreTable) -> dict:
     return dict(zip(table.terms, table.scores))
 
 
+def keeps(policy: MinScorePolicy, score) -> bool:
+    """The policy's exact comparison: the reference for rank's int-ceil filter."""
+    return policy.threshold is None or score >= policy.threshold
+
+
 class TestWeight:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,7 +201,42 @@ def test_policy_filter_equals_the_exact_comparison(vuln, benign, weight, thresho
     table = score_frequency(clean(vuln, benign), weight)
     policy = MinScorePolicy.at_least(threshold)
     everything = rank(table, MinScorePolicy.all_terms()).words
-    assert rank(table, policy).words == tuple(w for w in everything if policy.keeps(w[1]))
+    assert rank(table, policy).words == tuple(w for w in everything if keeps(policy, w[1]))
+
+
+@given(
+    vuln=st.sets(st.sampled_from(["read_file", "read_net", "net_poll", "ui_draw", "log"]),
+                 min_size=1),
+    benign=st.sets(st.sampled_from(["write_file", "ui_draw_net", "log_msg", "poll", "x_y"])),
+    weight=st.builds(Weight, st.integers(1, 4), st.integers(1, 4)),
+    threshold=st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 3, None]),
+)
+def test_scoring_only_the_keepable_terms_ranks_as_full_scoring(vuln, benign, weight, threshold):
+    """Above -1, terms that no vulnerable name holds are not scored, and nothing else moves."""
+    corpus = clean(vuln, benign)
+    policy = MinScorePolicy(None if threshold is None else Fraction(threshold))
+    full, cut = score_frequency(corpus, weight), score_frequency(corpus, weight, policy)
+    assert rank(cut, policy).words == rank(full, policy).words
+    terms, v, _ = corpus.term_counts
+    if threshold is not None and threshold > -1:
+        vulnerable_count = dict(zip(terms, v))
+        assert all(vulnerable_count[term] >= 1 for term in cut.terms)
+        assert cut.terms == [t for t in terms if vulnerable_count[t] >= 1]
+    else:
+        assert cut == full
+
+
+def test_a_bound_of_minus_one_keeps_a_term_no_vulnerable_name_holds():
+    # "log" is in one benign name and no vulnerable one: V = 0, B = 1, score -1 at 1-1.
+    corpus = clean(("read_file", "read_net"), ("log_file",))
+    assert corpus.term_counts == (["read", "file", "net", "log"], [2, 1, 1, 0], [0, 1, 0, 1])
+    at_minus_one = MinScorePolicy.at_least(-1)
+    words = rank(score_frequency(corpus, Weight(1, 1), at_minus_one), at_minus_one).words
+    assert ("log", -1) in words
+    just_above = MinScorePolicy.at_least(Fraction(-99, 100))
+    table = score_frequency(corpus, Weight(1, 1), just_above)
+    assert table.terms == ["read", "file", "net"] and table.scores == [2, 0, 1]
+    assert "log" not in dict(rank(table, just_above).words)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -228,8 +268,8 @@ class TestPolicy:
 
     def test_at_least_is_inclusive(self):
         policy = MinScorePolicy.at_least(0)
-        assert policy.keeps(0)
-        assert not policy.keeps(-1)
+        assert keeps(policy, 0)
+        assert not keeps(policy, -1)
 
 
 class TestExternalScores:

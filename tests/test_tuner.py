@@ -55,6 +55,12 @@ class TestGrids:
         with pytest.raises(ValueError):
             SearchGrid(thresholds=(Fraction(3, 2),))
 
+    def test_grid_holds_its_thresholds_unique_and_descending(self):
+        half = Fraction(1, 2)
+        assert SearchGrid(thresholds=(0, half, half, 1)).thresholds == (1, half, 0)
+        with pytest.raises(ValueError):
+            SearchGrid(thresholds=(0, half, Fraction(3, 2)))
+
 
 class TestFindBest:
     def test_separable_single_word(self, separable_corpus):
@@ -164,6 +170,24 @@ def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
     best = min(cells, key=lambda c: (-f_beta(c.counts, beta), c.cutoff, -c.threshold))
     assert (result.model.cutoff, result.model.threshold) == (best.cutoff, best.threshold)
     assert result.train_f2 == f_beta(best.counts, beta)
+
+
+CANONICAL = threshold_values(Fraction(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=tuner_corpus, thresholds=st.permutations(CANONICAL + CANONICAL[1::2]))
+def test_find_best_reads_any_threshold_order_as_the_canonical_one(corpus, thresholds):
+    """Repeated and shuffled thresholds give the cells and winner of the sorted unique ones."""
+    words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
+    runs = []
+    for given_thresholds in (tuple(thresholds), CANONICAL[::-1]):
+        trace = []
+        result = find_best(words, corpus, SearchGrid(2, given_thresholds), trace=trace)
+        runs.append((result, trace))
+    assert runs[0] == runs[1]
+    [(_, cells)] = runs[0][1]  # for each cutoff, every threshold once, descending
+    assert [cell.threshold for cell in cells] == [*CANONICAL[::-1]] * (len(cells) // len(CANONICAL))
 
 
 class TestSearchWeights:
