@@ -381,8 +381,10 @@ def cmd_predict(args, opts) -> int:
     model = load_model(args.model)
     names = _read_names(Path(args.names))
     # Int true division rounds correctly, so k / t equals float(percentage).
+    # With no matched term the label is always benign and the row is constant.
     rows = (
-        [name, label, f"{len(matched) / terms if terms else 0:.6f}", ";".join(sorted(matched))]
+        [name, label, f"{len(matched) / terms:.6f}", ";".join(sorted(matched))] if matched
+        else [name, label, "0.000000", ""]
         for name, label, matched, terms in map(classify, names, repeat(model))
     )
     write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)

@@ -92,13 +92,14 @@ def load_model(path: str | Path) -> TunedModel:
         version = checked("schema_version", integer, doc.get("schema_version"))
         if version != SCHEMA_VERSION:
             raise DataError(f"unsupported model schema {version}")
-        words = tuple(
-            (checked("term", string, row["term"]), checked("score", number, row["score"]))
-            for row in doc["dangerous"]
-        )
-        dangerous = DangerousWordList(
-            words, _policy_in(doc["policy"]), _weight_in(doc.get("weight")), doc.get("source")
-        )
+        words = {}
+        for row in doc["dangerous"]:
+            term = checked("term", string, row["term"])
+            if term in words:  # it would rank twice: predict reads its first rank, roc its last
+                raise DataError(f"term {term!r} is listed twice")
+            words[term] = checked("score", number, row["score"])
+        dangerous = DangerousWordList(tuple(words.items()), _policy_in(doc["policy"]),
+                                      _weight_in(doc.get("weight")), doc.get("source"))
         return TunedModel(dangerous, checked("cutoff", integer, doc["cutoff"]),
                           checked("threshold", number, doc["threshold"]))
     except (KeyError, TypeError, ValueError, DataError) as exc:

@@ -5,9 +5,11 @@ appear among the first `cutoff` dangerous words, and predict vulnerable when
 that fraction strictly exceeds `threshold`. The strict inequality makes a
 threshold of 1.0 unsatisfiable and anchors ROC curves at (0, 0).
 
-`classify` applies the rule to one name. `count_flagged` applies it to a
-whole corpus at many (cutoff, threshold) pairs at once; tuning, ROC curves
-and corpus evaluation all go through it.
+`classify` applies the rule to one name: a split, one set intersection and
+one integer comparison against the top terms and threshold ratio that the
+model prepares once. `count_flagged` applies it to a whole corpus at many
+(cutoff, threshold) pairs at once; tuning, ROC curves and corpus evaluation
+all go through it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class TunedModel(namedtuple("TunedModel", "dangerous cutoff threshold")):
     def top_terms(self) -> frozenset[str]:
         return frozenset(term for term, _ in self.dangerous.words[: self.cutoff])
 
+    @cached_property
+    def threshold_ratio(self) -> tuple[int, int]:
+        return self.threshold.as_integer_ratio()
+
 
 class Prediction(NamedTuple):
     identifier: str
@@ -71,14 +77,17 @@ class Prediction(NamedTuple):
         return Fraction(len(self.matched_terms), self.term_count or 1)
 
 
+_prediction = tuple.__new__  # Prediction(...) without NamedTuple.__new__'s Python frame
+
+
 def classify(identifier: str, model: TunedModel) -> Prediction:
     """Label one identifier. Zero split terms means percentage 0 and benign."""
     terms = frozenset(split(identifier))
     matched = terms & model.top_terms
-    threshold = model.threshold
+    p, q = model.threshold_ratio
     # |matched| / |terms| > p / q, cross-multiplied; false when terms is empty.
-    vulnerable = len(matched) * threshold.denominator > threshold.numerator * len(terms)
-    return Prediction(identifier, VULNERABLE if vulnerable else BENIGN, matched, len(terms))
+    label = VULNERABLE if len(matched) * q > p * len(terms) else BENIGN
+    return _prediction(Prediction, (identifier, label, matched, len(terms)))
 
 
 def count_flagged(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
@@ -158,7 +159,7 @@ def search_weights(
     tuned: dict[tuple[str, ...], list[GridCell] | None] = {}  # ranked terms -> cells
     for weight in grid.weights:
         dangerous = rank(score_frequency(train, weight, policy), policy)
-        key = tuple(term for term, _ in dangerous.words)
+        key = tuple(map(itemgetter(0), dangerous.words))
         if key in tuned:
             if trace is not None:
                 trace.append((weight, tuned[key]))

@@ -565,6 +565,8 @@ BAD_INPUTS = {
     # Model-file and spec values of the wrong type, once cast to the right one.
     **{f"model-{name}": ["predict", "--model", f"model_{name}.json", "--names", "v.txt"]
        for name in BAD_MODEL_FIELDS},
+    # The rank-1 word listed again at the end; predict and roc would rank it differently.
+    "model-repeated-term": ["predict", "--model", "model_repeated_term.json", "--names", "v.txt"],
     **{f"spec-{name}": ["synth", "--spec", f"spec_{name}.json", "--out", "s"]
        for name in BAD_SPEC_FIELDS},
 }
@@ -618,6 +620,8 @@ def test_bad_input_is_a_data_error_without_traceback(tmp_path, corpus_files, arg
     (tmp_path / "long_int.json").write_text('{"seed": ' + "1" * 5000 + "}")
     for name, field in BAD_MODEL_FIELDS.items():
         (tmp_path / f"model_{name}.json").write_text(json.dumps(dict(model, **field)))
+    (tmp_path / "model_repeated_term.json").write_text(
+        json.dumps(dict(model, dangerous=model["dangerous"] + model["dangerous"][:1])))
     for name, field in BAD_SPEC_FIELDS.items():
         (tmp_path / f"spec_{name}.json").write_text(json.dumps(dict(SYNTH_SPEC, **field)))
     proc = subprocess.run([sys.executable, "-m", "favd.cli", *argv], cwd=tmp_path, env=_ENV,

@@ -59,6 +59,18 @@ def test_document_carries_provenance(tmp_path, separable_corpus):
     assert doc["train_f2"] == float(result.train_f2)
 
 
+def test_repeated_term_rejected(tmp_path, separable_corpus):
+    """A term listed twice would rank twice; predict and roc would read different ranks."""
+    result = _trained(separable_corpus)
+    doc = model_document(result.model, result.train_f2)
+    first = doc["dangerous"][0]["term"]
+    doc["dangerous"].append({"term": first, "score": 0})
+    path = tmp_path / "model.json"
+    save_model(doc, path)
+    with pytest.raises(DataError, match=f"term '{first}' is listed twice"):
+        load_model(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(DataError):
         load_model(tmp_path / "absent.json")

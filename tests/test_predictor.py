@@ -219,24 +219,25 @@ def test_classify_matches_the_fraction_rule(name, cutoff, threshold):
 
 
 def test_predict_rows_format_the_exact_percentage(tmp_path):
-    """Each CSV row shows float(percentage) to six places, as the rule gives it."""
+    """Each CSV row shows float(percentage) to six places, as the Fraction rule gives it."""
     names = ["_", "a", "read_net_file", "readNetFilePoll", "x86_a_b_c_d_e_f", "ⅰ_données",
-             "Buf_read_net_x86_a_poll_file", "net2"] + [f"read_{'n' * i}_a" for i in range(9)]
+             "Buf_read_net_x86_a_poll_file", "net2", "readNetFile2", "X86buf", "write_log",
+             ] + [f"read_{'n' * i}_a" for i in range(9)]
     names_path = tmp_path / "names.txt"
     names_path.write_text("\n".join(names) + "\n", encoding="utf-8")
     for threshold in (Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(1)):
         model_path = tmp_path / "model.json"
         save_model(model_document(_model(RULE_WORDS, 5, threshold), Fraction(0)), model_path)
-        model = load_model(model_path)
+        saved = load_model(model_path).threshold  # 1/3 is saved as the nearest float
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model_path), "--names", str(names_path),
                      "--out", str(out)]) == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
-        preds = [classify(name, model) for name in names]
-        assert rows == [
-            f"{p.identifier},{p.label},{float(p.percentage):.6f},{';'.join(sorted(p.matched_terms))}"
-            for p in preds
-        ]
+        expected = []
+        for name in names:
+            label, percentage, matched = _textbook(name, RULE_WORDS[:5], saved)
+            expected.append(f"{name},{label},{float(percentage):.6f},{';'.join(sorted(matched))}")
+        assert rows == expected
 
 
 # Batch paths (count_flagged, classify_corpus, roc, find_best) against a loop

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, assume, settings, strategies as st
 
@@ -138,3 +140,13 @@ unicode_identifier = st.text(
 @example("ⅰaⅨb²c٣ǅd")
 def test_split_matches_the_character_by_character_reference(ident):
     assert split(ident) == reference_split(ident)
+
+
+def test_split_matches_the_reference_on_every_short_string():
+    """Every string of up to five characters over lowercase, uppercase, digit,
+    underscore, non-ASCII lower and upper, and a symbol: each transition
+    between the lowercase path, the ASCII pattern and the per-character loop."""
+    for length in range(1, 6):
+        for chars in itertools.product("aB1_é$É", repeat=length):
+            ident = "".join(chars)
+            assert split(ident) == reference_split(ident), ident
