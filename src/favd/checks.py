@@ -1,11 +1,13 @@
 """Value checks for the CLI's options, model files and synth specs.
 
-Each returns the value used or raises a one-line DataError.
+Each returns the value used or raises a one-line DataError. The option
+checks at the end are the ones `cli.OPTIONS` names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import DataError
 from .rational import exact_fraction
@@ -70,3 +72,52 @@ def number(value, text: bool = False) -> int | Fraction:
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise DataError(f"must be a finite number, got {value!r}")
+
+
+# Option checks. Each takes the raw value, a flag's string or a config file's
+# JSON value (None when a config file gives null), and returns the value used.
+
+def path(value) -> str | None:
+    return None if value is None else string(value)
+
+
+def paths(value) -> list[str] | None:
+    return None if value is None else list_of(string)(value)
+
+
+flag_integer = partial(integer, text=True)
+flag_count = partial(count, text=True)
+
+
+def beta(value) -> int | Fraction:
+    exact = number(value, text=True)
+    if exact <= 0:
+        raise DataError(f"must be positive, got {value!r}")
+    return exact
+
+
+def threshold_step(value) -> str:
+    """A step in (0, 1], kept as written: reports record it that way."""
+    if not 0 < number(value, text=True) <= 1:
+        raise DataError(f"must lie in (0, 1], got {value!r}")
+    return str(value)
+
+
+def policy(value):
+    from .ranking import MinScorePolicy
+    return MinScorePolicy.parse(value)
+
+
+def weights(value) -> tuple:
+    from .ranking import Weight, default_weight_grid
+    if value is None:
+        return default_weight_grid()
+    parsed = tuple(Weight.parse(part) for part in string(value).split(",") if part.strip())
+    if not parsed or len(set(parsed)) < len(parsed):
+        raise DataError(f"must name at least one PLUS-MINUS pair, none twice, got {value!r}")
+    return parsed
+
+
+def weight(value):
+    from .ranking import Weight
+    return Weight.parse(value) if value is not None and string(value) else None

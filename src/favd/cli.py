@@ -6,60 +6,32 @@ either way; a bad value exits 2.
 All reports embed the tool version, the effective configuration, and SHA-256
 digests of the inputs; given identical inputs and flags the written files are
 byte-identical across runs.
+
+Each command imports the favd modules it runs, and no other: `harvest` loads
+only `errors` and `harvest`, `split` only `errors` and `splitter`, and
+`predict` neither `corpus`, `tuner` nor `metrics`. `predict` splits each
+name and hands to `predictor.classify` only the names that hold a deployed
+word; a name that holds none is benign at 0 by the rule.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections.abc import Callable
-from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import __version__
-from .checks import checked, count, integer, list_of, number, string
-from .corpus import (
-    LabeledCorpus,
-    clean,
-    load_csv,
-    load_lists,
-    make_kfold,
-    make_leave_one_out,
-    read_lines,
-)
-from .errors import DataError, InfeasibleError, csv_rows, reading, write_csv
-from .metrics import (
-    DEFAULT_THRESHOLD_STEP,
-    all_vulnerable_f2,
-    f_beta,
-    precision,
-    recall,
-    random_baseline_f2,
-    roc,
-    threshold_values,
-)
-from .model_io import load_json_object, load_model, model_document, save_model
-from .predictor import classify, classify_corpus
-from .ranking import (
-    MinScorePolicy,
-    TermScoreTable,
-    Weight,
-    default_weight_grid,
-    load_external_scores,
-    rank,
-    score_frequency,
-    write_word_list_csv,
-)
-from .rational import format_rate
-from .splitter import split
-from .tuner import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, SearchGrid, find_best, search_weights
-# favd.harvest, favd.synth and hashlib are imported by the commands that use
-# them, so that the other commands start without loading them.
+from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP, __version__
+from .errors import DataError, InfeasibleError, csv_rows, read_lines, reading, write_csv
+# Every other favd module, and hashlib, json and fractions, is imported by the
+# commands that use it, so that each command loads only what it runs.
+
+if TYPE_CHECKING:
+    from .corpus import LabeledCorpus
+    from .ranking import TermScoreTable
+    from .tuner import SearchGrid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,50 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Option checks. Each takes the raw value, a flag's string or a config file's
-# JSON value (None when a config file gives null), and returns the value used.
-
-def _optional(check):
-    """`check` for a value that may be absent (None), as a path may."""
-    return lambda value: None if value is None else check(value)
-
-
-_path = _optional(string)
-_integer = partial(integer, text=True)
-_count = partial(count, text=True)
-
-
-def _beta(value) -> Fraction:
-    beta = number(value, text=True)
-    if beta <= 0:
-        raise DataError(f"must be positive, got {value!r}")
-    return beta
-
-
-def _threshold_step(value) -> str:
-    """A step in (0, 1], kept as written: reports record it that way."""
-    if not 0 < number(value, text=True) <= 1:
-        raise DataError(f"must lie in (0, 1], got {value!r}")
-    return str(value)
-
-
-def _weights(value) -> tuple[Weight, ...]:
-    if value is None:
-        return default_weight_grid()
-    weights = tuple(Weight.parse(part) for part in string(value).split(",") if part.strip())
-    if not weights or len(set(weights)) < len(weights):
-        raise DataError(f"must name at least one PLUS-MINUS pair, none twice, got {value!r}")
-    return weights
-
-
-def _weight(value) -> Weight | None:
-    return Weight.parse(value) if value is not None and string(value) else None
-
-
 class Option(NamedTuple):
-    """A key that both a flag (`--cutoff-step` for cutoff_step) and a config file set."""
+    """A key that both a flag (`--cutoff-step` for cutoff_step) and a config file set.
 
-    check: Callable
+    `check` names the function of `favd.checks` that checks the value.
+    """
+
+    check: str
     default: object
     help: str
     nargs: str | None = None
@@ -121,32 +56,37 @@ class Option(NamedTuple):
 
 
 OPTIONS = {
-    "vuln": Option(_path, None, "vulnerable name list (one per line)"),
-    "benign": Option(_path, None, "benign name list (one per line)"),
-    "csv": Option(_path, None, "name,label CSV instead of two list files"),
-    "policy": Option(MinScorePolicy.parse, "zero", "min-score policy: none|zero|NUMBER"),
-    "weights": Option(_weights, None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
-    "cutoff_step": Option(_count, DEFAULT_CUTOFF_STEP, "cutoff grid step"),
-    "threshold_step": Option(_threshold_step, DEFAULT_THRESHOLD_STEP, "threshold grid step"),
-    "beta": Option(_beta, DEFAULT_BETA, "F-beta objective for tuning"),
-    "scores": Option(_path, None, "external term,score CSV; replaces frequency scoring"),
-    "kfold": Option(_integer, 5, "number of stratified folds"),
-    "seed": Option(_integer, 0, "shuffle seed"),
-    "loo": Option(_optional(list_of(string)), None,
+    "vuln": Option("path", None, "vulnerable name list (one per line)"),
+    "benign": Option("path", None, "benign name list (one per line)"),
+    "csv": Option("path", None, "name,label CSV instead of two list files"),
+    "policy": Option("policy", "zero", "min-score policy: none|zero|NUMBER"),
+    "weights": Option("weights", None, "comma list of PLUS-MINUS pairs (default: 38-weight grid)"),
+    "cutoff_step": Option("flag_count", DEFAULT_CUTOFF_STEP, "cutoff grid step"),
+    "threshold_step": Option("threshold_step", DEFAULT_THRESHOLD_STEP, "threshold grid step"),
+    "beta": Option("beta", DEFAULT_BETA, "F-beta objective for tuning"),
+    "scores": Option("path", None, "external term,score CSV; replaces frequency scoring"),
+    "kfold": Option("flag_integer", 5, "number of stratified folds"),
+    "seed": Option("flag_integer", 0, "shuffle seed"),
+    "loo": Option("paths", None,
                   "leave-one-out over project dirs holding vulnerable.txt/benign.txt",
                   nargs="+", metavar="DIR"),
-    "weight": Option(_weight, None, "PLUS-MINUS pair to rank the corpus itself"),
+    "weight": Option("weight", None, "PLUS-MINUS pair to rank the corpus itself"),
 }
 CORPUS_KEYS = ("vuln", "benign", "csv")
 GRID_KEYS = ("policy", "cutoff_step", "threshold_step")
 TUNING_KEYS = CORPUS_KEYS + GRID_KEYS + ("weights", "beta", "scores")
 
 
-def _options(args, config: dict) -> dict:
+def _options(args) -> dict:
     """Each of the command's options: the flag, else the config value, else the default, checked.
 
     A config key that no command reads is an error; one that another reads is ignored.
     """
+    if not args.keys:
+        return {}
+    from . import checks
+    from .model_io import load_json_object
+    config = load_json_object(args.config, "config file") if args.config else {}
     unknown = sorted(config.keys() - OPTIONS.keys())
     if unknown:
         raise DataError(f"config file {args.config} sets unknown key(s) "
@@ -156,29 +96,38 @@ def _options(args, config: dict) -> dict:
         value = getattr(args, key)
         if value is None:
             value = config.get(key, OPTIONS[key].default)
-        values[key] = checked(key, OPTIONS[key].check, value)
+        values[key] = checks.checked(key, getattr(checks, OPTIONS[key].check), value)
     return values
 
 
-def _digest(path) -> dict:
+def _digests(paths: dict) -> dict:
+    """Each input file's path and SHA-256 digest, by key."""
     import hashlib
-    with reading(path, "input file") as fh:  # the bytes on disk, a byte-order mark included
-        return {"path": str(path), "sha256": hashlib.sha256(fh.buffer.read()).hexdigest()}
+    digests = {}
+    for key, path in paths.items():
+        with reading(path, "input file") as fh:  # the bytes on disk, a byte-order mark included
+            digests[key] = {"path": str(path),
+                            "sha256": hashlib.sha256(fh.buffer.read()).hexdigest()}
+    return digests
 
 
 def _cleaned(names: tuple[list[str], list[str]], **paths) -> tuple[LabeledCorpus, dict]:
-    """The cleaned corpus of the names read from `paths`, and those files' digests."""
+    """The cleaned corpus of the names read from `paths`, and `paths`."""
+    from .checks import checked
+    from .corpus import clean
     corpus = checked(" and ".join(map(str, paths.values())), lambda lists: clean(*lists), names)
-    return corpus, {key: _digest(path) for key, path in paths.items()}
+    return corpus, paths
 
 
 def _load_pair(vuln, benign) -> tuple[LabeledCorpus, dict]:
-    """Load and clean two list files; also return their input digests."""
+    """Load and clean two list files; also return their paths by key."""
+    from .corpus import load_lists
     return _cleaned(load_lists(vuln, benign), vulnerable=vuln, benign=benign)
 
 
 def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
-    """Load and clean the corpus named by csv or vuln/benign."""
+    """Load and clean the corpus named by csv or vuln/benign; also return its paths by key."""
+    from .corpus import load_csv
     if opts["csv"]:
         return _cleaned(load_csv(opts["csv"]), csv=opts["csv"])
     if opts["vuln"] and opts["benign"]:
@@ -188,10 +137,13 @@ def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
 
 def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict, dict]:
     """train's and eval's grid and external score table, and the config and inputs they record."""
+    from .metrics import threshold_values
+    from .ranking import load_external_scores
+    from .tuner import SearchGrid
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]),
                       opts["weights"])
     external_table = load_external_scores(opts["scores"]) if opts["scores"] else None
-    inputs = {"scores": _digest(opts["scores"])} if opts["scores"] else {}
+    inputs = _digests({"scores": opts["scores"]}) if opts["scores"] else {}
     config = {
         "policy": opts["policy"].tag(),
         "weights": [w.tag() for w in grid.weights],
@@ -222,12 +174,15 @@ def _trace_rows(trace):
 
 def _tune(train, external_table, policy, grid, beta, trace: list | None = None):
     """One search over an external table's ranking, else the weight sweep."""
+    from .ranking import rank
+    from .tuner import find_best, search_weights
     if external_table is None:
         return search_weights(train, policy, grid, beta=beta, trace=trace)
     return find_best(rank(external_table, policy), train, grid, beta=beta, trace=trace)
 
 
 def cmd_split(args, opts) -> int:
+    from .splitter import split
     if not args.name:
         raise DataError("identifier must be non-empty")
     for term in split(args.name):
@@ -236,7 +191,11 @@ def cmd_split(args, opts) -> int:
 
 
 def cmd_train(args, opts) -> int:
-    corpus, digests = _corpus_inputs(opts)
+    from .model_io import model_document, save_model
+    from .ranking import write_word_list_csv
+    from .rational import format_rate
+    corpus, paths = _corpus_inputs(opts)
+    digests = _digests(paths)
     grid, external_table, config, inputs = _search(opts)
     trace: list | None = [] if args.trace else None
     result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], trace)
@@ -261,6 +220,11 @@ def cmd_train(args, opts) -> int:
 
 
 def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
+    from fractions import Fraction
+
+    from .metrics import all_vulnerable_f2, f_beta, precision, random_baseline_f2, recall
+    from .predictor import classify_corpus
+    from .rational import format_rate
     train, test = fold
     result = _tune(train, external_table, policy, grid, beta)
     model = result.model
@@ -306,6 +270,9 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
 
 
 def cmd_eval(args, opts) -> int:
+    from .corpus import make_kfold, make_leave_one_out
+    from .model_io import save_model
+    from .rational import format_rate
     grid, external_table, config, inputs = _search(opts)
     if opts["loo"]:
         # Each directory's name is its fold id and its key in the digests.
@@ -317,10 +284,11 @@ def cmd_eval(args, opts) -> int:
                             f"'scores' under --scores, got {fold_ids}")
         corpora, pairs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
         plan = make_leave_one_out(corpora)
-        digests = dict(zip(fold_ids, pairs))
+        digests = dict(zip(fold_ids, map(_digests, pairs)))
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
-        corpus, digests = _corpus_inputs(opts)
+        corpus, paths = _corpus_inputs(opts)
+        digests = _digests(paths)
         k, seed = opts["kfold"], opts["seed"]
         plan = make_kfold(corpus, k, seed)
         protocol = {"kind": "kfold", "k": k, "seed": seed}
@@ -378,21 +346,35 @@ def _read_names(path: Path) -> list[str]:
 
 
 def cmd_predict(args, opts) -> int:
+    from .model_io import load_model
+    from .predictor import BENIGN, classify
+    from .splitter import split
     model = load_model(args.model)
     names = _read_names(Path(args.names))
-    # Int true division rounds correctly, so k / t equals float(percentage).
-    # With no matched term the label is always benign and the row is constant.
-    rows = (
-        [name, label, f"{len(matched) / terms:.6f}", ";".join(sorted(matched))] if matched
-        else [name, label, "0.000000", ""]
-        for name, label, matched, terms in map(classify, names, repeat(model))
-    )
-    write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows)
+
+    def rows():
+        # A name none of whose terms is deployed matches nothing, so the rule
+        # makes it benign at 0; only the others go through classify.
+        unmatched = map(model.top_terms.isdisjoint, map(split, names))
+        for name, nothing_deployed in zip(names, unmatched):
+            if nothing_deployed:
+                yield [name, BENIGN, "0.000000", ""]
+            else:
+                _, label, matched, terms = classify(name, model)
+                # Int true division rounds correctly, so k / t equals float(percentage).
+                yield [name, label, f"{len(matched) / terms:.6f}", ";".join(sorted(matched))]
+
+    write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows())
     return 0
 
 
 def cmd_roc(args, opts) -> int:
-    corpus, _digests = _corpus_inputs(opts)
+    from .checks import checked, flag_count
+    from .metrics import roc, threshold_values
+    from .model_io import load_model
+    from .ranking import rank, score_frequency
+    from .tuner import SearchGrid
+    corpus, _ = _corpus_inputs(opts)  # roc reports no inputs, so no digests
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]))
     if args.model:
         dangerous = load_model(args.model).dangerous
@@ -403,7 +385,7 @@ def cmd_roc(args, opts) -> int:
     if len(dangerous) == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs is not None:
-        cutoffs = [checked("cutoffs", _count, c) for c in args.cutoffs.split(",") if c.strip()]
+        cutoffs = [checked("cutoffs", flag_count, c) for c in args.cutoffs.split(",") if c.strip()]
         if not cutoffs or len(set(cutoffs)) < len(cutoffs) or max(cutoffs) > len(dangerous):
             raise DataError(f"cutoffs: must name distinct cutoffs of at most {len(dangerous)}, "
                             f"the dangerous list's length, got {args.cutoffs!r}")
@@ -422,13 +404,21 @@ def cmd_roc(args, opts) -> int:
 
 
 def cmd_baseline(args, opts) -> int:
+    import json
+    from fractions import Fraction
+
+    from .checks import checked, flag_integer
+    from .metrics import all_vulnerable_f2, random_baseline_f2
+    from .model_io import save_model
+    from .rational import format_rate
     if args.counts:
-        v, b = (checked("counts", _integer, c) for c in args.counts)
+        v, b = (checked("counts", flag_integer, c) for c in args.counts)
         if v < 0 or b < 0 or v + b == 0:
             raise DataError("counts must be non-negative and not both zero")
         inputs = {}
     else:
-        corpus, inputs = _corpus_inputs(opts)
+        corpus, paths = _corpus_inputs(opts)
+        inputs = _digests(paths)
         v, b = len(corpus.vulnerable), len(corpus.benign)
     fraction = Fraction(v, v + b)
     report = {
@@ -452,12 +442,12 @@ def cmd_harvest(args, opts) -> int:
     names, warnings = harvest([Path(p) for p in args.paths])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    write_csv(args.out, ["name", "file", "line"],
-              ([item.name, item.file, item.line] for item in names))
+    write_csv(args.out, ["name", "file", "line"], names)  # each is a (name, file, line) tuple
     return 0
 
 
 def cmd_synth(args, opts) -> int:
+    from .model_io import load_json_object, save_model
     from .synth import generate, spec_from_dict, write_corpus
     spec = spec_from_dict(load_json_object(args.spec, "spec file"))
     corpus, planted = generate(spec)
@@ -545,8 +535,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        config = load_json_object(args.config, "config file") if args.keys and args.config else {}
-        code = args.func(args, _options(args, config))
+        code = args.func(args, _options(args))
         if sys.stdout is not None:  # None when favd starts with stdout closed
             sys.stdout.flush()
         return code

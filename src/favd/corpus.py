@@ -20,7 +20,7 @@ from operator import add, sub
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError, InfeasibleError, csv_rows, reading
+from .errors import DataError, InfeasibleError, csv_rows, read_lines
 from .splitter import split
 
 
@@ -106,13 +106,6 @@ class FoldPlan(NamedTuple):
     """Ordered (train, test) pairs, each built when iterated; `folds` is read once."""
 
     folds: Iterator[tuple[LabeledCorpus, LabeledCorpus]]
-
-
-def read_lines(path: Path) -> list[str]:
-    """A list file's names, one per line in file order, less trailing whitespace and blank lines."""
-    with reading(path, "input file") as fh:
-        lines = fh.read().splitlines()
-    return [line for line in map(str.rstrip, lines) if line]
 
 
 def load_lists(vulnerable_path: str | Path, benign_path: str | Path) -> tuple[list[str], list[str]]:

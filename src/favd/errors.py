@@ -1,10 +1,11 @@
-"""The package's two exceptions, the two file guards, and CSV.
+"""The package's two exceptions, the two file guards, list files and CSV.
 
 The CLI maps these onto exit codes: DataError -> 2, InfeasibleError -> 3.
 Every file favd reads is opened by `reading`, and every file it writes by
 `writing`, so these two alone decide the text format. Each turns the ways a
 file can fail into one DataError whose one-line message names the path.
-`csv_rows` and `write_csv` are the one CSV reader and writer.
+`read_lines` is the one list-file reader, and `csv_rows` and `write_csv`
+are the one CSV reader and writer.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ def writing(path):
             yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def read_lines(path) -> list[str]:
+    """A list file's names, one per line in file order, less trailing whitespace and blank lines."""
+    with reading(path, "input file") as fh:
+        lines = fh.read().splitlines()
+    return [line for line in map(str.rstrip, lines) if line]
 
 
 def csv_rows(path, what: str, key: str = "name"):

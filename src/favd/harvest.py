@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import string
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -121,5 +122,5 @@ def harvest(paths: list[str | Path]) -> tuple[list[HarvestedName], list[str]]:
             warnings.append(f"skipped {path}: {exc}")
             continue
         names.extend(harvest_text(text, str(path)))
-    names.sort(key=lambda h: (h.file, h.line, h.name))
+    names.sort(key=itemgetter(1, 2, 0))  # file, line, name
     return names, warnings

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import LabeledCorpus
+from . import DEFAULT_THRESHOLD_STEP
 from .errors import DataError
 from .predictor import ConfusionCounts, count_flagged
-from .ranking import DangerousWordList
 from .rational import exact_fraction
 
+if TYPE_CHECKING:
+    from .corpus import LabeledCorpus
+    from .ranking import DangerousWordList
 
-# The default threshold grid step, as text: reports record a step as written.
-DEFAULT_THRESHOLD_STEP = "0.05"
+
 # A step of 1e-5 gives 100,001 thresholds; a finer step makes a grid too large to search.
 MAX_THRESHOLDS = 100_001
 

@@ -2,6 +2,9 @@
 
 The JSON document keeps the full dangerous-word list, so a model file is its
 own explanation: the ranked words are the reason behind every prediction.
+The threshold and the policy bound are exact: each is written as a JSON
+number when that float reads back as the same Fraction, else as the text
+"p/q" (a threshold of 2/3, say), which loading reads back exactly.
 """
 
 from __future__ import annotations
@@ -15,14 +18,26 @@ from .checks import checked, count, integer, number, string
 from .errors import DataError, reading, writing
 from .predictor import TunedModel
 from .ranking import DangerousWordList, MinScorePolicy, Weight, score_out
+from .rational import exact_fraction
 
 SCHEMA_VERSION = 1
+
+
+def _rate_out(value: int | Fraction) -> float | str:
+    """The float of `value` when it reads back equal, else its "p/q" text."""
+    as_float = float(value)
+    return as_float if exact_fraction(as_float) == value else str(value)
+
+
+def _rate_in(value) -> int | Fraction:
+    """A JSON number, as `number` reads it, or the "p/q" text `_rate_out` writes."""
+    return number(value, text=isinstance(value, str) and "/" in value)
 
 
 def _policy_out(policy: MinScorePolicy) -> dict:
     if policy.threshold is None:
         return {"kind": "all"}
-    return {"kind": "at_least", "threshold": float(policy.threshold)}
+    return {"kind": "at_least", "threshold": _rate_out(policy.threshold)}
 
 
 def _policy_in(doc) -> MinScorePolicy:
@@ -32,7 +47,7 @@ def _policy_in(doc) -> MinScorePolicy:
     if kind == "all":
         return MinScorePolicy.all_terms()
     if kind == "at_least":
-        return MinScorePolicy.at_least(checked("policy threshold", number, doc["threshold"]))
+        return MinScorePolicy.at_least(checked("policy threshold", _rate_in, doc["threshold"]))
     raise DataError(f"unknown policy kind {kind!r}")
 
 
@@ -58,7 +73,7 @@ def model_document(
         "weight": {"plus": weight.plus, "minus": weight.minus} if weight else None,
         "source": dangerous.source,
         "cutoff": model.cutoff,
-        "threshold": float(model.threshold),
+        "threshold": _rate_out(model.threshold),
         "dangerous": [{"term": t, "score": score_out(s)} for t, s in dangerous.words],
         "train_f2": float(train_f2),
         "warnings": warnings or [],
@@ -101,6 +116,6 @@ def load_model(path: str | Path) -> TunedModel:
         dangerous = DangerousWordList(tuple(words.items()), _policy_in(doc["policy"]),
                                       _weight_in(doc.get("weight")), doc.get("source"))
         return TunedModel(dangerous, checked("cutoff", integer, doc["cutoff"]),
-                          checked("threshold", number, doc["threshold"]))
+                          checked("threshold", _rate_in, doc["threshold"]))
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

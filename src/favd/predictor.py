@@ -21,11 +21,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import LabeledCorpus
 from .ranking import DangerousWordList, Weight
 from .splitter import split
+
+if TYPE_CHECKING:
+    from .corpus import LabeledCorpus
 
 VULNERABLE = "vulnerable"
 BENIGN = "benign"

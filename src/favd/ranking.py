@@ -20,12 +20,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .checks import number, string
-from .corpus import LabeledCorpus
 from .errors import DataError, csv_rows, write_csv
 from .rational import exact_fraction, parse_fraction
+
+if TYPE_CHECKING:
+    from .corpus import LabeledCorpus
 
 Score = int | Fraction
 

@@ -28,14 +28,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP
 from .corpus import LabeledCorpus
-from .metrics import (
-    DEFAULT_THRESHOLD_STEP,
-    beta_squared,
-    f_beta,
-    f_beta_terms,
-    threshold_values,
-)
+from .metrics import beta_squared, f_beta, f_beta_terms, threshold_values
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
@@ -45,9 +40,6 @@ from .ranking import (
     rank,
     score_frequency,
 )
-
-DEFAULT_BETA = 2
-DEFAULT_CUTOFF_STEP = 100
 
 
 class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):

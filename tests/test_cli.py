@@ -13,10 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from favd.cli import OPTIONS, build_parser, main
-from favd.model_io import load_model, model_document
-from favd.predictor import TunedModel
+from favd.model_io import load_model, model_document, save_model
+from favd.predictor import TunedModel, classify
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
 from favd.synth import MAX_NAMES, MAX_WORDS
+from test_predictor import _textbook
 
 C_SOURCE = """\
 int read_header(char *buf) {
@@ -325,6 +326,63 @@ def test_predict_plain_list_whose_first_name_is_name_stays_a_list(tmp_path, corp
     assert main(["predict", "--model", str(model), "--names", str(names)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert [row.split(",")[0] for row in rows] == ["name", "name", "danger_read"]
+
+
+# predict hands to classify only the names that hold a deployed word; the
+# rows of the others must still be what the rule, written with Fractions,
+# gives (test_predictor._textbook).
+DEPLOYED = ["buf", "read", "Net", "données"]
+
+
+def _deployed(words: list[str], threshold: Fraction) -> TunedModel:
+    dangerous = DangerousWordList(words=tuple((w, len(words) - i) for i, w in enumerate(words)),
+                                  policy=MinScorePolicy.all_terms(), weight=Weight(1, 1))
+    return TunedModel(dangerous, len(words), threshold)
+
+
+def _predict(root: Path, names: list[str], model: TunedModel) -> list[str]:
+    save_model(model_document(model, Fraction(0)), root / "model.json")
+    (root / "names.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    assert main(["predict", "--model", str(root / "model.json"), "--names",
+                 str(root / "names.txt"), "--out", str(root / "pred.csv")]) == 0
+    return (root / "pred.csv").read_text(encoding="utf-8").splitlines()[1:]
+
+
+@pytest.mark.parametrize("threshold", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+def test_predict_rows_follow_the_rule_with_and_without_a_deployed_word(tmp_path, threshold):
+    names = [
+        "write_log",  # no deployed word
+        "___",  # no terms at all
+        "buffer_x",  # holds "buf" as a substring, not as a term
+        "buf_buf",  # one deployed term, twice
+        "données_ⅰ",  # non-ASCII, deployed
+        "élan_ǅx",  # non-ASCII, not deployed
+        "readNet_x",
+        "read_buf",
+    ]
+    expected = []
+    for name in names:
+        label, percentage, matched = _textbook(name, DEPLOYED, threshold)
+        expected.append(f"{name},{label},{float(percentage):.6f},{';'.join(sorted(matched))}")
+    assert _predict(tmp_path, names, _deployed(DEPLOYED, threshold)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(st.text(alphabet="aBcDe1_2é$ÉⅰǅX9zZ", min_size=1, max_size=10),
+                      min_size=1, max_size=20),
+       words=st.lists(st.sampled_from(["a", "B", "c", "De", "1", "é", "ⅰ", "zZ", "X9"]),
+                      min_size=1, max_size=5, unique=True),
+       threshold=st.builds(Fraction, st.integers(0, 6), st.just(6)))
+def test_predict_rows_match_classify_name_by_name(names, words, threshold):
+    model = _deployed(words, threshold)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = _predict(Path(tmp), names, model)
+    expected = []
+    for name in names:
+        p = classify(name, model)
+        expected.append(f"{name},{p.label},{float(p.percentage):.6f},"
+                        f"{';'.join(sorted(p.matched_terms))}")
+    assert rows == expected
 
 
 def test_train_starved_vocabulary_persists_model_with_warning(tmp_path, capsys):
@@ -716,22 +774,32 @@ def test_every_subcommand_runs_with_numpy_blocked(tmp_path, every_command):
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, every_command):
     """Start-up cost: each command, in a fresh interpreter, loads no module it does not use."""
-    script = (
-        "import json, sys\n"
-        "from favd.cli import main\n"
-        "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+    run = "from favd.cli import main\nassert main(json.loads(sys.argv[1])) == 0\n"
+
+    def modules_after(code: str, *args: str) -> set[str]:
+        script = f"import json, sys\n{code}print(json.dumps(sorted(sys.modules)))\n"
+        proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=_ENV,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (args, proc.stderr)
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    interpreter = modules_after("")  # loaded before favd is, by site for one
     for name, argv in every_command.items():
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=tmp_path,
-                              env=_ENV, capture_output=True, text=True)
-        assert proc.returncode == 0, (name, proc.stderr)
-        modules = set(json.loads(proc.stdout.splitlines()[-1]))
+        modules = modules_after(run, json.dumps(argv))
+        loaded = modules - interpreter  # what favd itself loads
+        favd = {module for module in modules if module.startswith("favd.")}
         assert "dataclasses" not in modules, name
         assert ("favd.harvest" in modules) == (name == "harvest"), name
         assert ("favd.synth" in modules) == (name == "synth"), name
-        if name in ("split", "predict", "harvest"):
+        if name in ("split", "predict", "harvest", "roc"):
             assert "hashlib" not in modules, name
+        if name == "split":
+            assert favd == {"favd.cli", "favd.errors", "favd.splitter"}
+        if name == "harvest":
+            assert favd == {"favd.cli", "favd.errors", "favd.harvest"}
+        if name == "predict":
+            assert not favd & {"favd.corpus", "favd.tuner", "favd.metrics"}
+            assert "random" not in loaded, name
 
 
 # Fuzz of the same contract: a malformed model file, a malformed name file or

@@ -64,7 +64,7 @@ PINNED = {
     "out/grid_zero.json": "c1ba14eb5d4ef8361adb5c71286ca8aac78f7d6ff6f2ed3ffb8eb289da7e2617",
     "out/grid_none_trace.csv": "82dd2ca89f99a68195157360edba9f6a532db57fb4178dac37ebe0c2eec235a8",
     "out/grid_none.json": "56700cccc55b372daca9df6cd2f7df9de4bf855fbc063a0252fae2d1d7121a54",
-    "out/external.json": "dca21842ba1d4402ac459175f9f273238aeab928c21b63c746b16d72b72240a8",
+    "out/external.json": "5b61f736bf8567b756a750788647e5775d2070dff1912770670102b46c4532cb",
     "out/external_trace.csv": "7dabe200a4ed507875eacc8c401cac9f701d028a325aecce3f0a11817d003d36",
     "out/external_words.csv": "bdeba04ac2f5547763384efcae56096c38a05edd003607ef1a2316d802c618ac",
     "ev_external/eval_report.json": "ca7041148d1feb804c579a80fa856c7bcd169b97aa1298a89200cd0fb8c13229",

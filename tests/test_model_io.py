@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from favd import DEFAULT_THRESHOLD_STEP
+from favd.corpus import clean
 from favd.errors import DataError
+from favd.metrics import threshold_values
 from favd.model_io import load_model, model_document, save_model
+from favd.predictor import TunedModel, classify
 from favd.ranking import MinScorePolicy, Weight, load_external_scores, rank, score_frequency
 from favd.tuner import SearchGrid, find_best
 
@@ -32,6 +36,42 @@ def test_threshold_roundtrips_as_exact_decimal(tmp_path, separable_corpus):
     loaded = load_model(path)
     assert isinstance(loaded.threshold, Fraction)
     assert loaded.threshold == result.model.threshold
+
+
+@pytest.mark.parametrize("step", ["1/3", "1/7", DEFAULT_THRESHOLD_STEP])
+def test_every_grid_threshold_roundtrips_exactly(tmp_path, separable_corpus, step):
+    """A threshold is saved as its float when that reads back equal, else as "p/q" text."""
+    model = _trained(separable_corpus).model
+    path = tmp_path / "model.json"
+    for threshold in threshold_values(step):
+        doc = model_document(TunedModel(model.dangerous, model.cutoff, threshold), Fraction(1))
+        if 20 % threshold.denominator == 0:  # a multiple of 0.05, which a float holds
+            assert doc["threshold"] == float(threshold)
+        else:
+            assert doc["threshold"] == f"{threshold.numerator}/{threshold.denominator}"
+        save_model(doc, path)
+        assert load_model(path).threshold == threshold
+
+
+def test_saved_model_predicts_as_the_tuned_one(tmp_path):
+    """At threshold 2/3, 2 of 3 matched terms is not above it; the float 0.666... would be."""
+    corpus = clean(["read_a_b", "read_c_d", "read_e_f"], ["draw_x", "draw_y", "log_z", "ui_w"])
+    words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.at_least(0))
+    model = TunedModel(words, len(words), Fraction(2, 3))
+    path = tmp_path / "model.json"
+    save_model(model_document(model, Fraction(1)), path)
+    loaded = load_model(path)
+    assert loaded.threshold == Fraction(2, 3)
+    assert classify("read_a_zz", loaded) == classify("read_a_zz", model)
+    assert classify("read_a_zz", model).label == "benign"
+
+
+def test_policy_bound_roundtrips_exactly(tmp_path, separable_corpus):
+    policy = MinScorePolicy.at_least(Fraction(1, 3))
+    words = rank(score_frequency(separable_corpus, Weight(3, 2), policy), policy)
+    path = tmp_path / "model.json"
+    save_model(model_document(TunedModel(words, 1, Fraction(0)), Fraction(1)), path)
+    assert load_model(path).dangerous.policy == policy
 
 
 def test_external_model_roundtrip(tmp_path, separable_corpus):

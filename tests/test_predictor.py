@@ -228,7 +228,8 @@ def test_predict_rows_format_the_exact_percentage(tmp_path):
     for threshold in (Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(1)):
         model_path = tmp_path / "model.json"
         save_model(model_document(_model(RULE_WORDS, 5, threshold), Fraction(0)), model_path)
-        saved = load_model(model_path).threshold  # 1/3 is saved as the nearest float
+        saved = load_model(model_path).threshold
+        assert saved == threshold  # 2/7 and 1/3 are saved as fraction text
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model_path), "--names", str(names_path),
                      "--out", str(out)]) == 0
