@@ -200,7 +200,7 @@ def cmd_train(args, opts) -> int:
     trace: list | None = [] if args.trace else None
     result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], trace)
     warnings = []
-    if len(result.model.dangerous) == 0:
+    if len(result.model.dangerous.words) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
     doc = model_document(result.model, result.train_f2, inputs=digests | inputs, config=config,
                          warnings=warnings)
@@ -214,7 +214,7 @@ def cmd_train(args, opts) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"model written to {out} (train F2 {format_rate(result.train_f2)}, "
-          f"{len(result.model.dangerous)} dangerous words, cutoff {result.model.cutoff}, "
+          f"{len(result.model.dangerous.words)} dangerous words, cutoff {result.model.cutoff}, "
           f"threshold {float(result.model.threshold)})")
     return 0
 
@@ -240,16 +240,17 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
         "random_f2": random_baseline_f2(Fraction(v, v + b)),
     }
     rate = {key: format_rate(value) for key, value in exact.items()}
+    weight = model.dangerous.weight.tag() if model.dangerous.weight else None
     row = {
         "fold": fold_id,
         "train": {"vulnerable": len(train.vulnerable), "benign": len(train.benign)},
         "test": {"vulnerable": v, "benign": b},
         "model": {
-            "weight": model.dangerous.weight.tag() if model.dangerous.weight else None,
+            "weight": weight,
             "source": model.dangerous.source,
             "cutoff": model.cutoff,
             "threshold": float(model.threshold),
-            "dangerous_count": len(model.dangerous),
+            "dangerous_count": len(model.dangerous.words),
             "train_f2": format_rate(result.train_f2),
         },
         "metrics": {
@@ -266,7 +267,14 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
         "baselines": {"all_vulnerable_f2": rate["all_vulnerable_f2"],
                       "random_f2": rate["random_f2"]},
     }
-    return row, exact
+    # The fold's folds.csv row: its columns, in order, and the report values that fill them.
+    line = {"fold": fold_id, "train_vuln": len(train.vulnerable), "train_benign": len(train.benign),
+            "test_vuln": v, "test_benign": b, "weight": weight or model.dangerous.source or "",
+            "cutoff": model.cutoff, "threshold": row["model"]["threshold"]}
+    line.update((key, row["metrics"][key])
+                for key in ("tp", "fp", "fn", "tn", "precision", "recall", "f1", "f2"))
+    line.update(row["baselines"])
+    return row, line, exact
 
 
 def cmd_eval(args, opts) -> int:
@@ -298,7 +306,7 @@ def cmd_eval(args, opts) -> int:
     # it, so a fold's corpora are freed before the next fold is built.
     run = partial(_eval_fold, policy=opts["policy"], grid=grid, beta=opts["beta"],
                   external_table=external_table)
-    folds, exacts = zip(*map(run, fold_ids, plan.folds))
+    folds, lines, exacts = zip(*map(run, fold_ids, plan.folds))
     n = len(folds)
     means = {key: format_rate(sum(e[key] for e in exacts) / n) for key in exacts[0]}
     report = {
@@ -312,22 +320,7 @@ def cmd_eval(args, opts) -> int:
     }
     out_dir = Path(args.out_dir)
     save_model(report, out_dir / "eval_report.json")
-    write_csv(out_dir / "folds.csv", [
-        "fold", "train_vuln", "train_benign", "test_vuln", "test_benign",
-        "weight", "cutoff", "threshold", "tp", "fp", "fn", "tn",
-        "precision", "recall", "f1", "f2", "all_vulnerable_f2", "random_f2",
-    ], ([
-        row["fold"],
-        row["train"]["vulnerable"], row["train"]["benign"],
-        row["test"]["vulnerable"], row["test"]["benign"],
-        row["model"]["weight"] or row["model"]["source"] or "",
-        row["model"]["cutoff"], row["model"]["threshold"],
-        row["metrics"]["tp"], row["metrics"]["fp"],
-        row["metrics"]["fn"], row["metrics"]["tn"],
-        row["metrics"]["precision"], row["metrics"]["recall"],
-        row["metrics"]["f1"], row["metrics"]["f2"],
-        row["baselines"]["all_vulnerable_f2"], row["baselines"]["random_f2"],
-    ] for row in folds))
+    write_csv(out_dir / "folds.csv", list(lines[0]), (line.values() for line in lines))
     print(f"evaluated {n} folds; mean F2 {means['f2']} "
           f"(all-vulnerable {means['all_vulnerable_f2']}, random {means['random_f2']}); "
           f"reports in {out_dir}")
@@ -382,15 +375,16 @@ def cmd_roc(args, opts) -> int:
         dangerous = rank(score_frequency(corpus, opts["weight"], opts["policy"]), opts["policy"])
     else:
         raise DataError("provide --model FILE or --weight PLUS-MINUS")
-    if len(dangerous) == 0:
+    size = len(dangerous.words)
+    if size == 0:
         raise DataError("dangerous word list is empty; cannot sweep cutoffs")
     if args.cutoffs is not None:
         cutoffs = [checked("cutoffs", flag_count, c) for c in args.cutoffs.split(",") if c.strip()]
-        if not cutoffs or len(set(cutoffs)) < len(cutoffs) or max(cutoffs) > len(dangerous):
-            raise DataError(f"cutoffs: must name distinct cutoffs of at most {len(dangerous)}, "
+        if not cutoffs or len(set(cutoffs)) < len(cutoffs) or max(cutoffs) > size:
+            raise DataError(f"cutoffs: must name distinct cutoffs of at most {size}, "
                             f"the dangerous list's length, got {args.cutoffs!r}")
     else:
-        cutoffs = grid.cutoff_values(len(dangerous))
+        cutoffs = grid.cutoff_values(size)
     curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
                  include_zero_endpoint=bool(args.include_zero_endpoint))
     rows = (

@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics, baseline closed forms, and ROC curves.
+"""Confusion-matrix metrics, the two baselines, and ROC curves.
 
 Everything is computed in exact rational arithmetic. The zero-denominator
 convention is: precision, recall, and F-scores are 0 whenever TP is 0, which
@@ -6,7 +6,7 @@ keeps degenerate folds and baselines well defined.
 
 `f_beta_terms`, the one copy of the F-beta formula, gives an integer
 numerator and denominator, which the tuner compares by cross-multiplying;
-`f_beta` makes a Fraction of them.
+`f_beta` makes a Fraction of them. Both baselines are `f_beta` at their counts.
 """
 
 from __future__ import annotations
@@ -88,19 +88,19 @@ def all_vulnerable_f2(vuln_count: int, benign_count: int) -> Fraction:
     """F2 of the predictor that labels everything vulnerable: 5V / (5V + B)."""
     if vuln_count + benign_count <= 0:
         raise DataError("all-vulnerable baseline needs a non-empty corpus")
-    if vuln_count == 0:
-        return Fraction(0)
-    return Fraction(5 * vuln_count, 5 * vuln_count + benign_count)
+    return f_beta(ConfusionCounts(tp=vuln_count, fp=benign_count), 2)
 
 
 def random_baseline_f2(p) -> Fraction:
-    """Expected F2 of a coin-flip predictor on a corpus with vulnerable fraction p."""
+    """Expected F2 of a coin-flip predictor on a corpus with vulnerable fraction p.
+
+    F2 at the flip's expected counts (p/2 of the corpus each for TP and FN,
+    (1 - p)/2 for FP), which is 5p / (8p + 1).
+    """
     p = exact_fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"fraction must lie in [0, 1], got {p}")
-    if p == 0:
-        return Fraction(0)
-    return Fraction(5, 2) * p / (4 * p + Fraction(1, 2))
+    return f_beta(ConfusionCounts(tp=p / 2, fp=(1 - p) / 2, fn=p / 2), 2)
 
 
 class RocPoint(NamedTuple):

@@ -5,11 +5,11 @@ appear among the first `cutoff` dangerous words, and predict vulnerable when
 that fraction strictly exceeds `threshold`. The strict inequality makes a
 threshold of 1.0 unsatisfiable and anchors ROC curves at (0, 0).
 
-`classify` applies the rule to one name: a split, one set intersection and
-one integer comparison against the top terms and threshold ratio that the
-model prepares once. `count_flagged` applies it to a whole corpus at many
-(cutoff, threshold) pairs at once; tuning, ROC curves and corpus evaluation
-all go through it.
+`classify` applies the rule to one name: a split, one set intersection with
+the top terms that the model prepares once, and one integer comparison by
+the threshold's numerator and denominator. `count_flagged` applies it to a
+whole corpus at many (cutoff, threshold) pairs at once; tuning, ROC curves
+and corpus evaluation all go through it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class TunedModel(namedtuple("TunedModel", "dangerous cutoff threshold")):
 
     def __new__(cls, dangerous: DangerousWordList, cutoff: int,
                 threshold: Fraction) -> "TunedModel":
-        if len(dangerous) == 0:
+        if len(dangerous.words) == 0:
             if cutoff != 0:
                 raise ValueError("empty dangerous list requires cutoff 0")
-        elif not 1 <= cutoff <= len(dangerous):
-            raise ValueError(f"cutoff {cutoff} outside [1, {len(dangerous)}]")
+        elif not 1 <= cutoff <= len(dangerous.words):
+            raise ValueError(f"cutoff {cutoff} outside [1, {len(dangerous.words)}]")
         if not 0 <= threshold <= 1:
             raise ValueError(f"threshold {threshold} outside [0, 1]")
         return super().__new__(cls, dangerous, cutoff, threshold)
@@ -61,10 +61,6 @@ class TunedModel(namedtuple("TunedModel", "dangerous cutoff threshold")):
     @cached_property
     def top_terms(self) -> frozenset[str]:
         return frozenset(term for term, _ in self.dangerous.words[: self.cutoff])
-
-    @cached_property
-    def threshold_ratio(self) -> tuple[int, int]:
-        return self.threshold.as_integer_ratio()
 
 
 class Prediction(NamedTuple):
@@ -79,17 +75,14 @@ class Prediction(NamedTuple):
         return Fraction(len(self.matched_terms), self.term_count or 1)
 
 
-_prediction = tuple.__new__  # Prediction(...) without NamedTuple.__new__'s Python frame
-
-
 def classify(identifier: str, model: TunedModel) -> Prediction:
     """Label one identifier. Zero split terms means percentage 0 and benign."""
     terms = frozenset(split(identifier))
     matched = terms & model.top_terms
-    p, q = model.threshold_ratio
+    p, q = model.threshold.numerator, model.threshold.denominator
     # |matched| / |terms| > p / q, cross-multiplied; false when terms is empty.
     label = VULNERABLE if len(matched) * q > p * len(terms) else BENIGN
-    return _prediction(Prediction, (identifier, label, matched, len(terms)))
+    return Prediction(identifier, label, matched, len(terms))
 
 
 def count_flagged(

@@ -109,30 +109,16 @@ class MinScorePolicy(NamedTuple):
         return f"at_least({float(self.threshold)})"
 
 
-class DangerousWordList:
-    """Terms ordered most dangerous first, and the one record of how they were ranked."""
+class DangerousWordList(NamedTuple):
+    """Terms ordered most dangerous first, and the one record of how they were ranked.
 
-    __slots__ = ("words", "policy", "weight", "source")
+    A tuple of its four fields, so `len()` counts fields: the list's length is `len(.words)`.
+    """
 
-    def __init__(self, words: tuple[tuple[str, Score], ...], policy: MinScorePolicy,
-                 weight: Weight | None = None, source: str | None = None) -> None:
-        for key, value in zip(self.__slots__, (words, policy, weight, source)):
-            object.__setattr__(self, key, value)
-
-    def __setattr__(self, key, value) -> None:
-        raise AttributeError(f"cannot set {key}: a DangerousWordList is read-only")
-
-    def _values(self) -> tuple:
-        return self.words, self.policy, self.weight, self.source
-
-    def __eq__(self, other) -> bool:
-        return type(other) is DangerousWordList and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __len__(self) -> int:
-        return len(self.words)
+    words: tuple[tuple[str, Score], ...]
+    policy: MinScorePolicy
+    weight: Weight | None = None
+    source: str | None = None
 
 
 def score_frequency(train: LabeledCorpus, weight: Weight,

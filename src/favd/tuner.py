@@ -107,7 +107,7 @@ def find_best(
     An empty dangerous list yields the degenerate all-benign model with
     score 0. A `trace` list receives (dangerous.weight, cells).
     """
-    cutoffs, thresholds = grid.cutoff_values(len(dangerous)), grid.thresholds
+    cutoffs, thresholds = grid.cutoff_values(len(dangerous.words)), grid.thresholds
     tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
     n_pos, n_neg = len(train.vulnerable), len(train.benign)
     r, s = beta_squared(beta)

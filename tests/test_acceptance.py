@@ -158,7 +158,7 @@ def test_criterion_5_baseline_predictor_identity():
         for corpus in _suite_corpora():
             words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ALL)
             model = TunedModel(
-                dangerous=words, cutoff=len(words), threshold=Fraction(0),
+                dangerous=words, cutoff=len(words.words), threshold=Fraction(0),
             )
             counts = classify_corpus(corpus, model)
             v, b = len(corpus.vulnerable), len(corpus.benign)
@@ -179,7 +179,7 @@ def test_criterion_6_roc_properties():
             )
             corpus, _ = generate(spec)
             words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ALL)
-            curve = next(roc(words, [max(1, len(words) // 2)], corpus,
+            curve = next(roc(words, [max(1, len(words.words) // 2)], corpus,
                              include_zero_endpoint=True))
             first, last = curve.points[0], curve.points[-1]
             assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
@@ -317,7 +317,8 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
 
         # ROC anchors and monotonicity on the external list
         words = rank(table, POLICY_ALL)
-        curve = next(roc(words, [max(1, len(words) // 2)], corpus, include_zero_endpoint=True))
+        curve = next(roc(words, [max(1, len(words.words) // 2)], corpus,
+                         include_zero_endpoint=True))
         assert (curve.points[0].tpr, curve.points[0].fpr) == (0, 0)
         assert (curve.points[-1].tpr, curve.points[-1].fpr) == (1, 1)
         for a, b in zip(curve.points, curve.points[1:]):
@@ -325,7 +326,7 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
 
         # degenerate identity: full list, threshold 0 equals all-vulnerable
         model = TunedModel(
-            dangerous=words, cutoff=len(words), threshold=Fraction(0),
+            dangerous=words, cutoff=len(words.words), threshold=Fraction(0),
         )
         counts = classify_corpus(corpus, model)
         assert f_beta(counts, 2) == all_vulnerable_f2(

@@ -129,6 +129,54 @@ def test_eval_reports_are_deterministic(tmp_path, corpus_files):
         assert set(fold["baselines"]) == {"all_vulnerable_f2", "random_f2"}
 
 
+# folds.csv's columns, in order, and the field of a fold in eval_report.json
+# that each one shows; "weight" shows the weight tag, else the score file.
+FOLD_COLUMNS = {
+    "fold": ("fold",), "train_vuln": ("train", "vulnerable"), "train_benign": ("train", "benign"),
+    "test_vuln": ("test", "vulnerable"), "test_benign": ("test", "benign"), "weight": None,
+    "cutoff": ("model", "cutoff"), "threshold": ("model", "threshold"),
+    **{key: ("metrics", key)
+       for key in ("tp", "fp", "fn", "tn", "precision", "recall", "f1", "f2")},
+    **{key: ("baselines", key) for key in ("all_vulnerable_f2", "random_f2")},
+}
+
+
+@pytest.mark.parametrize("protocol", ["kfold", "loo", "scores"])
+def test_folds_csv_is_the_projection_of_the_eval_report(tmp_path, protocol):
+    # Class sizes that differ between train and test, and between the classes.
+    (tmp_path / "v.txt").write_text("danger_read\ndanger_net\nread_buf\nnet_recv\ndanger_copy\n")
+    (tmp_path / "b.txt").write_text("log_write\nui_draw\nui_read\nopen_window\nnet_log\n"
+                                    "ui_flip\nlog_msg\n")
+    argv = ["--vuln", str(tmp_path / "v.txt"), "--benign", str(tmp_path / "b.txt"), "--kfold", "2"]
+    if protocol == "loo":
+        argv = ["--loo"]
+        for i in range(3):
+            d = tmp_path / f"p{i}"
+            d.mkdir()
+            (d / "vulnerable.txt").write_text(f"danger_read_{i}\ndanger_net_{i}\n")
+            (d / "benign.txt").write_text(f"log_write_{i}\nui_draw_{i}\nui_read_{i}\n")
+            argv.append(str(d))
+    elif protocol == "scores":
+        (tmp_path / "s.csv").write_text("danger,0.9\nread,0.5\nui,1/3\n")
+        argv += ["--scores", str(tmp_path / "s.csv")]
+    out = tmp_path / "ev"
+    assert main(["eval", *argv, "--cutoff-step", "1", "--out-dir", str(out)]) == 0
+    folds = json.loads((out / "eval_report.json").read_text())["folds"]
+    header, *rows = out.joinpath("folds.csv").read_text().splitlines()
+    assert header.split(",") == list(FOLD_COLUMNS)
+    assert len(rows) == len(folds) == (3 if protocol == "loo" else 2)
+    for row, fold in zip(rows, folds):
+        for (column, path), text in zip(FOLD_COLUMNS.items(), row.split(",")):
+            if path is None:
+                value = fold["model"]["weight"] or fold["model"]["source"] or ""
+            else:
+                value = fold
+                for key in path:
+                    value = value[key]
+            assert text == str(value), (protocol, column)
+        assert (fold["model"]["weight"] is None) == (protocol == "scores")
+
+
 def test_eval_loo_over_project_dirs(tmp_path):
     for name, vul, ben in [
         ("projA", "danger_read\ndanger_net\n", "log_write\nui_draw\n"),
@@ -414,6 +462,16 @@ def test_roc_from_saved_model(tmp_path, corpus_files):
     rows = out.read_text().splitlines()
     cutoffs_seen = {r.split(",")[0] for r in rows[1:]}
     assert cutoffs_seen == {"1", "3"}
+
+
+def test_roc_rejects_a_cutoff_past_a_one_word_model(tmp_path, corpus_files, capsys):
+    # 4 is the word list record's field count: the bound is the words' length, 1.
+    vuln, benign = corpus_files
+    model_path = tmp_path / "m.json"
+    save_model(model_document(_deployed(["read"], Fraction(0)), Fraction(0)), model_path)
+    assert main(["roc", "--vuln", str(vuln), "--benign", str(benign),
+                 "--model", str(model_path), "--cutoffs", "4"]) == 2
+    assert "at most 1, the dangerous list's length" in capsys.readouterr().err
 
 
 def test_train_with_empty_benign_marks_every_term_dangerous(tmp_path):

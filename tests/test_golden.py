@@ -52,6 +52,7 @@ COMMANDS = [
     ["train", "--csv", "c.csv", "--weights", "1-1,2-1", "--cutoff-step", "1",
      "--out", "out/csv_model.json"],
     ["baseline", "--csv", "c.csv", "--out", "out/baseline.json"],
+    ["baseline", "--counts", "75", "522", "--out", "out/baseline_counts.json"],
     ["synth", "--spec", "spec.json", "--out", "syn"],
 ]
 PINNED = {
@@ -77,6 +78,7 @@ PINNED = {
     "ev_loo/folds.csv": "301e7a3561215bb8adcbb3e20b159273cd6706794526191821f6d064fbb040b1",
     "out/csv_model.json": "8fb7416d292ec32c5e23bfa6f409225e631e635067d309be7b805c46f18f259e",
     "out/baseline.json": "efc9be76e9165129d72a60a7c22928d1df79e83db12be3d123639e94baba4848",
+    "out/baseline_counts.json": "418b7973985f6a8dd6c9366cc9e5d18fa047d2fbe67d3f7cb95eed7c5d01deae",
     "syn/vulnerable.txt": "f3288d84348bf97770c877a666f69a369ba4f2589848635a583e9b7d02f7fc34",
     "syn/benign.txt": "907c9f0d983a1a804968b070ddca8a4dd52d6c011ae3700abd2987ba7826cb12",
     "syn/ground_truth.json": "106438d8e1e872339c944de27360c5e892b2ecf82dfb71539fc07620f2b1646a",

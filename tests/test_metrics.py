@@ -111,10 +111,15 @@ class TestBaselines:
             random_baseline_f2(1.5)
 
     def test_all_vulnerable_equals_f_beta_identity(self):
-        for v, b in [(1, 1), (3, 17), (75, 522), (49, 10_102)]:
-            assert all_vulnerable_f2(v, b) == f_beta(
-                ConfusionCounts(tp=v, fp=b, fn=0, tn=0), 2
-            )
+        # Both baselines go through f_beta; the paper's closed forms, written out
+        # here, check them exactly, down to V = 0, B = 0, p = 0 and p = 1.
+        counts = [(v, b) for v in range(6) for b in range(6) if v + b]
+        counts += [(v, b) for v, b, _ in PUBLISHED_ALL_VULNERABLE.values()]
+        for v, b in counts:
+            assert all_vulnerable_f2(v, b) == Fraction(5 * v, 5 * v + b), (v, b)
+        quoted = [Fraction("0.072"), Fraction("0.016")]
+        for p in [Fraction(v, v + b) for v, b in counts] + quoted:
+            assert random_baseline_f2(p) == Fraction(5, 2) * p / (4 * p + Fraction(1, 2)), p
 
 
 class TestRoc:
@@ -178,7 +183,7 @@ class TestRoc:
 
     def test_many_cutoffs_in_one_call_equal_single_calls(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        cutoffs = [3, 1, 3, len(words) + 5]
+        cutoffs = [3, 1, 3, len(words.words) + 5]
         for include_zero in (False, True):
             curves = list(
                 roc(words, cutoffs, separable_corpus, include_zero_endpoint=include_zero)
@@ -188,7 +193,7 @@ class TestRoc:
                 next(roc(words, [cutoff], separable_corpus, include_zero_endpoint=include_zero))
                 for cutoff in cutoffs
             ]
-        past_end, full = roc(words, [len(words) + 5, len(words)], separable_corpus)
+        past_end, full = roc(words, [len(words.words) + 5, len(words.words)], separable_corpus)
         assert past_end.points == full.points
 
     def test_one_sided_corpus_rejected(self):

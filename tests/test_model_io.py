@@ -57,7 +57,7 @@ def test_saved_model_predicts_as_the_tuned_one(tmp_path):
     """At threshold 2/3, 2 of 3 matched terms is not above it; the float 0.666... would be."""
     corpus = clean(["read_a_b", "read_c_d", "read_e_f"], ["draw_x", "draw_y", "log_z", "ui_w"])
     words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.at_least(0))
-    model = TunedModel(words, len(words), Fraction(2, 3))
+    model = TunedModel(words, len(words.words), Fraction(2, 3))
     path = tmp_path / "model.json"
     save_model(model_document(model, Fraction(1)), path)
     loaded = load_model(path)

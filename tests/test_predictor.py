@@ -83,10 +83,10 @@ class TestClassify:
 
 class TestModelValidation:
     def test_cutoff_must_fit_list(self):
-        with pytest.raises(ValueError):
-            _model(["read"], cutoff=2, threshold=0.0)
-        with pytest.raises(ValueError):
-            _model(["read"], cutoff=0, threshold=0.0)
+        # 4 is the word list record's field count: the check must read the words' length.
+        for cutoff in (2, 0, 4):
+            with pytest.raises(ValueError):
+                _model(["read"], cutoff=cutoff, threshold=0.0)
 
     def test_threshold_must_lie_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ def _looped_counts(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
 def _rule(words: DangerousWordList, cutoff: int, threshold: Fraction) -> TunedModel:
     """The model of the first `cutoff` words; cutoff 0 or past the end is allowed."""
     top = DangerousWordList(words=words.words[:cutoff], policy=words.policy)
-    return TunedModel(dangerous=top, cutoff=len(top), threshold=threshold)
+    return TunedModel(dangerous=top, cutoff=len(top.words), threshold=threshold)
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,13 +302,13 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
     grid = SearchGrid(cutoff_step=2, thresholds=thresholds)
     for words in lists:
         # Every cutoff from 0 to past the end of the list, in one call.
-        cutoffs = list(range(len(words) + 3))
+        cutoffs = list(range(len(words.words) + 3))
         tp, fp = count_flagged(words, corpus, cutoffs, thresholds)
         for i, threshold in enumerate(thresholds):
             for j, cutoff in enumerate(cutoffs):
                 counts = _looped_counts(corpus, _rule(words, cutoff, threshold))
                 assert (tp[i][j], fp[i][j]) == (counts.tp, counts.fp), (threshold, cutoff)
-                if cutoff <= len(words) and (cutoff or not words.words):
+                if cutoff <= len(words.words) and (cutoff or not words.words):
                     model = TunedModel(dangerous=words, cutoff=cutoff, threshold=threshold)
                     assert classify_corpus(corpus, model) == counts
         trace = []
@@ -319,7 +319,7 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
             assert cell.f2 == f_beta(counts, 2)
         if not corpus.benign:
             continue
-        for cutoff in range(1, len(words) + 3):
+        for cutoff in range(1, len(words.words) + 3):
             for point in next(roc(words, [cutoff], corpus, thresholds=thresholds)).points:
                 counts = _looped_counts(corpus, _rule(words, cutoff, point.threshold))
                 assert point.tpr == Fraction(counts.tp, len(corpus.vulnerable))

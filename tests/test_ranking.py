@@ -126,7 +126,7 @@ class TestRank:
     def test_ranked_lists_compare_and_hash_by_value_and_are_read_only(self, toy_corpus):
         table = score_frequency(toy_corpus, Weight(1, 1))
         one, two = (rank(table, MinScorePolicy.at_least(0)) for _ in range(2))
-        assert one == two and hash(one) == hash(two) and len(one) == 3
+        assert one == two and hash(one) == hash(two) and len(one.words) == 3
         assert one != rank(table, MinScorePolicy.all_terms())
         with pytest.raises(AttributeError):
             one.words = ()

@@ -87,7 +87,7 @@ class TestFindBest:
             score_frequency(clean((), ("safe_x", "calm_y")), Weight(1, 1)),
             POLICY_ZERO,
         )
-        assert len(words) == 0
+        assert len(words.words) == 0
         result = find_best(words, separable_corpus, small_grid())
         assert result.train_f2 == 0
         assert result.model.cutoff == 0
@@ -101,7 +101,7 @@ class TestFindBest:
         result = find_best(words, separable_corpus, grid, trace=trace)
         [(weight, cells)] = trace
         assert weight == Weight(1, 1)
-        expected_cells = len(grid.cutoff_values(len(words))) * len(set(grid.thresholds))
+        expected_cells = len(grid.cutoff_values(len(words.words))) * len(set(grid.thresholds))
         assert len(cells) == expected_cells
         assert all(cell.f2 <= result.train_f2 for cell in cells)
 
@@ -157,7 +157,7 @@ def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
     trace = []
     result = find_best(words, corpus, grid, beta=beta, trace=trace)
     [(_, cells)] = trace
-    assert len(cells) == len(grid.cutoff_values(len(words))) * len(grid.thresholds)
+    assert len(cells) == len(grid.cutoff_values(len(words.words))) * len(grid.thresholds)
     b2 = Fraction(beta) ** 2
     for cell in cells:
         assert cell.f2 == f_beta(cell.counts, beta)
