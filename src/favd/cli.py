@@ -157,21 +157,6 @@ def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict, dict]:
     return grid, external_table, config, inputs
 
 
-def _trace_rows(trace):
-    for weight, cells in trace:
-        tag = weight.tag() if weight else ""
-        # Keyed by id, as hashing a Fraction is slow: the cells share the
-        # grid's threshold objects, which all live as long as `cells` does.
-        labels: dict[int, str] = {}
-        for cell in cells:
-            label = labels.get(id(cell.threshold))
-            if label is None:
-                label = labels[id(cell.threshold)] = str(float(cell.threshold))
-            # Int true division rounds correctly, as float(Fraction) does.
-            yield [tag, cell.cutoff, label, cell.tp, cell.fp, cell.fn, cell.tn,
-                   f"{cell.num / cell.den:.6f}"]
-
-
 def _tune(train, external_table, policy, grid, beta, trace: list | None = None):
     """One search over an external table's ranking, else the weight sweep."""
     from .ranking import rank
@@ -194,6 +179,9 @@ def cmd_train(args, opts) -> int:
     from .model_io import model_document, save_model
     from .ranking import write_word_list_csv
     from .rational import format_rate
+    from .tuner import TRACE_HEADER, trace_text
+    if (args.trace, args.words_csv).count("-") > 1:
+        raise DataError("--trace - and --words-csv - cannot both write to standard output")
     corpus, paths = _corpus_inputs(opts)
     digests = _digests(paths)
     grid, external_table, config, inputs = _search(opts)
@@ -209,13 +197,14 @@ def cmd_train(args, opts) -> int:
     if args.words_csv:
         write_word_list_csv(result.model.dangerous, args.words_csv)
     if args.trace:
-        write_csv(args.trace, ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"],
-                  _trace_rows(trace))
+        write_csv(args.trace, TRACE_HEADER, text=trace_text(trace, opts["beta"]))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    # A CSV on stdout keeps stdout to itself, so the status line goes to stderr.
     print(f"model written to {out} (train F2 {format_rate(result.train_f2)}, "
           f"{len(result.model.dangerous.words)} dangerous words, cutoff {result.model.cutoff}, "
-          f"threshold {float(result.model.threshold)})")
+          f"threshold {float(result.model.threshold)})",
+          file=sys.stderr if "-" in (args.trace, args.words_csv) else sys.stdout)
     return 0
 
 

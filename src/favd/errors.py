@@ -5,7 +5,8 @@ Every file favd reads is opened by `reading`, and every file it writes by
 `writing`, so these two alone decide the text format. Each turns the ways a
 file can fail into one DataError whose one-line message names the path.
 `read_lines` is the one list-file reader, and `csv_rows` and `write_csv`
-are the one CSV reader and writer.
+are the one CSV reader and writer; the writer also takes rows that are CSV
+text already.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def csv_rows(path, what: str, key: str = "name"):
                 yield reader.line_num, fields
 
 
-def write_csv(out, header: list[str], rows) -> None:
-    """Write `header`, then `rows`, as CSV to the file `out`, or to stdout for None or '-'."""
+def write_csv(out, header: list[str], rows=(), text=()) -> None:
+    """Write `header` and `rows` as CSV, then `text`, rows already written as CSV lines,
+    to the file `out`, or to stdout for None or '-'."""
     with nullcontext(sys.stdout) if out in (None, "-") else writing(out) as fh:
         csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
+        fh.writelines(text)

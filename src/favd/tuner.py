@@ -16,15 +16,16 @@ of a ranked list but its order of terms, so a weight that ranks the same
 terms in the same order as an earlier one reuses that weight's cells, and
 cannot win, because ties go to the earlier weight.
 
-A trace, when asked for, is a list that receives, for each ranked list
-tuned or reused, its weight (None for external scores) and one `GridCell`
-per cell.
+A trace, when asked for, is a list that receives, for each ranked list tuned
+or reused, its weight (None for external scores) and its `GridCounts` (the
+count matrices, no record per cell), which `trace_text` writes as CSV rows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -61,33 +62,18 @@ class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):
 
     def cutoff_values(self, list_length: int) -> tuple[int, ...]:
         """1, 1+step, 1+2*step, ... capped at and always including list_length."""
-        if list_length < 1:
-            return ()
-        values = list(range(1, list_length + 1, self.cutoff_step))
-        if values[-1] != list_length:
-            values.append(list_length)
-        return tuple(values)
+        return (*range(1, list_length, self.cutoff_step), list_length) if list_length >= 1 else ()
 
 
-class GridCell(NamedTuple):
-    """One traced cell; its F-beta score is num/den (see metrics.f_beta_terms)."""
+class GridCounts(NamedTuple):
+    """A ranking's tp[i][j] and fp[i][j], the names flagged at thresholds[i] and cutoffs[j]."""
 
-    cutoff: int
-    threshold: Fraction
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    num: int
-    den: int
-
-    @property
-    def counts(self) -> ConfusionCounts:
-        return ConfusionCounts(self.tp, self.fp, self.fn, self.tn)
-
-    @property
-    def f2(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    cutoffs: tuple[int, ...]
+    thresholds: tuple[Fraction, ...]
+    tp: list[list[int]]
+    fp: list[list[int]]
+    n_pos: int
+    n_neg: int
 
 
 class TuneResult(NamedTuple):
@@ -105,7 +91,7 @@ def find_best(
     """Pick the (cutoff, threshold) cell maximizing training F-beta.
 
     An empty dangerous list yields the degenerate all-benign model with
-    score 0. A `trace` list receives (dangerous.weight, cells).
+    score 0. A `trace` list receives (dangerous.weight, the grid's counts).
     """
     cutoffs, thresholds = grid.cutoff_values(len(dangerous.words)), grid.thresholds
     tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
@@ -113,20 +99,17 @@ def find_best(
     r, s = beta_squared(beta)
     best_cutoff, best_threshold, best_tp, best_fp = 0, Fraction(1), 0, 0
     best_num, best_den = 0, 1
-    cells: list[GridCell] = []
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
     # Cutoff 0 means no cell yet, and stays for an empty list.
     for cutoff, tp_column, fp_column in zip(cutoffs, zip(*tp), zip(*fp)):
         for threshold, t, f in zip(thresholds, tp_column, fp_column):
             num, den = f_beta_terms(t, f, n_pos - t, r, s)
-            if trace is not None:
-                cells.append(GridCell(cutoff, threshold, t, f, n_pos - t, n_neg - f, num, den))
             if not best_cutoff or num * best_den > best_num * den:
                 best_cutoff, best_threshold, best_tp, best_fp = cutoff, threshold, t, f
                 best_num, best_den = num, den
     if trace is not None:
-        trace.append((dangerous.weight, cells))
+        trace.append((dangerous.weight, GridCounts(cutoffs, thresholds, tp, fp, n_pos, n_neg)))
     model = TunedModel(dangerous, best_cutoff, best_threshold)
     train_f2 = f_beta(ConfusionCounts(best_tp, best_fp, n_pos - best_tp, n_neg - best_fp), beta)
     return TuneResult(model, train_f2)
@@ -143,12 +126,12 @@ def search_weights(
 
     Ties go to the earlier weight in the grid, so a weight whose ranked terms
     repeat an earlier weight's is not tuned again: its cells would be the
-    same, and it could not win. A `trace` list receives one (weight, cells)
-    pair per weight, in grid order; a repeated ranking reuses the cells of
-    the first weight that ranked so.
+    same, and it could not win. A `trace` list receives one (weight, grid
+    counts) pair per weight, in grid order; a repeated ranking reuses the
+    `GridCounts` object of the first weight that ranked so.
     """
     best: TuneResult | None = None
-    tuned: dict[tuple[str, ...], list[GridCell] | None] = {}  # ranked terms -> cells
+    tuned: dict[tuple[str, ...], GridCounts | None] = {}  # ranked terms -> grid counts
     for weight in grid.weights:
         dangerous = rank(score_frequency(train, weight, policy), policy)
         key = tuple(map(itemgetter(0), dangerous.words))
@@ -161,3 +144,28 @@ def search_weights(
         if best is None or result.train_f2 > best.train_f2:
             best = result
     return best
+
+
+TRACE_HEADER = ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"]
+
+
+def trace_text(trace: list, beta=DEFAULT_BETA):
+    """A trace's CSV rows as text, a chunk per weight: cutoff ascending, threshold descending.
+
+    A ranking's lines are formatted once, and repeated under each weight's tag. Its class
+    sizes and beta fix a line's `tp,fp,fn,tn,f2` tail by (tp, fp): one format per pair.
+    """
+    r, s = beta_squared(beta)
+    blocks: dict[int, list[str]] = {}  # id of a ranking's grid counts -> its lines less the tag
+    for weight, grid in trace:
+        if id(grid) not in blocks:
+            # Int true division rounds correctly, as float(Fraction) does.
+            tails = {(t, f): f"{t},{f},{grid.n_pos - t},{grid.n_neg - f},{num / den:.6f}\n"
+                     for t, f in set(zip(chain(*grid.tp), chain(*grid.fp)))
+                     for num, den in [f_beta_terms(t, f, grid.n_pos - t, r, s)]}
+            labels = [f"{float(threshold)}," for threshold in grid.thresholds]
+            columns = zip(grid.cutoffs, zip(*grid.tp), zip(*grid.fp))
+            blocks[id(grid)] = [head + label + tails[pair] for cutoff, tps, fps in columns
+                                for head in [f",{cutoff},"]
+                                for label, pair in zip(labels, zip(tps, fps))]
+        yield "".join(map((weight.tag() if weight else "").__add__, blocks[id(grid)]))

@@ -25,6 +25,7 @@ from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.splitter import split
 from favd.synth import SynthSpec, generate, write_corpus
 from favd.tuner import SearchGrid, search_weights
+from gridcells import grid_cells
 from test_splitter import SAMPLE_WORDS
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
@@ -116,8 +117,8 @@ def _check_oracle_equivalence(policy: MinScorePolicy) -> None:
         result = search_weights(corpus, policy, grid, trace=trace)
         lib_cells = {
             (w.tag(), cell.cutoff, cell.threshold): cell.f2
-            for w, cells in trace
-            for cell in cells
+            for w, counts in trace
+            for cell in grid_cells(counts)
         }
         assert lib_cells == cells, f"cell table differs on seed {seed}"
         f2, w_index, cutoff, threshold = best
@@ -309,7 +310,7 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
                                       grid.thresholds)
             trace = []
             result = find_best(words, corpus, grid, trace=trace)
-            lib_cells = {(c.cutoff, c.threshold): c.f2 for c in trace[0][1]}
+            lib_cells = {(c.cutoff, c.threshold): c.f2 for c in grid_cells(trace[0][1])}
             assert lib_cells == cells
             f2, cutoff, threshold = best
             assert (result.train_f2, result.model.cutoff) == (f2, cutoff)

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,16 +9,21 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from favd.cli import OPTIONS, build_parser, main
+from favd.corpus import clean, load_lists
 from favd.model_io import load_model, model_document, save_model
 from favd.predictor import TunedModel, classify
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
 from favd.synth import MAX_NAMES, MAX_WORDS
+from favd.tuner import SearchGrid, search_weights
+from gridcells import grid_cells
 from test_predictor import _textbook
 
 C_SOURCE = """\
@@ -112,6 +119,94 @@ def test_train_trace_dump(tmp_path, corpus_files):
     assert lines[0] == "weight,cutoff,threshold,tp,fp,fn,tn,f2"
     weights_seen = {line.split(",")[0] for line in lines[1:]}
     assert weights_seen == {"1-1", "3-2"}
+
+
+TRACE_HEADER = "weight,cutoff,threshold,tp,fp,fn,tn,f2"
+
+
+@pytest.fixture
+def mixed_corpus_files(tmp_path):
+    """Terms on both sides, so that 1-1 (and 2-2), 3-1 and 1-10 rank them differently."""
+    vuln, benign = tmp_path / "mixed_vulnerable.txt", tmp_path / "mixed_benign.txt"
+    vuln.write_text("read_buf_copy\nread_net_parse\nbuf_alloc\nnet_copy\n")
+    benign.write_text("read_log\nread_ui\nbuf_log\nnet_ui\ncopy_ui\n")
+    return vuln, benign
+
+
+def _train_argv(corpus_files, *flags):
+    vuln, benign = corpus_files
+    return ["train", "--vuln", str(vuln), "--benign", str(benign), "--cutoff-step", "1", *flags]
+
+
+def test_trace_rows_are_each_weights_grid_cells_in_order(tmp_path, mixed_corpus_files):
+    """Weight in grid order, cutoff ascending, threshold descending; each row's counts and F2."""
+    trace_path = tmp_path / "trace.csv"
+    weights = (Weight(1, 1), Weight(1, 10), Weight(2, 2))
+    assert main(_train_argv(mixed_corpus_files, "--weights", "1-1,1-10,2-2", "--beta", "3/2",
+                            "--out", str(tmp_path / "m.json"), "--trace", str(trace_path))) == 0
+    trace = []
+    search_weights(clean(*load_lists(*mixed_corpus_files)), MinScorePolicy.at_least(0),
+                   SearchGrid(cutoff_step=1, weights=weights), beta=Fraction(3, 2), trace=trace)
+    expected = [TRACE_HEADER] + [
+        f"{weight.tag()},{cell.cutoff},{float(cell.threshold)},{','.join(map(str, cell.counts))},"
+        f"{float(cell.f2):.6f}"
+        for weight, counts in trace
+        for cell in grid_cells(counts, Fraction(3, 2))
+    ]
+    assert trace_path.read_text().splitlines() == expected
+    assert len({id(counts) for _, counts in trace}) == 2  # 2-2 shares 1-1's counts
+
+
+def _trace_blocks(text: str) -> list[tuple[str, list[str]]]:
+    """A trace CSV's runs of rows under one tag, in file order, as (tag, rows less the tag)."""
+    rows = [line.split(",", 1) for line in text.splitlines()[1:]]
+    return [(tag, [rest for _, rest in run]) for tag, run in groupby(rows, key=itemgetter(0))]
+
+
+def test_trace_repeats_a_shared_ranking_under_each_weights_tag(tmp_path, mixed_corpus_files):
+    # 1-1 and 2-2 rank alike (scores scale with the weight), so 2-2 reuses 1-1's counts.
+    trace_path = tmp_path / "trace.csv"
+    assert main(_train_argv(mixed_corpus_files, "--weights", "1-1,3-1,2-2", "--policy", "none",
+                            "--out", str(tmp_path / "m.json"), "--trace", str(trace_path))) == 0
+    blocks = _trace_blocks(trace_path.read_text())
+    assert [tag for tag, _ in blocks] == ["1-1", "3-1", "2-2"]
+    assert blocks[2][1] == blocks[0][1] != blocks[1][1]
+
+
+def test_external_scores_trace_has_an_empty_tag(tmp_path, corpus_files):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("danger,0.9\nread,0.5\nwindow,0.1\n")
+    trace_path = tmp_path / "trace.csv"
+    assert main(_train_argv(corpus_files, "--scores", str(scores), "--out", str(tmp_path / "m.json"),
+                            "--trace", str(trace_path))) == 0
+    [(tag, rows)] = _trace_blocks(trace_path.read_text())
+    assert tag == "" and len(rows) == 3 * 21  # 3 cutoffs x the 21 default thresholds
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--words-csv"])
+def test_csv_on_stdout_is_the_files_bytes_and_the_status_goes_to_stderr(tmp_path, corpus_files,
+                                                                        capsys, flag):
+    argv = _train_argv(corpus_files, "--weights", "1-1,2-2", "--out", str(tmp_path / "m.json"))
+    assert main([*argv, flag, str(tmp_path / "out.csv")]) == 0
+    status = capsys.readouterr().out
+    assert status.startswith("model written to ")
+    assert main([*argv, flag, "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (tmp_path / "out.csv").read_text()
+    assert captured.err == status
+    width = 8 if flag == "--trace" else 3
+    assert all(len(row) == width for row in csv.reader(io.StringIO(captured.out)))
+
+
+def test_trace_and_words_csv_cannot_both_go_to_stdout(tmp_path, corpus_files, capsys):
+    model = tmp_path / "m.json"
+    assert main(_train_argv(corpus_files, "--out", str(model), "--trace", "-",
+                            "--words-csv", "-")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("favd: data error: --trace - and --words-csv - cannot both write "
+                            "to standard output\n")
+    assert not model.exists()
 
 
 def test_eval_reports_are_deterministic(tmp_path, corpus_files):

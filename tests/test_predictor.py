@@ -26,6 +26,7 @@ from favd.ranking import (
 )
 from favd.splitter import split
 from favd.tuner import SearchGrid, find_best
+from gridcells import grid_cells
 
 
 def _model(words, cutoff, threshold) -> TunedModel:
@@ -313,7 +314,7 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
                     assert classify_corpus(corpus, model) == counts
         trace = []
         find_best(words, corpus, grid, trace=trace)
-        for cell in trace[0][1]:
+        for cell in grid_cells(trace[0][1]):
             counts = _looped_counts(corpus, _rule(words, cell.cutoff, cell.threshold))
             assert cell.counts == counts
             assert cell.f2 == f_beta(counts, 2)

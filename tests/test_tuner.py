@@ -12,6 +12,7 @@ from favd.predictor import classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.synth import SynthSpec, generate
 from favd.tuner import SearchGrid, find_best, search_weights, threshold_values
+from gridcells import grid_cells
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
 
@@ -79,7 +80,7 @@ class TestFindBest:
         trace = []
         result = find_best(words, corpus, small_grid(), trace=trace)
         assert result.train_f2 == all_vulnerable_f2(1, 1)
-        zero_cells = [c for c in trace[0][1] if c.threshold == 0]
+        zero_cells = [c for c in grid_cells(trace[0][1]) if c.threshold == 0]
         assert all(c.f2 == result.train_f2 for c in zero_cells)
 
     def test_empty_list_gives_degenerate_model(self, separable_corpus):
@@ -99,7 +100,8 @@ class TestFindBest:
         grid = small_grid()
         trace = []
         result = find_best(words, separable_corpus, grid, trace=trace)
-        [(weight, cells)] = trace
+        [(weight, counts)] = trace
+        cells = list(grid_cells(counts))
         assert weight == Weight(1, 1)
         expected_cells = len(grid.cutoff_values(len(words.words))) * len(set(grid.thresholds))
         assert len(cells) == expected_cells
@@ -116,7 +118,7 @@ class TestFindBest:
         words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ZERO)
         trace = []
         result = find_best(words, corpus, small_grid(), trace=trace)
-        peers = [c for c in trace[0][1] if c.f2 == result.train_f2]
+        peers = [c for c in grid_cells(trace[0][1]) if c.f2 == result.train_f2]
         assert result.model.cutoff == min(c.cutoff for c in peers)
         same_cutoff = [c for c in peers if c.cutoff == result.model.cutoff]
         assert result.model.threshold == max(c.threshold for c in same_cutoff)
@@ -156,12 +158,13 @@ def test_integer_scores_match_f_beta_for_any_beta(corpus, beta, policy):
     grid = SearchGrid(cutoff_step=2, thresholds=threshold_values(Fraction(1, 4)))
     trace = []
     result = find_best(words, corpus, grid, beta=beta, trace=trace)
-    [(_, cells)] = trace
+    [(_, counts)] = trace
+    cells = list(grid_cells(counts, beta))
     assert len(cells) == len(grid.cutoff_values(len(words.words))) * len(grid.thresholds)
     b2 = Fraction(beta) ** 2
     for cell in cells:
         assert cell.f2 == f_beta(cell.counts, beta)
-        tp, fp, fn = cell.tp, cell.fp, cell.fn
+        tp, fp, fn, _ = cell.counts
         assert cell.f2 == ((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp) if tp else 0)
     if not cells:
         assert (result.model.cutoff, result.train_f2) == (0, 0)
@@ -186,7 +189,8 @@ def test_find_best_reads_any_threshold_order_as_the_canonical_one(corpus, thresh
         result = find_best(words, corpus, SearchGrid(2, given_thresholds), trace=trace)
         runs.append((result, trace))
     assert runs[0] == runs[1]
-    [(_, cells)] = runs[0][1]  # for each cutoff, every threshold once, descending
+    [(_, counts)] = runs[0][1]
+    cells = list(grid_cells(counts))  # for each cutoff, every threshold once, descending
     assert [cell.threshold for cell in cells] == [*CANONICAL[::-1]] * (len(cells) // len(CANONICAL))
 
 
@@ -255,8 +259,8 @@ class TestSearchWeights:
             result = search_weights(corpus, POLICY_ZERO, grid, trace=trace)
             lib_cells = {
                 (w.tag(), cell.cutoff, cell.threshold): cell.f2
-                for w, cells in trace
-                for cell in cells
+                for w, counts in trace
+                for cell in grid_cells(counts)
             }
             assert lib_cells == cells
             f2, w_index, cutoff, threshold = best
@@ -301,7 +305,8 @@ def test_sweep_with_repeated_rankings_matches_oracle(corpus, weights, keep_all, 
     result = search_weights(corpus, policy, grid, trace=trace)
     # One entry per weight, in grid order, holding every cell of that weight.
     assert [weight for weight, _ in trace] == list(grid.weights)
-    for weight, traced in trace:
+    for weight, counts in trace:
+        traced = list(grid_cells(counts))
         expected = {(cutoff, threshold): f2 for (tag, cutoff, threshold), f2 in cells.items()
                     if tag == weight.tag()}
         assert len(traced) == len(expected)
