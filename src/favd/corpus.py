@@ -133,8 +133,9 @@ def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
 
 def clean(vulnerable: Iterable[str], benign: Iterable[str]) -> LabeledCorpus:
     """Deduplicate both lists and keep names found on both as vulnerable."""
-    vulnerable = frozenset(vulnerable)
-    benign = frozenset(benign) - vulnerable
+    vulnerable, benign = frozenset(vulnerable), frozenset(benign)
+    if not benign.isdisjoint(vulnerable):  # the difference is a second set as large as benign
+        benign -= vulnerable
     if not vulnerable and not benign:
         raise DataError("both name lists are empty")
     return LabeledCorpus(vulnerable=vulnerable, benign=benign)

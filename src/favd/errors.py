@@ -67,10 +67,15 @@ def writing(path):
 
 
 def read_lines(path) -> list[str]:
-    """A list file's names, one per line in file order, less trailing whitespace and blank lines."""
+    """A list file's names, one per line in file order, less trailing whitespace and blank
+    lines. They are stripped in place, so a long list is held once, not twice."""
     with reading(path, "input file") as fh:
-        lines = fh.read().splitlines()
-    return [line for line in map(str.rstrip, lines) if line]
+        lines, kept = fh.read().splitlines(), 0
+    for line in filter(None, map(str.rstrip, lines)):
+        lines[kept] = line
+        kept += 1
+    del lines[kept:]
+    return lines
 
 
 def csv_rows(path, what: str, key: str = "name"):

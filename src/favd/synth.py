@@ -5,7 +5,9 @@ recovers the generating terms exactly and a tuner can be graded against known
 ground truth. `vocab_overlap` controls how much filler vocabulary the two
 classes share: 0 keeps them disjoint (easy to separate), 1 makes them
 identical (no usable signal beyond the planted words). Raising the overlap
-degrades achievable cross-validated scores.
+degrades achievable cross-validated scores. Each name costs a constant
+number of RNG calls and copies no vocabulary, so a corpus takes time
+linear in its names and words, at VDISC's size too.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class SynthSpec(namedtuple("SynthSpec", "seed n_vulnerable n_benign planted_dang
             raise ValueError("name counts must be positive")
         if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        lo, hi = terms_per_name
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad terms_per_name range {terms_per_name}")
+        if len(terms_per_name) != 2 or not 1 <= terms_per_name[0] <= terms_per_name[1]:
+            raise ValueError("terms_per_name: must be a [min, max] pair with 1 <= min <= max, "
+                             f"got {list(terms_per_name)}")
         if not 0 <= signal_strength <= 1:
             raise ValueError("signal_strength must lie in [0, 1]")
         if not 0 <= vocab_overlap <= 1:
@@ -72,60 +74,52 @@ def random_terms(rng: random.Random, count: int, exclude: frozenset[str] = froze
     return out
 
 
-def _join(terms: list[str], camel: bool) -> str:
-    if camel:
-        return terms[0] + "".join(t.capitalize() for t in terms[1:])
-    return "_".join(terms)
+def _camel(terms: list[str]) -> str:
+    return terms[0] + "".join(map(str.capitalize, terms[1:]))
 
 
 def generate(spec: SynthSpec) -> tuple[LabeledCorpus, frozenset[str]]:
-    """Deterministic corpus for the spec's seed, plus the planted ground truth."""
+    """Deterministic corpus for the spec's seed, plus the planted ground truth.
+
+    A name costs a constant number of RNG calls: `random()` (vulnerable names
+    only), its length, then the planted word, the positions of the others in
+    the vulnerable pool less that word, and a shuffle; or, unplanted, its words.
+    """
     rng = random.Random(spec.seed)
     planted = sorted(spec.planted_dangerous)
     filler = random_terms(rng, spec.vocab_size, exclude=spec.planted_dangerous)
     shared_n = round(spec.vocab_overlap * spec.vocab_size)
-    shared = filler[:shared_n]
-    rest = filler[shared_n:]
+    shared, rest = filler[:shared_n], filler[shared_n:]
     half = len(rest) // 2
-    vuln_filler = shared + rest[:half]
-    benign_pool = shared + rest[half:]
-    vuln_pool = planted + vuln_filler
+    vuln_filler, benign_pool = shared + rest[:half], shared + rest[half:]
+    vuln_pool = planted + vuln_filler  # planted word i at position i
+    anchors, others = range(len(planted)), range(len(vuln_pool) - 1)
     lo, hi = spec.terms_per_name
+    join = _camel if spec.camel_case else "_".join
 
-    def draw_name(pool: list[str], force_planted: bool) -> str:
-        length = rng.randint(lo, hi)
-        if force_planted:
-            anchor = rng.choice(planted)
-            others = [w for w in pool if w != anchor]
-            if len(others) < length - 1:
-                raise DataError("vocabulary too small for requested name lengths")
-            terms = [anchor] + rng.sample(others, length - 1)
-            rng.shuffle(terms)
-        else:
-            if len(pool) < length:
-                raise DataError("vocabulary too small for requested name lengths")
-            terms = rng.sample(pool, length)
-        return _join(terms, spec.camel_case)
-
-    def draw_unique(count: int, pool: list[str], signal: bool) -> list[str]:
+    def draw_unique(count: int, pool: list[str], signal: bool) -> set[str]:
         # A name is a sequence of distinct words: perm(words, n) of n words.
         words = len(vuln_pool if signal else pool)
         formable = accumulate(perm(words, n) for n in range(lo, min(hi, words) + 1))
         if not any(total >= count for total in formable):
             raise DataError(f"vocabulary too small: {words} words cannot form {count} names")
-        names: list[str] = []
-        seen: set[str] = set()
-        tries = 0
-        while len(names) < count:
-            tries += 1
-            if tries > 200 * count + 1000:
-                raise DataError("vocabulary too small for requested name lengths")
+        names: set[str] = set()
+        for _ in range(200 * count + 1000):
             with_planted = signal and rng.random() < spec.signal_strength
-            name = draw_name(vuln_pool if with_planted else pool, with_planted)
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-        return names
+            length = rng.randrange(lo, hi + 1)
+            if length > len(vuln_pool if with_planted else pool):
+                break
+            if with_planted:
+                anchor = rng.choice(anchors)
+                terms = [vuln_pool[anchor],
+                         *[vuln_pool[i + (i >= anchor)] for i in rng.sample(others, length - 1)]]
+                rng.shuffle(terms)
+            else:
+                terms = rng.sample(pool, length)
+            names.add(join(terms))
+            if len(names) == count:
+                return names
+        raise DataError("vocabulary too small for requested name lengths")
 
     vulnerable = draw_unique(spec.n_vulnerable, vuln_filler, signal=True)
     benign = draw_unique(spec.n_benign, benign_pool, signal=False)

@@ -594,6 +594,16 @@ def test_synth_command_writes_ground_truth(tmp_path):
     assert (out / "vulnerable.txt").exists() and (out / "benign.txt").exists()
 
 
+@pytest.mark.parametrize("terms", [[2, 3, 4], [2]])
+def test_terms_per_name_not_a_pair_names_the_key_and_value(tmp_path, capsys, terms):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(SYNTH_SPEC, terms_per_name=terms)))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == (
+        "favd: data error: bad synth spec: terms_per_name: must be a [min, max] pair "
+        f"with 1 <= min <= max, got {terms}\n")
+
+
 def test_config_file_provides_defaults_flags_win(tmp_path, corpus_files):
     vuln, benign = corpus_files
     cfg = tmp_path / "cfg.json"
@@ -643,6 +653,8 @@ BAD_MODEL_FIELDS = {
 }
 BAD_SPEC_FIELDS = {
     "terms-per-name-float": {"terms_per_name": [2.5, 3]},
+    "terms-per-name-three": {"terms_per_name": [2, 3, 4]},
+    "terms-per-name-one": {"terms_per_name": [2]},
     "planted-number": {"planted_dangerous": ["abc", 5]},
     "planted-text": {"planted_dangerous": "abc"},
     "seed-true": {"seed": True},

@@ -37,6 +37,17 @@ class TestLoadLists:
         vulnerable, _ = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
         assert vulnerable == ["a", "b"]
 
+    def test_every_splitlines_separator_ends_a_name(self, tmp_path):
+        # Each of str.splitlines' separators, trailing whitespace before and
+        # after one (\x1f is whitespace but no separator), and blank lines.
+        text = ("a\rb\r\nc\vd\fe\x1cf\x1dg\x1eh\x85i\u2028j\u2029k\n"
+                " l \t\v \f\r\n\x85m\x1f\nn\x1fo\u2029\u2029p")
+        (tmp_path / "v.txt").write_bytes(text.encode("utf-8"))
+        (tmp_path / "b.txt").write_bytes(b"")
+        vulnerable, benign = load_lists(tmp_path / "v.txt", tmp_path / "b.txt")
+        assert vulnerable == [*"abcdefghijk", " l", "m", "n\x1fo", "p"]
+        assert benign == []
+
     def test_missing_file_mentions_path(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\n")
         with pytest.raises(DataError, match="nope.txt"):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,34 @@ class TestGenerate:
     def test_vocabulary_too_small_is_an_error(self):
         with pytest.raises(DataError, match="vocabulary too small"):
             generate(base_spec(vocab_size=2, n_benign=50, terms_per_name=(2, 2)))
+
+    def test_planted_names_longer_than_the_vulnerable_pool_are_an_error(self):
+        # One planted and two filler words: a planted name of four words needs
+        # three others, while one of three words fits. Vulnerable names are
+        # drawn first, all of them planted.
+        spec = base_spec(planted_dangerous=frozenset({"alpha"}), vocab_size=5, n_vulnerable=6,
+                         n_benign=1, terms_per_name=(2, 4))
+        with pytest.raises(DataError, match="vocabulary too small for requested name lengths"):
+            generate(spec)
+        corpus, _ = generate(spec._replace(terms_per_name=(2, 3)))
+        assert max(len(split(name)) for name in corpus.vulnerable) == 3
+
+    # SHA-256 of write_corpus's vulnerable.txt and benign.txt for a
+    # vocabulary of 1,200 words, so that every planted name samples from a
+    # pool of hundreds; a change to the draws changes these bytes.
+    @pytest.mark.parametrize(("camel_case", "digests"), [
+        (False, ("18fe4a0efc8de58a7b09bc7c3ccd5fe3639d3a1a1dd874627b11675a8a4cd4c7",
+                 "4ada7ad955ea305def5e8f0d06bd9dfa1dfbf57cc10aaa411a9a387a8882cc7c")),
+        (True, ("ad1d92fbf1109dcff9bbcd72546869c88ede32a1a352f6f748d4816db55c4703",
+                "5a7befd926e15619d0e3f1e58693856dba018d74d6cd0578ef89874dd286ba08")),
+    ])
+    def test_mid_size_corpus_matches_pinned_bytes(self, tmp_path, camel_case, digests):
+        spec = SynthSpec(seed=11, n_vulnerable=300, n_benign=3000,
+                         planted_dangerous=frozenset({"alpha", "bravo", "delta", "omega"}),
+                         vocab_size=1200, terms_per_name=(1, 4), signal_strength=0.8,
+                         vocab_overlap=0.4, camel_case=camel_case)
+        paths = write_corpus(generate(spec)[0], tmp_path)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
 
     def test_camel_case_option(self):
         corpus, _ = generate(base_spec(camel_case=True, terms_per_name=(2, 3)))
