@@ -272,9 +272,12 @@ def cmd_eval(args, opts) -> int:
     from .rational import format_rate
     grid, external_table, config, inputs = _search(opts)
     if opts["loo"]:
-        # Each directory's name is its fold id and its key in the digests.
+        # Each directory's name is its fold id and its key in the digests; it is
+        # read from the absolute path, so "." is named, and a symlink keeps its own name.
         dirs = [Path(d) for d in opts["loo"]]
-        fold_ids = [d.name for d in dirs]
+        fold_ids = [Path(os.path.abspath(d)).name for d in dirs]
+        if "" in fold_ids:
+            raise DataError(f"leave-one-out directory {dirs[fold_ids.index('')]} has no name")
         keys = fold_ids + list(inputs)
         if len(set(keys)) != len(keys):
             raise DataError(f"leave-one-out directories need distinct names, none of them "

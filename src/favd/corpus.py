@@ -3,9 +3,10 @@
 A corpus is read as two lists of identifiers, one labeled vulnerable and one
 benign. Cleaning removes duplicates within each list and resolves names
 present on both lists by keeping them vulnerable (the conservative reading),
-leaving two disjoint name sets. Fold plans are stratified and seeded, so a
+leaving two disjoint name sets. K-fold plans are stratified and seeded, so a
 given (corpus, k, seed) always yields the same folds regardless of hash
-randomization; each fold is built only when it is reached.
+randomization. A plan, k-fold or leave-one-out, encodes its parts once when
+it is made, so a name is split once, and builds each fold when it is reached.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import chain, compress, count
-from operator import add, sub
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,8 +62,9 @@ class EncodedCorpus(NamedTuple):
     fixed order, so no result may read row or term-id order; each name's
     terms in order of appearance); `benign` does the same for the benign names.
     Names with no terms have no row. The vocabulary lists its terms in id
-    order. The folds of one k-fold plan share one vocabulary, so a fold's
-    vocabulary may hold terms that its own rows lack.
+    order. The folds of one plan share one vocabulary (bar a leave-one-out
+    train side encoded anew), so a fold's vocabulary may hold terms that its
+    own rows lack.
     `vulnerable_counts[i]` and `benign_counts[i]` count the vulnerable and
     benign names holding term id i; they do not depend on the weight, so
     `LabeledCorpus.term_counts` orders them once for every weight's scores.
@@ -141,20 +143,21 @@ def clean(vulnerable: Iterable[str], benign: Iterable[str]) -> LabeledCorpus:
     return LabeledCorpus(vulnerable=vulnerable, benign=benign)
 
 
-def _chunks(names: list[str], k: int) -> list[list[str]]:
-    # First (len % k) chunks get one extra element; sizes differ by at most 1.
+def _chunks(names: Iterable[str], k: int, rng: random.Random) -> list[list[str]]:
+    # Sorted before shuffling, so set iteration order cannot leak in. The first
+    # (len % k) chunks get one extra element; sizes differ by at most 1.
+    names = sorted(names)
+    rng.shuffle(names)
     base, extra = divmod(len(names), k)
     starts = [i * base + min(i, extra) for i in range(k + 1)]
     return [names[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
-    """Stratified k-fold plan with a seeded shuffle per class.
+    """Stratified k-fold plan with a seeded shuffle per class; see `_folds`.
 
-    Deterministic for a given (corpus, k, seed): names are sorted before
-    shuffling so set iteration order cannot leak in. The first fold reached
-    encodes each chunk once against one shared vocabulary; a fold carries its
-    test chunk's encoding, and the other chunks' rows for training.
+    Deterministic for a given (corpus, k, seed), regardless of hash
+    randomization. Fold i tests on chunk i of each class.
     """
     if k < 2:
         raise InfeasibleError(f"k must be at least 2, got {k}")
@@ -163,59 +166,49 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
             f"corpus has {len(corpus.vulnerable)} vulnerable and "
             f"{len(corpus.benign)} benign names; both must be >= k={k}"
         )
-    rng = random.Random(seed)
-    vuln = sorted(corpus.vulnerable)
-    ben = sorted(corpus.benign)
-    rng.shuffle(vuln)
-    rng.shuffle(ben)
-    return FoldPlan(_kfold_folds(corpus, _chunks(vuln, k), _chunks(ben, k)))
-
-
-def _kfold_folds(corpus: LabeledCorpus, vuln: list[list[str]],
-                 ben: list[list[str]]) -> Iterator[tuple[LabeledCorpus, LabeledCorpus]]:
-    chunks = _encode_parts(zip(vuln, ben))
-    vulnerable_total = [sum(column) for column in zip(*(c.vulnerable_counts for c in chunks))]
-    benign_total = [sum(column) for column in zip(*(c.benign_counts for c in chunks))]
-    for i, chunk in enumerate(chunks):
-        rest = chunks[:i] + chunks[i + 1:]
-        # Built in the call and yielded unbound, so a fold is freed before the next one is built.
-        yield _kfold_fold(corpus, vuln[i], ben[i], chunk, EncodedCorpus(
-            chunk.vocabulary, _joined(c.vulnerable for c in rest), _joined(c.benign for c in rest),
-            list(map(sub, vulnerable_total, chunk.vulnerable_counts)),
-            list(map(sub, benign_total, chunk.benign_counts))))
-
-
-def _kfold_fold(corpus: LabeledCorpus, vuln: list[str], ben: list[str], test_encoded: EncodedCorpus,
-                train_encoded: EncodedCorpus) -> tuple[LabeledCorpus, LabeledCorpus]:
-    test = LabeledCorpus(vulnerable=frozenset(vuln), benign=frozenset(ben))
-    train = LabeledCorpus(vulnerable=corpus.vulnerable - test.vulnerable,
-                          benign=corpus.benign - test.benign)
-    test.encoded, train.encoded = test_encoded, train_encoded
-    return train, test
-
-
-def _joined(groups: Iterable[dict[int, array]]) -> dict[int, array]:
-    """The rows of several encodings over one vocabulary, as one encoding's rows."""
-    rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
-    for group in groups:
-        for t, ids in group.items():
-            rows[t].extend(ids)
-    return dict(rows)
+    rng = random.Random(seed)  # the full sorted lists are freed before the chunks are encoded
+    return _folds(list(zip(_chunks(corpus.vulnerable, k, rng), _chunks(corpus.benign, k, rng))))
 
 
 def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
-    """One fold per corpus; train is the re-cleaned union of all the others.
-
-    Re-cleaning matters: a name vulnerable in one project and benign in
-    another must end up vulnerable in the union.
-    """
+    """One fold per corpus, which is its test side; see `_folds`."""
     if len(corpora) < 2:
         raise InfeasibleError("leave-one-out needs at least two corpora")
-    return FoldPlan(map(partial(_loo_fold, corpora), range(len(corpora))))
+    return _folds(corpora)
 
 
-def _loo_fold(corpora: Sequence[LabeledCorpus], i: int) -> tuple[LabeledCorpus, LabeledCorpus]:
-    rest = corpora[:i] + corpora[i + 1:]
-    train = clean(chain.from_iterable(c.vulnerable for c in rest),
-                  chain.from_iterable(c.benign for c in rest))
-    return train, corpora[i]
+def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]]) -> FoldPlan:
+    """Fold i tests on part i and trains on `clean` of the other parts' union.
+
+    Every part is encoded here, once, over one shared vocabulary, and test
+    side i carries part i's encoding (a part that is a LabeledCorpus is its
+    own test side). A train side as large as the other parts together holds
+    no name twice, so it carries their rows joined and counts summed. A
+    smaller one (a name in two corpora, which only leave-one-out can have;
+    `clean` keeps it vulnerable if it is so anywhere) is encoded anew when
+    first read.
+    """
+    return FoldPlan(map(partial(_fold, parts, _encode_parts(parts)), range(len(parts))))
+
+
+def _fold(parts: Sequence[tuple[Collection[str], Collection[str]]], encodings: list[EncodedCorpus],
+          i: int) -> tuple[LabeledCorpus, LabeledCorpus]:
+    # Built in the call and handed on unbound by map, so a fold is freed before the next one is built.
+    # Train comes first: growing its sets is the fold's peak, and the test sets are not yet held.
+    rest, part = parts[:i] + parts[i + 1:], parts[i]
+    train = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
+    test = part if isinstance(part, LabeledCorpus) else LabeledCorpus(*map(frozenset, part))
+    test.encoded = encodings[i]
+    if len(train.vulnerable) + len(train.benign) == sum(len(v) + len(b) for v, b in rest):
+        train.encoded = _joined(encodings[:i] + encodings[i + 1:])
+    return train, test
+
+
+def _joined(parts: list[EncodedCorpus]) -> EncodedCorpus:
+    """The encoding of disjoint parts' names, from the parts' encodings over one vocabulary."""
+    vocabulary, vulnerable, benign, *counts = zip(*parts)
+    rows = defaultdict(lambda: array("i")), defaultdict(lambda: array("i"))
+    for joined, groups in zip(rows, (vulnerable, benign)):
+        for t, ids in chain.from_iterable(group.items() for group in groups):
+            joined[t].extend(ids)
+    return EncodedCorpus(vocabulary[0], *map(dict, rows), *(list(map(sum, zip(*c))) for c in counts))

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -289,6 +290,52 @@ def test_eval_loo_over_project_dirs(tmp_path):
     report = json.loads((out / "eval_report.json").read_text())
     assert report["protocol"]["kind"] == "leave_one_out"
     assert [f["fold"] for f in report["folds"]] == ["projA", "projB", "projC"]
+
+
+def _loo_projects(root: Path, names=("projA", "projB", "projC")) -> list[Path]:
+    """Project directories whose names are all distinct, across projects too."""
+    for i, name in enumerate(names):
+        d = root / name
+        d.mkdir(parents=True)
+        (d / "vulnerable.txt").write_text(f"danger_read_{i}\ndanger_netRecv{i}\n{'_' * (i + 2)}\n")
+        (d / "benign.txt").write_text(f"log_write_{i}\nuiDraw{i}\ndanger_{i}\n")
+    return [root / name for name in names]
+
+
+def test_eval_loo_splits_each_name_once(tmp_path, monkeypatch):
+    import favd.corpus
+
+    calls, real_split = Counter(), favd.corpus.split
+
+    def counting_split(name):
+        calls[name] += 1
+        return real_split(name)
+
+    monkeypatch.setattr(favd.corpus, "split", counting_split)
+    dirs = _loo_projects(tmp_path)
+    assert main(["eval", "--loo", *map(str, dirs), "--cutoff-step", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    names = [n for d in dirs for f in ("vulnerable.txt", "benign.txt")
+             for n in (d / f).read_text().split()]
+    assert calls == Counter(set(names)) and len(calls) == 18
+
+
+def test_eval_loo_names_each_directory_by_its_absolute_path(tmp_path, monkeypatch, capsys):
+    # "." and ".." are named by the directories they stand for; a symlink keeps its own name.
+    dirs = _loo_projects(tmp_path, ("a", "b", "c"))
+    (tmp_path / "link").symlink_to(dirs[2], target_is_directory=True)
+    monkeypatch.chdir(dirs[0])
+    assert main(["eval", "--loo", ".", "../b", "../link", "--cutoff-step", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+    assert report["protocol"]["projects"] == [f["fold"] for f in report["folds"]] == ["a", "b", "link"]
+    assert list(report["inputs"]) == ["a", "b", "link"]
+    monkeypatch.chdir(dirs[1])
+    assert main(["eval", "--loo", "../a", ".", "../b", "--out-dir", str(tmp_path / "o2")]) == 2
+    assert "distinct names" in capsys.readouterr().err
+    assert main(["eval", "--loo", "/", "../a", "--out-dir", str(tmp_path / "o3")]) == 2
+    err = capsys.readouterr().err
+    assert err == "favd: data error: leave-one-out directory / has no name\n"
 
 
 @pytest.mark.parametrize("protocol", ["kfold", "loo"])

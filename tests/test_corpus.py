@@ -1,7 +1,8 @@
 from collections import Counter
+from itertools import chain
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import favd.corpus
 from favd.corpus import (
@@ -269,10 +270,39 @@ def test_fold_encodings_equal_a_fresh_encode_up_to_term_ids(vuln, benign, k, see
     corpus = clean(vuln - {""}, benign - {""})
     assume(min(len(corpus.vulnerable), len(corpus.benign)) >= k)
     for fold in (f for pair in make_kfold(corpus, k, seed).folds for f in pair):
-        fresh = LabeledCorpus(fold.vulnerable, fold.benign)
-        assert _terms_and_rows(fold.encoded) == _terms_and_rows(encode(fresh))
-        assert fold.term_counts == fresh.term_counts
-        assert set(fresh.encoded.vocabulary) <= set(fold.encoded.vocabulary)
+        _assert_encoded_as_fresh(fold)
+
+
+def _assert_encoded_as_fresh(fold: LabeledCorpus) -> None:
+    fresh = LabeledCorpus(fold.vulnerable, fold.benign)
+    assert _terms_and_rows(fold.encoded) == _terms_and_rows(encode(fresh))
+    assert fold.term_counts == fresh.term_counts
+    assert set(fresh.encoded.vocabulary) <= set(fold.encoded.vocabulary)
+
+
+# Few short names, so that projects share some under mixed labels; "__" has no terms.
+loo_name = st.lists(st.sampled_from(["read", "file", "x", "2"]), max_size=2).map("_".join).map(
+    lambda name: name or "__")
+loo_project = st.tuples(st.sets(loo_name, max_size=4), st.sets(loo_name, max_size=4)).filter(
+    any).map(lambda lists: clean(*lists))
+
+
+@settings(max_examples=80, deadline=None)
+@given(projects=st.lists(loo_project, min_size=2, max_size=4))
+@example(projects=[clean(("n", "a1"), ("a2",)), clean(("b1",), ("n", "b2")), clean(("c1",), ("c2",))])
+def test_loo_fold_encodings_equal_a_fresh_encode_up_to_term_ids(projects):
+    """Trains on the cleaned union of the rest, joining their rows when no name is in two."""
+    for i, (train, test) in enumerate(make_leave_one_out(projects).folds):
+        rest = projects[:i] + projects[i + 1:]
+        assert train == clean(chain.from_iterable(p.vulnerable for p in rest),
+                              chain.from_iterable(p.benign for p in rest))
+        assert test is projects[i]
+        names = [name for p in rest for name in chain(p.vulnerable, p.benign)]
+        joined = "encoded" in vars(train)  # the lazy union is encoded on first read
+        event(f"joined rows: {joined}")
+        assert joined == (len(set(names)) == len(names))
+        _assert_encoded_as_fresh(train)
+        _assert_encoded_as_fresh(test)
 
 
 class TestLeaveOneOut:
