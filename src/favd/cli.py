@@ -9,9 +9,11 @@ byte-identical across runs.
 
 Each command imports the favd modules it runs, and no other: `harvest` loads
 only `errors` and `harvest`, `split` only `errors` and `splitter`, and
-`predict` neither `corpus`, `tuner` nor `metrics`. `predict` splits each
-name and hands to `predictor.classify` only the names that hold a deployed
-word; a name that holds none is benign at 0 by the rule.
+`predict` neither `corpus`, `tuner` nor `metrics`. `predict` streams: it
+holds one block of its names file at a time, splits each name on its
+way to the CSV writer, and hands to `predictor.classify` only the names that
+hold a deployed word; a name that holds none is benign at 0 by the rule.
+Every output file is written whole or not at all (`errors.writing`).
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP, __version__
-from .errors import DataError, InfeasibleError, csv_rows, read_lines, reading, write_csv
-# Every other favd module, and hashlib, json and fractions, is imported by the
+from .errors import DataError, InfeasibleError, csv_rows, iter_lines, reading, write_csv
+# Every other favd module, and the SHA-256 module, json and fractions, is imported by the
 # commands that use it, so that each command loads only what it runs.
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .corpus import LabeledCorpus
     from .ranking import TermScoreTable
     from .tuner import SearchGrid
@@ -101,13 +105,26 @@ def _options(args) -> dict:
 
 
 def _digests(paths: dict) -> dict:
-    """Each input file's path and SHA-256 digest, by key."""
-    import hashlib
+    """Each input file's path and SHA-256 digest, by key.
+
+    The interpreter's builtin SHA-256 is used where it exists, as `random` does
+    for SHA-512: `hashlib` loads OpenSSL, which costs every digesting command
+    more peak memory and start-up time than hashing its inputs does.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     digests = {}
     for key, path in paths.items():
+        digest = sha256()
         with reading(path, "input file") as fh:  # the bytes on disk, a byte-order mark included
-            digests[key] = {"path": str(path),
-                            "sha256": hashlib.sha256(fh.buffer.read()).hexdigest()}
+            for block in iter(partial(fh.buffer.read, 1 << 16), b""):
+                digest.update(block)
+        digests[key] = {"path": str(path), "sha256": digest.hexdigest()}
     return digests
 
 
@@ -319,15 +336,16 @@ def cmd_eval(args, opts) -> int:
     return 0
 
 
-def _read_names(path: Path) -> list[str]:
-    """A plain name list, or the first column of a `name,...` CSV such as harvest's."""
+def _read_names(path: Path) -> Iterator[str]:
+    """Yield a plain name list's names, or the first column of a `name,...` CSV such as
+    harvest's, reading the file as they are drawn."""
     with reading(path, "names file") as fh:
         first = fh.readline().splitlines()[:1]  # the text's first line, as splitlines ends it
     if not (first and first[0].strip().lower().startswith("name,")):
-        return read_lines(path)
+        return iter_lines(path)
     rows = csv_rows(path, "names file")
     next(rows)  # the header
-    return [fields[0] for _, fields in rows]
+    return (fields[0] for _, fields in rows)
 
 
 def cmd_predict(args, opts) -> int:
@@ -340,9 +358,9 @@ def cmd_predict(args, opts) -> int:
     def rows():
         # A name none of whose terms is deployed matches nothing, so the rule
         # makes it benign at 0; only the others go through classify.
-        unmatched = map(model.top_terms.isdisjoint, map(split, names))
-        for name, nothing_deployed in zip(names, unmatched):
-            if nothing_deployed:
+        nothing_deployed = model.top_terms.isdisjoint
+        for name in names:
+            if nothing_deployed(split(name)):
                 yield [name, BENIGN, "0.000000", ""]
             else:
                 _, label, matched, terms = classify(name, model)

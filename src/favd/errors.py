@@ -4,18 +4,25 @@ The CLI maps these onto exit codes: DataError -> 2, InfeasibleError -> 3.
 Every file favd reads is opened by `reading`, and every file it writes by
 `writing`, so these two alone decide the text format. Each turns the ways a
 file can fail into one DataError whose one-line message names the path.
-`read_lines` is the one list-file reader, and `csv_rows` and `write_csv`
-are the one CSV reader and writer; the writer also takes rows that are CSV
-text already.
+`writing` replaces a file only once its new text is whole. `iter_lines` is
+the one list-file reader, holding one block of the file at a time
+(`read_lines` lists what it yields), and `csv_rows` and `write_csv` are the
+one CSV reader and writer; the writer also takes rows that are CSV text
+already.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
+
+BLOCK = 1 << 16  # characters a list file is read by
 
 
 class DataError(Exception):
@@ -34,7 +41,8 @@ def reading(path, what: str):
     are; `fh.buffer` reads the bytes on disk. Mapped: a missing file, bytes
     that are not UTF-8, malformed or too deeply nested JSON (or an integer in
     it too long to read), a malformed CSV, a path holding a null byte, and any
-    other OSError, such as a directory.
+    other OSError, such as a directory. A byte that is not UTF-8 is reported at
+    its offset in the file.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -42,7 +50,7 @@ def reading(path, what: str):
     except FileNotFoundError as exc:
         raise DataError(f"{what} not found: {path}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8: {path} ({exc})") from exc
+        raise DataError(f"not valid UTF-8: {path} ({_in_file(path, exc)})") from exc
     except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed {what} {path}: {exc}") from exc
     except csv.Error as exc:
@@ -51,31 +59,82 @@ def reading(path, what: str):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _in_file(path, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """`exc` as decoding the file's bytes at once raises it, so that its position is the
+    byte's file offset (a stream counts from the start of the chunk it decodes)."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    except UnicodeDecodeError as again:
+        return again
+    except OSError:
+        pass
+    return exc
+
+
 @contextmanager
 def writing(path):
     """Create `path`'s parent directory, yield `path` open to write, map OSError to DataError.
 
-    The text is UTF-8, and `\\n` is written as it is on every platform.
+    The text is UTF-8, and `\\n` is written as it is on every platform. It goes
+    to a temporary file beside the target, which replaces the target only
+    when the block ends without an exception; on any exception, an interrupt
+    included, the temporary file is removed and the old file, or none, stays.
+    A symlink keeps its link (its target is replaced), a replaced file keeps
+    its permission bits, and a target that exists but is not a regular file
+    (`/dev/null`, a FIFO) is written in place.
     """
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            mode = path.stat().st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name[:64]}.{os.urandom(6).hex()}.tmp")
+        # 0o666 less the umask, as a new file gets; a replaced file keeps its bits below
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def read_lines(path) -> list[str]:
-    """A list file's names, one per line in file order, less trailing whitespace and blank
-    lines. They are stripped in place, so a long list is held once, not twice."""
+def iter_lines(path, block: int = BLOCK) -> Iterator[str]:
+    """Yield a list file's names, one per line in file order, less trailing whitespace and
+    blank lines, reading `block` characters at a time.
+
+    Lines end where `str.splitlines` ends them. A block's last line waits for
+    the next block unless a line end follows it; a line longer than a block
+    makes the next read as long as it. A `\\r\\n` split across two blocks
+    ends its line at `\\r` and leaves a blank line, which is dropped.
+    """
     with reading(path, "input file") as fh:
-        lines, kept = fh.read().splitlines(), 0
-    for line in filter(None, map(str.rstrip, lines)):
-        lines[kept] = line
-        kept += 1
-    del lines[kept:]
-    return lines
+        rest = ""
+        while text := fh.read(max(block, len(rest))):
+            text = rest + text
+            lines = text.splitlines()
+            rest = lines.pop() if text.endswith(lines[-1]) else ""
+            yield from filter(None, map(str.rstrip, lines))
+        if rest := rest.rstrip():
+            yield rest
+
+
+def read_lines(path) -> list[str]:
+    """A list file's names, as `iter_lines` yields them."""
+    return list(iter_lines(path))
 
 
 def csv_rows(path, what: str, key: str = "name"):

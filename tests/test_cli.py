@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -575,6 +576,95 @@ def test_predict_rows_match_classify_name_by_name(names, words, threshold):
     assert rows == expected
 
 
+def _names_file(path: Path, count: int) -> None:
+    """`count` names, every other one holding deployed words."""
+    path.write_text("".join(f"read_buf_{i}\nwrite_log_{i}\n" for i in range(count // 2)))
+
+
+def _save_deployed(path: Path) -> None:
+    save_model(model_document(_deployed(DEPLOYED, Fraction(1, 3)), Fraction(0)), path)
+
+
+def test_predict_peak_memory_does_not_grow_with_the_names(tmp_path):
+    """predict holds one block of its names file, so 10 times the names costs no memory."""
+    _save_deployed(tmp_path / "model.json")
+    peak_mb = {}
+    for count in (20_000, 200_000):
+        _names_file(tmp_path / f"{count}.txt", count)
+        argv = ["predict", "--model", "model.json", "--names", f"{count}.txt",
+                "--out", f"{count}.csv"]
+        # The benchmark's launcher reports the child's own peak RSS, not this
+        # process's, which a child forked from here would inherit.
+        proc = subprocess.run([sys.executable, str(_ROOT / "bench" / "launch.py"), "run.json",
+                               sys.executable, "-m", "favd.cli", *argv],
+                              cwd=tmp_path, env=_ENV, capture_output=True, text=True)
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert proc.returncode == 0 and run["rc"] == 0, proc.stderr
+        assert (tmp_path / f"{count}.csv").read_text().count("\n") == count + 1
+        peak_mb[count] = run["peak_rss_mb"]
+    # The whole list held at once adds about 15 MB here.
+    assert peak_mb[200_000] - peak_mb[20_000] < 2, peak_mb
+
+
+@pytest.mark.parametrize("kind", ["list", "harvest-csv"])
+def test_predict_may_write_over_its_own_names_file(tmp_path, kind):
+    _save_deployed(tmp_path / "model.json")
+    names = tmp_path / "names"
+    _names_file(names, 2000)
+    if kind == "harvest-csv":
+        names.write_text("name,file,line\n" + "".join(
+            f"{name},f.c,{i}\n" for i, name in enumerate(names.read_text().split())))
+    predict = ["predict", "--model", str(tmp_path / "model.json"), "--names", str(names)]
+    assert main([*predict, "--out", str(tmp_path / "fresh.csv")]) == 0
+    assert main([*predict, "--out", str(names)]) == 0
+    assert names.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+# A names file whose line 50,001 fails, after 50,000 good names (a header and
+# 49,999 rows for a CSV), and the message each failure gives.
+_GOOD_NAMES = "".join(f"read_buf_{i}\n" for i in range(50_000)).encode()
+_GOOD_ROWS = b"name,file,line\n" + b"".join(b"read_%d,f.c,1\n" % i for i in range(49_999))
+FAILING_NAMES = {
+    "list-bad-byte": (_GOOD_NAMES + b"bad\xffname\n",
+                      f"position {len(_GOOD_NAMES) + 3}: invalid start byte"),
+    "csv-bad-byte": (_GOOD_ROWS + b"bad\xffname,f.c,1\n",
+                     f"position {len(_GOOD_ROWS) + 3}: invalid start byte"),
+    "csv-line-break": (_GOOD_ROWS + b'"two\nlines",f.c,1\n',
+                       "names.txt:50002: name holds a line break"),
+}
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+@pytest.mark.parametrize("case", sorted(FAILING_NAMES))
+def test_a_predict_that_fails_midway_leaves_the_old_output_or_none(tmp_path, capsys, case,
+                                                                   existing):
+    content, message = FAILING_NAMES[case]
+    (tmp_path / "in").mkdir()
+    _save_deployed(tmp_path / "in" / "model.json")
+    (tmp_path / "in" / "names.txt").write_bytes(content)
+    out = tmp_path / "out" / "pred.csv"
+    if existing:
+        out.parent.mkdir()
+        out.write_bytes(b"old predictions\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(tmp_path / "in" / "model.json"),
+                 "--names", str(tmp_path / "in" / "names.txt"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err, err
+    if existing:
+        assert os.listdir(out.parent) == ["pred.csv"]
+        assert out.read_bytes() == b"old predictions\n"
+    else:
+        assert not out.exists()
+        assert not out.parent.exists() or os.listdir(out.parent) == []
+
+
+def test_predict_writes_to_dev_null(tmp_path, corpus_files):
+    _save_deployed(tmp_path / "model.json")
+    assert main(["predict", "--model", str(tmp_path / "model.json"),
+                 "--names", str(corpus_files[0]), "--out", os.devnull]) == 0
+
+
 def test_train_starved_vocabulary_persists_model_with_warning(tmp_path, capsys):
     vuln = tmp_path / "v.txt"
     benign = tmp_path / "b.txt"
@@ -681,7 +771,8 @@ def test_csv_corpus_input(tmp_path):
     assert "csv" in doc["provenance"]["inputs"]
 
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 # Model-file and synth-spec values of the wrong type, by name.
@@ -996,6 +1087,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, every_command)
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
     interpreter = modules_after("")  # loaded before favd is, by site for one
+    # OpenSSL's hash module costs each digesting command megabytes of peak memory.
+    builtin_sha256 = any(map(importlib.util.find_spec, ("_sha2", "_sha256")))
     for name, argv in every_command.items():
         modules = modules_after(run, json.dumps(argv))
         loaded = modules - interpreter  # what favd itself loads
@@ -1005,6 +1098,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, every_command)
         assert ("favd.synth" in modules) == (name == "synth"), name
         if name in ("split", "predict", "harvest", "roc"):
             assert "hashlib" not in modules, name
+        if builtin_sha256:
+            assert "_hashlib" not in modules, name
         if name == "split":
             assert favd == {"favd.cli", "favd.errors", "favd.splitter"}
         if name == "harvest":
