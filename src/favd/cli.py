@@ -199,11 +199,12 @@ def cmd_train(args, opts) -> int:
     from .tuner import TRACE_HEADER, trace_text
     if (args.trace, args.words_csv).count("-") > 1:
         raise DataError("--trace - and --words-csv - cannot both write to standard output")
-    corpus, paths = _corpus_inputs(opts)
+    train, paths = _corpus_inputs(opts)
+    train = train.encoded  # tuning reads only the encoding, so the name sets are freed here
     digests = _digests(paths)
     grid, external_table, config, inputs = _search(opts)
     trace: list | None = [] if args.trace else None
-    result = _tune(corpus, external_table, opts["policy"], grid, opts["beta"], trace)
+    result = _tune(train, external_table, opts["policy"], grid, opts["beta"], trace)
     warnings = []
     if len(result.model.dangerous.words) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
@@ -235,7 +236,7 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
     result = _tune(train, external_table, policy, grid, beta)
     model = result.model
     counts = classify_corpus(test, model)
-    v, b = len(test.vulnerable), len(test.benign)
+    v, b = counts.tp + counts.fn, counts.fp + counts.tn
     # Exact values, averaged over the folds for the means; the row rounds them.
     exact = {
         "f2": f_beta(counts, 2),
@@ -249,7 +250,7 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
     weight = model.dangerous.weight.tag() if model.dangerous.weight else None
     row = {
         "fold": fold_id,
-        "train": {"vulnerable": len(train.vulnerable), "benign": len(train.benign)},
+        "train": {"vulnerable": train.n_vulnerable, "benign": train.n_benign},
         "test": {"vulnerable": v, "benign": b},
         "model": {
             "weight": weight,
@@ -260,10 +261,7 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
             "train_f2": format_rate(result.train_f2),
         },
         "metrics": {
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
-            "tn": counts.tn,
+            **counts._asdict(),  # tp, fp, fn, tn
             "precision": rate["precision"],
             "recall": rate["recall"],
             "f1": format_rate(f_beta(counts, 1)),
@@ -274,7 +272,7 @@ def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
                       "random_f2": rate["random_f2"]},
     }
     # The fold's folds.csv row: its columns, in order, and the report values that fill them.
-    line = {"fold": fold_id, "train_vuln": len(train.vulnerable), "train_benign": len(train.benign),
+    line = {"fold": fold_id, "train_vuln": train.n_vulnerable, "train_benign": train.n_benign,
             "test_vuln": v, "test_benign": b, "weight": weight or model.dangerous.source or "",
             "cutoff": model.cutoff, "threshold": row["model"]["threshold"]}
     line.update((key, row["metrics"][key])
@@ -308,11 +306,12 @@ def cmd_eval(args, opts) -> int:
         digests = _digests(paths)
         k, seed = opts["kfold"], opts["seed"]
         plan = make_kfold(corpus, k, seed)
+        del corpus  # the plan holds its names: chunked for the test sides, encoded for the rest
         protocol = {"kind": "kfold", "k": k, "seed": seed}
         fold_ids = [f"{i + 1}/{k}" for i in range(k)]
 
     # map hands each fold straight to _eval_fold and keeps no reference to
-    # it, so a fold's corpora are freed before the next fold is built.
+    # it, so a fold's train encoding and test corpus are freed before the next fold is built.
     run = partial(_eval_fold, policy=opts["policy"], grid=grid, beta=opts["beta"],
                   external_table=external_table)
     folds, lines, exacts = zip(*map(run, fold_ids, plan.folds))
@@ -377,7 +376,7 @@ def cmd_roc(args, opts) -> int:
     from .model_io import load_model
     from .ranking import rank, score_frequency
     from .tuner import SearchGrid
-    corpus, _ = _corpus_inputs(opts)  # roc reports no inputs, so no digests
+    corpus = _corpus_inputs(opts)[0].encoded  # roc reports no inputs, so no digests
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]))
     if args.model:
         dangerous = load_model(args.model).dangerous

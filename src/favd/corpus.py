@@ -40,41 +40,41 @@ class LabeledCorpus(namedtuple("LabeledCorpus", "vulnerable benign")):
         """The corpus split into term ids, computed on first use and kept."""
         return encode(self)
 
-    @cached_property
-    def term_counts(self) -> tuple[list[str], list[int], list[int]]:
-        """The terms that the rows hold and their vulnerable and benign name counts, kept.
 
-        In ranking's tie-break order: more vulnerable names first, then text.
-        """
-        encoded = self.encoded
-        v, b = encoded.vulnerable_counts, encoded.benign_counts
-        terms = list(encoded.vocabulary)  # in id order
-        ids = sorted(compress(range(len(terms)), map(add, v, b)), key=terms.__getitem__)
-        ids.sort(key=v.__getitem__, reverse=True)  # stable: equal counts stay in text order
-        return [terms[i] for i in ids], [v[i] for i in ids], [b[i] for i in ids]
-
-
-class EncodedCorpus(NamedTuple):
+class EncodedCorpus(namedtuple("EncodedCorpus", "vocabulary vulnerable benign vulnerable_counts "
+                                                "benign_counts n_vulnerable n_benign")):
     """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
     `vulnerable[t]` holds the term ids of every vulnerable name with t unique
     terms as one flat `array('i')`, t ids per name, name after name (in no
     fixed order, so no result may read row or term-id order; each name's
     terms in order of appearance); `benign` does the same for the benign names.
-    Names with no terms have no row. The vocabulary lists its terms in id
-    order. The folds of one plan share one vocabulary (bar a leave-one-out
-    train side encoded anew), so a fold's vocabulary may hold terms that its
-    own rows lack.
-    `vulnerable_counts[i]` and `benign_counts[i]` count the vulnerable and
-    benign names holding term id i; they do not depend on the weight, so
-    `LabeledCorpus.term_counts` orders them once for every weight's scores.
+    The vocabulary lists its terms in id order. The folds of one plan share
+    one vocabulary (bar a leave-one-out train side encoded anew), so a fold's
+    vocabulary may hold terms that its own rows lack. `vulnerable_counts[i]`
+    and `benign_counts[i]` count the vulnerable and benign names holding term
+    id i. A name with no terms (`__`) has no row, so `n_vulnerable` and
+    `n_benign`, the names of each class, are counted from the names as they
+    are encoded, not from the rows.
     """
 
-    vocabulary: dict[str, int]
-    vulnerable: dict[int, array]
-    benign: dict[int, array]
-    vulnerable_counts: list[int]
-    benign_counts: list[int]
+    @property
+    def encoded(self) -> "EncodedCorpus":
+        """Itself: tuning, counting and ROC read a corpus, labeled or encoded, as `.encoded`."""
+        return self
+
+    @cached_property
+    def term_counts(self) -> tuple[list[str], list[int], list[int]]:
+        """The terms that the rows hold and their vulnerable and benign name counts, kept.
+
+        In ranking's tie-break order: more vulnerable names first, then text.
+        They do not depend on the weight, so they are ordered once for every weight's scores.
+        """
+        v, b = self.vulnerable_counts, self.benign_counts
+        terms = list(self.vocabulary)  # in id order
+        ids = sorted(compress(range(len(terms)), map(add, v, b)), key=terms.__getitem__)
+        ids.sort(key=v.__getitem__, reverse=True)  # stable: equal counts stay in text order
+        return [terms[i] for i in ids], [v[i] for i in ids], [b[i] for i in ids]
 
 
 def encode(corpus: LabeledCorpus) -> EncodedCorpus:
@@ -82,12 +82,13 @@ def encode(corpus: LabeledCorpus) -> EncodedCorpus:
     return _encode_parts([(corpus.vulnerable, corpus.benign)])[0]
 
 
-def _encode_parts(parts: Iterable[tuple[Iterable[str], Iterable[str]]]) -> list[EncodedCorpus]:
+def _encode_parts(parts: Iterable[tuple[Collection[str], Collection[str]]]) -> list[EncodedCorpus]:
     """The encoding of each (vulnerable, benign) pair of names, over one shared vocabulary."""
     vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # new term: next id
-    rows = [(_rows(v, vocabulary), _rows(b, vocabulary)) for v, b in parts]
+    rows = [(_rows(v, vocabulary), _rows(b, vocabulary), len(v), len(b)) for v, b in parts]
     shared, ids = dict(vocabulary), range(len(vocabulary))
-    return [EncodedCorpus(shared, v, b, _counts(v, ids), _counts(b, ids)) for v, b in rows]
+    return [EncodedCorpus(shared, v, b, _counts(v, ids), _counts(b, ids), n_v, n_b)
+            for v, b, n_v, n_b in rows]
 
 
 def _rows(names: Iterable[str], vocabulary: defaultdict[str, int]) -> dict[int, array]:
@@ -105,9 +106,9 @@ def _counts(rows: dict[int, array], ids: range) -> list[int]:
 
 
 class FoldPlan(NamedTuple):
-    """Ordered (train, test) pairs, each built when iterated; `folds` is read once."""
+    """Ordered (train encoding, test corpus) pairs, each built when iterated; read once."""
 
-    folds: Iterator[tuple[LabeledCorpus, LabeledCorpus]]
+    folds: Iterator[tuple[EncodedCorpus, LabeledCorpus]]
 
 
 def load_lists(vulnerable_path: str | Path, benign_path: str | Path) -> tuple[list[str], list[str]]:
@@ -174,41 +175,43 @@ def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
     """One fold per corpus, which is its test side; see `_folds`."""
     if len(corpora) < 2:
         raise InfeasibleError("leave-one-out needs at least two corpora")
-    return _folds(corpora)
+    return _folds(corpora, may_share=True)
 
 
-def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]]) -> FoldPlan:
-    """Fold i tests on part i and trains on `clean` of the other parts' union.
+def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]], may_share=False) -> FoldPlan:
+    """Fold i tests on part i and trains on the union of the other parts.
 
     Every part is encoded here, once, over one shared vocabulary, and test
     side i carries part i's encoding (a part that is a LabeledCorpus is its
-    own test side). A train side as large as the other parts together holds
-    no name twice, so it carries their rows joined and counts summed. A
-    smaller one (a name in two corpora, which only leave-one-out can have;
-    `clean` keeps it vulnerable if it is so anywhere) is encoded anew when
-    first read.
+    own test side). Train side i joins the other parts' rows and sums their
+    counts and sizes: the union's encoding when no name is in two of them,
+    as for k-fold chunks. Leave-one-out projects `may_share` a name, so each
+    fold also takes `clean` of their union (a name vulnerable anywhere stays
+    so); if it is smaller than the parts, the train side encodes it anew.
     """
-    return FoldPlan(map(partial(_fold, parts, _encode_parts(parts)), range(len(parts))))
+    return FoldPlan(map(partial(_fold, parts, _encode_parts(parts), may_share), range(len(parts))))
 
 
 def _fold(parts: Sequence[tuple[Collection[str], Collection[str]]], encodings: list[EncodedCorpus],
-          i: int) -> tuple[LabeledCorpus, LabeledCorpus]:
+          may_share: bool, i: int) -> tuple[EncodedCorpus, LabeledCorpus]:
     # Built in the call and handed on unbound by map, so a fold is freed before the next one is built.
-    # Train comes first: growing its sets is the fold's peak, and the test sets are not yet held.
     rest, part = parts[:i] + parts[i + 1:], parts[i]
-    train = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
+    train = _joined(encodings[:i] + encodings[i + 1:])
+    if may_share:
+        union = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
+        if len(union.vulnerable) + len(union.benign) < train.n_vulnerable + train.n_benign:
+            train = union.encoded
     test = part if isinstance(part, LabeledCorpus) else LabeledCorpus(*map(frozenset, part))
     test.encoded = encodings[i]
-    if len(train.vulnerable) + len(train.benign) == sum(len(v) + len(b) for v, b in rest):
-        train.encoded = _joined(encodings[:i] + encodings[i + 1:])
     return train, test
 
 
 def _joined(parts: list[EncodedCorpus]) -> EncodedCorpus:
     """The encoding of disjoint parts' names, from the parts' encodings over one vocabulary."""
-    vocabulary, vulnerable, benign, *counts = zip(*parts)
+    vocabulary, vulnerable, benign, *counts, n_vulnerable, n_benign = zip(*parts)
     rows = defaultdict(lambda: array("i")), defaultdict(lambda: array("i"))
     for joined, groups in zip(rows, (vulnerable, benign)):
         for t, ids in chain.from_iterable(group.items() for group in groups):
             joined[t].extend(ids)
-    return EncodedCorpus(vocabulary[0], *map(dict, rows), *(list(map(sum, zip(*c))) for c in counts))
+    return EncodedCorpus(vocabulary[0], *map(dict, rows), *(list(map(sum, zip(*c))) for c in counts),
+                         sum(n_vulnerable), sum(n_benign))

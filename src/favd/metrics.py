@@ -21,7 +21,7 @@ from .predictor import ConfusionCounts, count_flagged
 from .rational import exact_fraction
 
 if TYPE_CHECKING:
-    from .corpus import LabeledCorpus
+    from .corpus import EncodedCorpus, LabeledCorpus
     from .ranking import DangerousWordList
 
 
@@ -117,7 +117,7 @@ class RocCurve(NamedTuple):
 def roc(
     dangerous: DangerousWordList,
     cutoffs: Sequence[int],
-    corpus: LabeledCorpus,
+    corpus: EncodedCorpus | LabeledCorpus,
     thresholds: Sequence[Fraction] = threshold_values(DEFAULT_THRESHOLD_STEP),
     include_zero_endpoint: bool = False,
 ) -> Iterator[RocCurve]:
@@ -134,9 +134,9 @@ def roc(
         raise ValueError(f"cutoffs must be >= 1, got {bad}")
     if not all(0 <= threshold <= 1 for threshold in thresholds):
         raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
-    if not corpus.vulnerable or not corpus.benign:
+    n_pos, n_neg = corpus.encoded.n_vulnerable, corpus.encoded.n_benign
+    if not n_pos or not n_neg:
         raise DataError("ROC rates need at least one vulnerable and one benign name")
-    n_pos, n_neg = len(corpus.vulnerable), len(corpus.benign)
     kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
     tp, fp = count_flagged(dangerous, corpus, cutoffs, kept)
     tail = (RocPoint(Fraction(0), Fraction(1), Fraction(1)),) if include_zero_endpoint else ()

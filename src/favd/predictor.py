@@ -27,7 +27,7 @@ from .ranking import DangerousWordList, Weight
 from .splitter import split
 
 if TYPE_CHECKING:
-    from .corpus import LabeledCorpus
+    from .corpus import EncodedCorpus, LabeledCorpus
 
 VULNERABLE = "vulnerable"
 BENIGN = "benign"
@@ -87,7 +87,7 @@ def classify(identifier: str, model: TunedModel) -> Prediction:
 
 def count_flagged(
     dangerous: DangerousWordList,
-    corpus: LabeledCorpus,
+    corpus: EncodedCorpus | LabeledCorpus,
     cutoffs: Sequence[int],
     thresholds: Sequence[Fraction],
 ) -> tuple[list[list[int]], list[list[int]]]:
@@ -139,10 +139,8 @@ def _flagged_at(
     return [list(map(bisect_right, repeat(flip), cutoffs)) for flip in flips]
 
 
-def classify_corpus(corpus: LabeledCorpus, model: TunedModel) -> ConfusionCounts:
+def classify_corpus(corpus: EncodedCorpus | LabeledCorpus, model: TunedModel) -> ConfusionCounts:
     """Confusion counts of the model over the corpus, vulnerable as positive."""
-    tp, fp = count_flagged(model.dangerous, corpus, [model.cutoff], [model.threshold])
-    tp, fp = tp[0][0], fp[0][0]
-    return ConfusionCounts(
-        tp=tp, fp=fp, fn=len(corpus.vulnerable) - tp, tn=len(corpus.benign) - fp
-    )
+    encoded = corpus.encoded
+    [[tp]], [[fp]] = count_flagged(model.dangerous, encoded, [model.cutoff], [model.threshold])
+    return ConfusionCounts(tp=tp, fp=fp, fn=encoded.n_vulnerable - tp, tn=encoded.n_benign - fp)

@@ -4,7 +4,7 @@ Frequency scoring gives every unique term of a vulnerable name `plus` and
 every unique term of a benign name `-minus`. A term therefore scores
 plus*V_t - minus*B_t where V_t and B_t count the names (not occurrences)
 containing it. Both counts come from the corpus encoding, with the terms
-already in tie-break order (`LabeledCorpus.term_counts`), so trying another
+already in tie-break order (`EncodedCorpus.term_counts`), so trying another
 weight neither splits the names again nor sorts by anything but score. The
 terms that the min-score policy cannot keep are not scored (score_frequency).
 External per-term scores in [0, 1] can be loaded from CSV instead, their
@@ -27,7 +27,7 @@ from .errors import DataError, csv_rows, write_csv
 from .rational import exact_fraction, parse_fraction
 
 if TYPE_CHECKING:
-    from .corpus import LabeledCorpus
+    from .corpus import EncodedCorpus, LabeledCorpus
 
 Score = int | Fraction
 
@@ -121,16 +121,16 @@ class DangerousWordList(NamedTuple):
     source: str | None = None
 
 
-def score_frequency(train: LabeledCorpus, weight: Weight,
+def score_frequency(train: EncodedCorpus | LabeledCorpus, weight: Weight,
                     policy: MinScorePolicy = MinScorePolicy()) -> TermScoreTable:
     """Frequency-based scores of the training terms that `policy` may keep.
 
     A term that no vulnerable name holds scores -minus*B <= -1, so under a threshold
     above -1 it is not scored (`term_counts` lists such terms last); others score all.
     """
-    if not train.vulnerable and not train.benign:
+    if not train.encoded.n_vulnerable + train.encoded.n_benign:
         raise DataError("cannot score an empty training corpus")
-    terms, v, b = train.term_counts
+    terms, v, b = train.encoded.term_counts
     if policy.threshold is not None and policy.threshold > -1:
         v = v[:len(v) - v.count(0)]  # the terms with V >= 1
     plus, minus = weight
@@ -142,7 +142,7 @@ def rank(table: TermScoreTable, policy: MinScorePolicy) -> DangerousWordList:
     """Filter by policy, then sort by score descending, keeping the table's order in ties.
 
     So score ties go to the higher vulnerable-name count, then to term text
-    (see `LabeledCorpus.term_counts`); external tables list their terms in
+    (see `EncodedCorpus.term_counts`); external tables list their terms in
     text order, so their ties go to term text. The ordering is
     deterministic, so exported lists are byte-reproducible.
     """

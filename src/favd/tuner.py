@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP
-from .corpus import LabeledCorpus
+from .corpus import EncodedCorpus, LabeledCorpus
 from .metrics import beta_squared, f_beta, f_beta_terms, threshold_values
 from .predictor import ConfusionCounts, TunedModel, count_flagged
 from .ranking import (
@@ -83,7 +83,7 @@ class TuneResult(NamedTuple):
 
 def find_best(
     dangerous: DangerousWordList,
-    train: LabeledCorpus,
+    train: EncodedCorpus | LabeledCorpus,
     grid: SearchGrid,
     beta=DEFAULT_BETA,
     trace: list | None = None,
@@ -95,7 +95,7 @@ def find_best(
     """
     cutoffs, thresholds = grid.cutoff_values(len(dangerous.words)), grid.thresholds
     tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
-    n_pos, n_neg = len(train.vulnerable), len(train.benign)
+    n_pos, n_neg = train.encoded.n_vulnerable, train.encoded.n_benign
     r, s = beta_squared(beta)
     best_cutoff, best_threshold, best_tp, best_fp = 0, Fraction(1), 0, 0
     best_num, best_den = 0, 1
@@ -116,7 +116,7 @@ def find_best(
 
 
 def search_weights(
-    train: LabeledCorpus,
+    train: EncodedCorpus | LabeledCorpus,
     policy: MinScorePolicy,
     grid: SearchGrid,
     beta=DEFAULT_BETA,

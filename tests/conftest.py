@@ -20,8 +20,8 @@ def separable_corpus() -> LabeledCorpus:
 
 @pytest.fixture
 def live_corpora():
-    """A counter of the LabeledCorpus objects still alive, after a collection."""
-    def count() -> int:
+    """A counter of the live LabeledCorpus objects (or of another type), after a collection."""
+    def count(kind: type = LabeledCorpus) -> int:
         gc.collect()
-        return sum(isinstance(o, LabeledCorpus) for o in gc.get_objects())
+        return sum(isinstance(o, kind) for o in gc.get_objects())
     return count

@@ -339,11 +339,12 @@ def test_eval_loo_names_each_directory_by_its_absolute_path(tmp_path, monkeypatc
     assert err == "favd: data error: leave-one-out directory / has no name\n"
 
 
-@pytest.mark.parametrize("protocol", ["kfold", "loo"])
+@pytest.mark.parametrize("protocol", ["kfold", "loo", "train"])
 def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monkeypatch,
                                                    live_corpora, protocol):
-    # Live corpora at each fold's tuning: the inputs, plus that fold's train
-    # and test (for leave-one-out the test corpus is an input).
+    # Live name-set corpora at each tuning: a fold's train side is an encoding alone, so
+    # k-fold holds only the running fold's test side, leave-one-out only its inputs (one of
+    # them the test side), and train none: it tunes on the input's encoding.
     import favd.cli
 
     seen, real_tune = [], favd.cli._tune
@@ -353,11 +354,14 @@ def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monke
         return real_tune(*args)
 
     monkeypatch.setattr(favd.cli, "_tune", tune)
+    corpus = ["--vuln", str(corpus_files[0]), "--benign", str(corpus_files[1])]
+    out_dir = ["--out-dir", str(tmp_path / "ev")]
     if protocol == "kfold":
-        vuln, benign = corpus_files
-        argv, expected = ["--vuln", str(vuln), "--benign", str(benign), "--kfold", "4"], [3] * 4
+        argv, expected = ["eval", *corpus, "--kfold", "4", *out_dir], [1] * 4
+    elif protocol == "train":
+        argv, expected = ["train", *corpus, "--out", str(tmp_path / "m.json")], [0]
     else:
-        argv, expected = ["--loo"], [4] * 3
+        argv, expected = ["eval", *out_dir, "--loo"], [3] * 3
         for i in range(3):
             d = tmp_path / f"p{i}"
             d.mkdir()
@@ -365,8 +369,85 @@ def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monke
             (d / "benign.txt").write_text(f"log_write_{i}\nui_draw_{i}\n")
             argv.append(str(d))
     before = live_corpora()
-    assert main(["eval", *argv, "--cutoff-step", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+    assert main([*argv, "--cutoff-step", "1"]) == 0
     assert seen == expected
+
+
+def test_sizes_count_names_that_have_no_terms(tmp_path):
+    """A name with no terms has no row; every train and test count still counts it."""
+    from favd.corpus import make_kfold
+    from favd.metrics import f_beta
+    from favd.predictor import VULNERABLE, ConfusionCounts
+
+    vuln, benign = tmp_path / "v.txt", tmp_path / "b.txt"
+    vuln.write_text("__\n___\nread_buf\nrecv_net\ncopy_buf\nparse_hdr\nnet_read\n")
+    benign.write_text("__\n___\n____\nui_draw\nlog_msg\nui_open\nlog_file\nbuf_free\nui_close\n")
+    corpus = clean(*load_lists(vuln, benign))  # "__" and "___" are on both lists, so vulnerable
+    assert {"__", "___"} <= corpus.vulnerable and "____" in corpus.benign
+    assert main(["eval", "--vuln", str(vuln), "--benign", str(benign), "--kfold", "3",
+                 "--cutoff-step", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+    report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+    with open(tmp_path / "ev" / "folds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    tests = [test for _, test in make_kfold(corpus, 3, 0).folds]
+    assert len(report["folds"]) == len(rows) == len(tests) == 3
+    for fold, row, test in zip(report["folds"], rows, tests):
+        v, b = len(test.vulnerable), len(test.benign)
+        train = {"vulnerable": len(corpus.vulnerable) - v, "benign": len(corpus.benign) - b}
+        assert fold["test"] == {"vulnerable": v, "benign": b} and fold["train"] == train
+        assert [int(row[key]) for key in ("train_vuln", "train_benign", "test_vuln", "test_benign")
+                ] == [train["vulnerable"], train["benign"], v, b]
+    # train's F2 is counted name by name over the cleaned lists: the termless names are fn and tn.
+    assert main(["train", "--vuln", str(vuln), "--benign", str(benign), "--cutoff-step", "1",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    model = load_model(tmp_path / "m.json")
+    tp, fp = (sum(classify(name, model).label == VULNERABLE for name in names)
+              for names in (corpus.vulnerable, corpus.benign))
+    counts = ConfusionCounts(tp, fp, len(corpus.vulnerable) - tp, len(corpus.benign) - fp)
+    assert json.loads((tmp_path / "m.json").read_text())["train_f2"] == float(f_beta(counts, 2))
+    assert tp > 0  # so the termless names, all fn, move the F2
+
+
+def test_roc_without_a_benign_name_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("danger_read\ndanger_net\n")
+    (tmp_path / "b.txt").write_text("\n")
+    assert main(["roc", "--vuln", str(tmp_path / "v.txt"), "--benign", str(tmp_path / "b.txt"),
+                 "--weight", "1-1", "--out", str(tmp_path / "roc.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "favd: data error: ROC rates need at least one vulnerable and one benign name\n")
+    assert not (tmp_path / "roc.csv").exists()
+
+
+@pytest.mark.parametrize("protocol", ["kfold", "loo"])
+def test_eval_cleans_each_input_once_and_each_loo_fold_once(tmp_path, corpus_files, monkeypatch,
+                                                            protocol):
+    """No k-fold fold calls `clean`; a leave-one-out fold cleans its union, splitting nothing."""
+    import favd.corpus
+
+    cleans, splits = [], Counter()
+    real_clean, real_split = favd.corpus.clean, favd.corpus.split
+
+    def counting_clean(vulnerable, benign):
+        cleans.append(1)
+        return real_clean(vulnerable, benign)
+
+    def counting_split(name):
+        splits[name] += 1
+        return real_split(name)
+
+    monkeypatch.setattr(favd.corpus, "clean", counting_clean)
+    monkeypatch.setattr(favd.corpus, "split", counting_split)
+    if protocol == "kfold":
+        vuln, benign = corpus_files
+        lists = [load_lists(vuln, benign)]
+        argv, expected = ["--vuln", str(vuln), "--benign", str(benign), "--kfold", "4"], 1
+    else:  # one call per project and one per fold
+        dirs = _loo_projects(tmp_path)
+        lists = [load_lists(d / "vulnerable.txt", d / "benign.txt") for d in dirs]
+        argv, expected = ["--loo", *map(str, dirs)], 3 + 3
+    assert main(["eval", *argv, "--cutoff-step", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(cleans) == expected
+    assert splits == Counter({name for pair in lists for names in pair for name in names})
 
 
 def test_eval_loo_rejects_duplicate_directory_names(tmp_path, capsys):

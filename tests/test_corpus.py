@@ -159,18 +159,28 @@ def _numbered_corpus(n_vuln: int, n_benign: int) -> LabeledCorpus:
     )
 
 
+def _union(corpora) -> LabeledCorpus:
+    """`clean` of the corpora's union: the names a fold's train side must encode."""
+    return clean(chain.from_iterable(c.vulnerable for c in corpora),
+                 chain.from_iterable(c.benign for c in corpora))
+
+
 def test_fold_plans_build_each_fold_when_iterated(live_corpora):
     corpus = _numbered_corpus(8, 12)
-    before = live_corpora()
+    before, encodings = live_corpora(), live_corpora(EncodedCorpus)
     kfold = make_kfold(corpus, 4, seed=0)
     a, b, c = clean(("a1",), ("a2",)), clean(("b1",), ("b2",)), clean(("c1",), ("c2",))
     loo = make_leave_one_out([a, b, c])
     assert live_corpora() == before + 3  # only a, b and c
+    assert live_corpora(EncodedCorpus) == encodings + 4 + 3  # each plan's parts, encoded
     folds = iter(kfold.folds)
     fold = next(folds)
-    assert live_corpora() == before + 5
+    assert isinstance(fold[0], EncodedCorpus) and isinstance(fold[1], LabeledCorpus)
+    assert live_corpora() == before + 4  # the test side; the train side holds no name set
+    assert live_corpora(EncodedCorpus) == encodings + 4 + 3 + 1  # and the joined train side
     del fold
     assert live_corpora() == before + 3
+    assert live_corpora(EncodedCorpus) == encodings + 4 + 3
     assert len(list(folds)) == 3
     assert len(list(loo.folds)) == 3
     assert list(kfold.folds) == [] and list(loo.folds) == []  # read once
@@ -196,17 +206,21 @@ class TestKfold:
 
     def test_folds_partition_the_corpus(self):
         corpus = _numbered_corpus(13, 41)
-        plan = make_kfold(corpus, 4, seed=3)
+        folds = list(make_kfold(corpus, 4, seed=3).folds)
+        tests = [test for _, test in folds]
         seen_v, seen_b = set(), set()
-        for train, test in plan.folds:
-            assert train.vulnerable | test.vulnerable == corpus.vulnerable
-            assert train.benign | test.benign == corpus.benign
-            assert not train.vulnerable & test.vulnerable
-            assert not seen_v & test.vulnerable
+        for test in tests:
+            assert not seen_v & test.vulnerable and not seen_b & test.benign
             seen_v |= test.vulnerable
             seen_b |= test.benign
         assert seen_v == corpus.vulnerable
         assert seen_b == corpus.benign
+        # Each train side encodes the rest: the corpus less its own test side.
+        for i, (train, test) in enumerate(folds):
+            rest = _union(tests[:i] + tests[i + 1:])
+            assert rest.vulnerable == corpus.vulnerable - test.vulnerable
+            assert rest.benign == corpus.benign - test.benign
+            _assert_encodes(train, rest)
 
     def test_fold_sizes_differ_by_at_most_one(self):
         folds = list(make_kfold(_numbered_corpus(13, 41), k=4, seed=3).folds)
@@ -259,25 +273,33 @@ def _terms_and_rows(encoded: EncodedCorpus) -> tuple[dict, list]:
     return counts, rows
 
 
-fold_name = st.lists(st.sampled_from(["read", "file", "net", "buf", "x", "2"]), max_size=4).map(
-    "_".join)  # "" and "x_x" too: a name of no terms is dropped, one of repeated terms kept
+fold_name = st.lists(st.sampled_from(["read", "file", "net", "buf", "x", "2", "_"]),
+                     max_size=4).map("_".join).map(lambda name: name or "__")
+# "x_x" keeps one term of two; "__" and "_" have no terms, so they have no row but count.
 
 
 @settings(max_examples=60, deadline=None)
 @given(vuln=st.sets(fold_name, min_size=5, max_size=12), benign=st.sets(fold_name, min_size=5,
        max_size=20), k=st.integers(2, 5), seed=st.integers(0, 3))
 def test_fold_encodings_equal_a_fresh_encode_up_to_term_ids(vuln, benign, k, seed):
-    corpus = clean(vuln - {""}, benign - {""})
+    """Each test side keeps its names with their encoding; each train side encodes the rest."""
+    corpus = clean(vuln, benign)
     assume(min(len(corpus.vulnerable), len(corpus.benign)) >= k)
-    for fold in (f for pair in make_kfold(corpus, k, seed).folds for f in pair):
-        _assert_encoded_as_fresh(fold)
+    folds = list(make_kfold(corpus, k, seed).folds)
+    tests = [test for _, test in folds]
+    for i, (train, test) in enumerate(folds):
+        _assert_encodes(test.encoded, LabeledCorpus(test.vulnerable, test.benign))
+        _assert_encodes(train, _union(tests[:i] + tests[i + 1:]))
 
 
-def _assert_encoded_as_fresh(fold: LabeledCorpus) -> None:
-    fresh = LabeledCorpus(fold.vulnerable, fold.benign)
-    assert _terms_and_rows(fold.encoded) == _terms_and_rows(encode(fresh))
-    assert fold.term_counts == fresh.term_counts
-    assert set(fresh.encoded.vocabulary) <= set(fold.encoded.vocabulary)
+def _assert_encodes(encoded: EncodedCorpus, corpus: LabeledCorpus) -> None:
+    """`encoded` equals a fresh encode of `corpus`: sizes, term counts, rows up to term ids."""
+    fresh = encode(corpus)
+    assert (encoded.n_vulnerable, encoded.n_benign) == (len(corpus.vulnerable), len(corpus.benign))
+    assert (fresh.n_vulnerable, fresh.n_benign) == (len(corpus.vulnerable), len(corpus.benign))
+    assert _terms_and_rows(encoded) == _terms_and_rows(fresh)
+    assert encoded.term_counts == fresh.term_counts
+    assert set(fresh.vocabulary) <= set(encoded.vocabulary)
 
 
 # Few short names, so that projects share some under mixed labels; "__" has no terms.
@@ -294,15 +316,18 @@ def test_loo_fold_encodings_equal_a_fresh_encode_up_to_term_ids(projects):
     """Trains on the cleaned union of the rest, joining their rows when no name is in two."""
     for i, (train, test) in enumerate(make_leave_one_out(projects).folds):
         rest = projects[:i] + projects[i + 1:]
-        assert train == clean(chain.from_iterable(p.vulnerable for p in rest),
-                              chain.from_iterable(p.benign for p in rest))
         assert test is projects[i]
         names = [name for p in rest for name in chain(p.vulnerable, p.benign)]
-        joined = "encoded" in vars(train)  # the lazy union is encoded on first read
+        joined = train.vocabulary is test.encoded.vocabulary  # the plan's; the union gets its own
         event(f"joined rows: {joined}")
         assert joined == (len(set(names)) == len(names))
-        _assert_encoded_as_fresh(train)
-        _assert_encoded_as_fresh(test)
+        _assert_encodes(train, _union(rest))
+        _assert_encodes(test.encoded, LabeledCorpus(test.vulnerable, test.benign))
+
+
+def _term_count(encoded: EncodedCorpus, term: str) -> tuple[int, int]:
+    terms, v, b = encoded.term_counts
+    return v[terms.index(term)], b[terms.index(term)]
 
 
 class TestLeaveOneOut:
@@ -321,14 +346,18 @@ class TestLeaveOneOut:
     def test_train_is_cleaned_union_of_the_rest(self):
         a, b, c = self._corpora()
         folds = list(make_leave_one_out([a, b, c]).folds)
+        for (train, _), rest in zip(folds, ([b, c], [a, c], [a, b])):
+            _assert_encodes(train, _union(rest))
         # n is vulnerable in A and benign in B; the union rule keeps it
-        # vulnerable when both sides are in training.
+        # vulnerable when both sides are in training. The name n is the term
+        # n, so the term's counts are the name's labels.
         train_for_c = folds[2][0]
-        assert "n" in train_for_c.vulnerable
-        assert "n" not in train_for_c.benign
+        assert (train_for_c.n_vulnerable, train_for_c.n_benign) == (3, 2)
+        assert _term_count(train_for_c, "n") == (1, 0)
         # With A held out, n is only known benign (from B).
         train_for_a = folds[0][0]
-        assert "n" in train_for_a.benign
+        assert (train_for_a.n_vulnerable, train_for_a.n_benign) == (2, 3)
+        assert _term_count(train_for_a, "n") == (0, 1)
 
     def test_needs_two_corpora(self):
         a, _, _ = self._corpora()

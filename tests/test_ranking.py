@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from favd.corpus import clean, make_kfold
+from favd.corpus import LabeledCorpus, clean, make_kfold
 from favd.errors import DataError
 from favd.ranking import (
     MinScorePolicy,
@@ -62,8 +62,8 @@ class TestScoreFrequency:
         table = score_frequency(toy_corpus, Weight(1, 1))
         assert scores_of(table) == {"read": 2, "file": 0, "net": 1, "write": -1}
         # Vulnerable-name counts 2, 1, 1, 0: more first, then text.
-        assert toy_corpus.term_counts == (["read", "file", "net", "write"], [2, 1, 1, 0],
-                                          [0, 1, 0, 1])
+        assert toy_corpus.encoded.term_counts == (["read", "file", "net", "write"], [2, 1, 1, 0],
+                                                  [0, 1, 0, 1])
         # So equal scores go to the higher vulnerable-name count, then to text.
         tied = TermScoreTable(table.terms, [0] * 4, Weight(1, 1))
         ranked = rank(tied, MinScorePolicy.all_terms()).words
@@ -83,19 +83,28 @@ class TestScoreFrequency:
         table = score_frequency(corpus, Weight(1, 1))
         assert scores_of(table)["read"] == 1
 
+    def test_empty_corpus_is_an_error_and_one_of_termless_names_is_not(self):
+        with pytest.raises(DataError, match="^cannot score an empty training corpus$"):
+            score_frequency(LabeledCorpus(frozenset(), frozenset()), Weight(1, 1))
+        # "__" has no terms and so no row, but it is a name: the table is empty, not an error.
+        assert score_frequency(clean(("__",), ()), Weight(1, 1)).terms == []
+
     def test_table_covers_exactly_the_training_terms(self, toy_corpus):
         table = score_frequency(toy_corpus, Weight(1, 1))
         assert set(table.terms) == unique_terms(toy_corpus.vulnerable | toy_corpus.benign)
         # A k-fold train encoding shares the plan's vocabulary, which holds
         # the test chunk's terms too. "only" is in one name, so some fold's
-        # train names lack it, and that fold's table must not score it.
+        # train names (the other folds' test names) lack it, and that fold's
+        # table must not score it.
         corpus = clean(("read_file", "read_net", "only_net"), ("write_file", "log_net", "log"))
         folds = list(make_kfold(corpus, 3, seed=0).folds)
-        assert any("only" not in unique_terms(train.vulnerable) for train, _ in folds)
-        for train, _ in folds:
-            assert "only" in train.encoded.vocabulary
+        names = [test.vulnerable | test.benign for _, test in folds]
+        train_names = [frozenset().union(*names[:i], *names[i + 1:]) for i in range(len(folds))]
+        assert any("only" not in unique_terms(n) for n in train_names)
+        for (train, _), n in zip(folds, train_names):
+            assert "only" in train.vocabulary
             table = score_frequency(train, Weight(1, 1))
-            assert sorted(table.terms) == sorted(unique_terms(train.vulnerable | train.benign))
+            assert sorted(table.terms) == sorted(unique_terms(n))
 
 
 class TestRank:
@@ -217,7 +226,7 @@ def test_scoring_only_the_keepable_terms_ranks_as_full_scoring(vuln, benign, wei
     policy = MinScorePolicy(None if threshold is None else Fraction(threshold))
     full, cut = score_frequency(corpus, weight), score_frequency(corpus, weight, policy)
     assert rank(cut, policy).words == rank(full, policy).words
-    terms, v, _ = corpus.term_counts
+    terms, v, _ = corpus.encoded.term_counts
     if threshold is not None and threshold > -1:
         vulnerable_count = dict(zip(terms, v))
         assert all(vulnerable_count[term] >= 1 for term in cut.terms)
@@ -229,7 +238,8 @@ def test_scoring_only_the_keepable_terms_ranks_as_full_scoring(vuln, benign, wei
 def test_a_bound_of_minus_one_keeps_a_term_no_vulnerable_name_holds():
     # "log" is in one benign name and no vulnerable one: V = 0, B = 1, score -1 at 1-1.
     corpus = clean(("read_file", "read_net"), ("log_file",))
-    assert corpus.term_counts == (["read", "file", "net", "log"], [2, 1, 1, 0], [0, 1, 0, 1])
+    assert corpus.encoded.term_counts == (["read", "file", "net", "log"], [2, 1, 1, 0],
+                                          [0, 1, 0, 1])
     at_minus_one = MinScorePolicy.at_least(-1)
     words = rank(score_frequency(corpus, Weight(1, 1), at_minus_one), at_minus_one).words
     assert ("log", -1) in words
