@@ -31,11 +31,10 @@ from .errors import DataError, InfeasibleError, csv_rows, iter_lines, reading, w
 # commands that use it, so that each command loads only what it runs.
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterator
 
     from .corpus import LabeledCorpus
-    from .ranking import TermScoreTable
-    from .tuner import SearchGrid
+    from .tuner import TuneResult
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,39 +127,39 @@ def _digests(paths: dict) -> dict:
     return digests
 
 
-def _cleaned(names: tuple[list[str], list[str]], **paths) -> tuple[LabeledCorpus, dict]:
-    """The cleaned corpus of the names read from `paths`, and `paths`."""
+def _corpus(vuln=None, benign=None, csv=None) -> tuple[LabeledCorpus, dict]:
+    """Load and clean a name,label CSV, else two list files; also return their paths by key."""
     from .checks import checked
-    from .corpus import clean
+    from .corpus import clean, load_csv, load_lists
+    if csv:
+        names, paths = load_csv(csv), {"csv": csv}
+    elif vuln and benign:
+        names, paths = load_lists(vuln, benign), {"vulnerable": vuln, "benign": benign}
+    else:
+        raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
     corpus = checked(" and ".join(map(str, paths.values())), lambda lists: clean(*lists), names)
     return corpus, paths
 
 
-def _load_pair(vuln, benign) -> tuple[LabeledCorpus, dict]:
-    """Load and clean two list files; also return their paths by key."""
-    from .corpus import load_lists
-    return _cleaned(load_lists(vuln, benign), vulnerable=vuln, benign=benign)
+def _search(opts: dict) -> tuple[Callable[..., TuneResult], dict, dict]:
+    """train's and eval's tuner, and the config and inputs they record.
 
-
-def _corpus_inputs(opts: dict) -> tuple[LabeledCorpus, dict]:
-    """Load and clean the corpus named by csv or vuln/benign; also return its paths by key."""
-    from .corpus import load_csv
-    if opts["csv"]:
-        return _cleaned(load_csv(opts["csv"]), csv=opts["csv"])
-    if opts["vuln"] and opts["benign"]:
-        return _load_pair(opts["vuln"], opts["benign"])
-    raise DataError("provide --csv FILE or both --vuln FILE and --benign FILE")
-
-
-def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict, dict]:
-    """train's and eval's grid and external score table, and the config and inputs they record."""
+    `tune(train, trace=None)` sweeps the weights over the grid; with --scores it tunes
+    the external table's ranking, which is ranked here, once for every fold. Pass
+    `trace` by keyword.
+    """
     from .metrics import threshold_values
-    from .ranking import load_external_scores
-    from .tuner import SearchGrid
+    from .tuner import SearchGrid, find_best, search_weights
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]),
                       opts["weights"])
-    external_table = load_external_scores(opts["scores"]) if opts["scores"] else None
-    inputs = _digests({"scores": opts["scores"]}) if opts["scores"] else {}
+    if opts["scores"]:
+        from .ranking import load_external_scores, rank
+        dangerous = rank(load_external_scores(opts["scores"]), opts["policy"])
+        tune = partial(find_best, dangerous, grid=grid, beta=opts["beta"])
+        inputs = _digests({"scores": opts["scores"]})
+    else:
+        tune = partial(search_weights, policy=opts["policy"], grid=grid, beta=opts["beta"])
+        inputs = {}
     config = {
         "policy": opts["policy"].tag(),
         "weights": [w.tag() for w in grid.weights],
@@ -169,18 +168,9 @@ def _search(opts: dict) -> tuple[SearchGrid, TermScoreTable | None, dict, dict]:
         "beta": float(opts["beta"]),
         # The search is always exhaustive; the key keeps reports comparable.
         "mode": "exhaustive",
-        "scorer": "external" if external_table is not None else "frequency",
+        "scorer": "external" if opts["scores"] else "frequency",
     }
-    return grid, external_table, config, inputs
-
-
-def _tune(train, external_table, policy, grid, beta, trace: list | None = None):
-    """One search over an external table's ranking, else the weight sweep."""
-    from .ranking import rank
-    from .tuner import find_best, search_weights
-    if external_table is None:
-        return search_weights(train, policy, grid, beta=beta, trace=trace)
-    return find_best(rank(external_table, policy), train, grid, beta=beta, trace=trace)
+    return tune, config, inputs
 
 
 def cmd_split(args, opts) -> int:
@@ -199,12 +189,12 @@ def cmd_train(args, opts) -> int:
     from .tuner import TRACE_HEADER, trace_text
     if (args.trace, args.words_csv).count("-") > 1:
         raise DataError("--trace - and --words-csv - cannot both write to standard output")
-    train, paths = _corpus_inputs(opts)
+    train, paths = _corpus(opts["vuln"], opts["benign"], opts["csv"])
     train = train.encoded  # tuning reads only the encoding, so the name sets are freed here
     digests = _digests(paths)
-    grid, external_table, config, inputs = _search(opts)
+    tune, config, inputs = _search(opts)
     trace: list | None = [] if args.trace else None
-    result = _tune(train, external_table, opts["policy"], grid, opts["beta"], trace)
+    result = tune(train, trace=trace)
     warnings = []
     if len(result.model.dangerous.words) == 0:
         warnings.append("vocabulary starvation: dangerous word list is empty; model predicts benign for everything")
@@ -226,14 +216,14 @@ def cmd_train(args, opts) -> int:
     return 0
 
 
-def _eval_fold(fold_id, fold, policy, grid, beta, external_table):
+def _eval_fold(fold_id, fold, tune, beta):
     from fractions import Fraction
 
     from .metrics import all_vulnerable_f2, f_beta, precision, random_baseline_f2, recall
     from .predictor import classify_corpus
     from .rational import format_rate
     train, test = fold
-    result = _tune(train, external_table, policy, grid, beta)
+    result = tune(train)
     model = result.model
     counts = classify_corpus(test, model)
     v, b = counts.tp + counts.fn, counts.fp + counts.tn
@@ -285,7 +275,7 @@ def cmd_eval(args, opts) -> int:
     from .corpus import make_kfold, make_leave_one_out
     from .model_io import save_model
     from .rational import format_rate
-    grid, external_table, config, inputs = _search(opts)
+    tune, config, inputs = _search(opts)
     if opts["loo"]:
         # Each directory's name is its fold id and its key in the digests; it is
         # read from the absolute path, so "." is named, and a symlink keeps its own name.
@@ -297,12 +287,12 @@ def cmd_eval(args, opts) -> int:
         if len(set(keys)) != len(keys):
             raise DataError(f"leave-one-out directories need distinct names, none of them "
                             f"'scores' under --scores, got {fold_ids}")
-        corpora, pairs = zip(*(_load_pair(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
+        corpora, pairs = zip(*(_corpus(d / "vulnerable.txt", d / "benign.txt") for d in dirs))
         plan = make_leave_one_out(corpora)
         digests = dict(zip(fold_ids, map(_digests, pairs)))
         protocol = {"kind": "leave_one_out", "projects": fold_ids}
     else:
-        corpus, paths = _corpus_inputs(opts)
+        corpus, paths = _corpus(opts["vuln"], opts["benign"], opts["csv"])
         digests = _digests(paths)
         k, seed = opts["kfold"], opts["seed"]
         plan = make_kfold(corpus, k, seed)
@@ -312,8 +302,7 @@ def cmd_eval(args, opts) -> int:
 
     # map hands each fold straight to _eval_fold and keeps no reference to
     # it, so a fold's train encoding and test corpus are freed before the next fold is built.
-    run = partial(_eval_fold, policy=opts["policy"], grid=grid, beta=opts["beta"],
-                  external_table=external_table)
+    run = partial(_eval_fold, tune=tune, beta=opts["beta"])
     folds, lines, exacts = zip(*map(run, fold_ids, plan.folds))
     n = len(folds)
     means = {key: format_rate(sum(e[key] for e in exacts) / n) for key in exacts[0]}
@@ -376,7 +365,8 @@ def cmd_roc(args, opts) -> int:
     from .model_io import load_model
     from .ranking import rank, score_frequency
     from .tuner import SearchGrid
-    corpus = _corpus_inputs(opts)[0].encoded  # roc reports no inputs, so no digests
+    # roc reports no inputs, so no digests
+    corpus = _corpus(opts["vuln"], opts["benign"], opts["csv"])[0].encoded
     grid = SearchGrid(opts["cutoff_step"], threshold_values(opts["threshold_step"]))
     if args.model:
         dangerous = load_model(args.model).dangerous
@@ -420,7 +410,7 @@ def cmd_baseline(args, opts) -> int:
             raise DataError("counts must be non-negative and not both zero")
         inputs = {}
     else:
-        corpus, paths = _corpus_inputs(opts)
+        corpus, paths = _corpus(opts["vuln"], opts["benign"], opts["csv"])
         inputs = _digests(paths)
         v, b = len(corpus.vulnerable), len(corpus.benign)
     fraction = Fraction(v, v + b)

@@ -186,8 +186,9 @@ def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]], may_share=F
     own test side). Train side i joins the other parts' rows and sums their
     counts and sizes: the union's encoding when no name is in two of them,
     as for k-fold chunks. Leave-one-out projects `may_share` a name, so each
-    fold also takes `clean` of their union (a name vulnerable anywhere stays
-    so); if it is smaller than the parts, the train side encodes it anew.
+    fold first takes `clean` of their union (a name vulnerable anywhere stays
+    so); if it is smaller than the parts, the train side encodes it anew and
+    joins nothing.
     """
     return FoldPlan(map(partial(_fold, parts, _encode_parts(parts), may_share), range(len(parts))))
 
@@ -196,14 +197,13 @@ def _fold(parts: Sequence[tuple[Collection[str], Collection[str]]], encodings: l
           may_share: bool, i: int) -> tuple[EncodedCorpus, LabeledCorpus]:
     # Built in the call and handed on unbound by map, so a fold is freed before the next one is built.
     rest, part = parts[:i] + parts[i + 1:], parts[i]
-    train = _joined(encodings[:i] + encodings[i + 1:])
-    if may_share:
-        union = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
-        if len(union.vulnerable) + len(union.benign) < train.n_vulnerable + train.n_benign:
-            train = union.encoded
     test = part if isinstance(part, LabeledCorpus) else LabeledCorpus(*map(frozenset, part))
     test.encoded = encodings[i]
-    return train, test
+    if may_share:
+        union = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
+        if len(union.vulnerable) + len(union.benign) < sum(map(len, chain.from_iterable(rest))):
+            return union.encoded, test  # a name is in two of the other parts
+    return _joined(encodings[:i] + encodings[i + 1:]), test
 
 
 def _joined(parts: list[EncodedCorpus]) -> EncodedCorpus:

@@ -260,3 +260,35 @@ def oracle_sweep(corpus, weights, cutoff_step, thresholds, keep_all=False):
                 if best is None or f2 > best[0]:
                     best = (f2, w_index, cutoff, threshold)
     return best, cells
+
+
+def oracle_counts(vuln, benign, top: set[str], threshold) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of the rule: a name is vulnerable when more than `threshold` of
+    its distinct terms are in `top`; a name with no terms is benign."""
+    def flagged(name):
+        terms = set(split(name))
+        return bool(terms) and Fraction(len(terms & top), len(terms)) > threshold
+    tp = sum(map(flagged, vuln))
+    fp = sum(map(flagged, benign))
+    return tp, fp, len(vuln) - tp, len(benign) - fp
+
+
+def oracle_loo(projects) -> list[tuple[set[str], set[str], set[str], set[str]]]:
+    """Leave-one-out folds from the contract, one per project, in order.
+
+    Each project is a (vulnerable, benign) pair of name lists: duplicates are
+    dropped, and a name on both lists is vulnerable. Fold i tests on project
+    i and trains on the union of the other projects, where a name vulnerable
+    in any of them is vulnerable. Returns (train vulnerable, train benign,
+    test vulnerable, test benign) name sets per fold.
+    """
+    cleaned = [(set(vuln), set(benign) - set(vuln)) for vuln, benign in projects]
+    folds = []
+    for i, (test_vuln, test_benign) in enumerate(cleaned):
+        train_vuln, train_benign = set(), set()
+        for j, (vuln, benign) in enumerate(cleaned):
+            if j != i:
+                train_vuln |= vuln
+                train_benign |= benign
+        folds.append((train_vuln, train_benign - train_vuln, test_vuln, test_benign))
+    return folds

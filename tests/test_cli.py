@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,6 +26,8 @@ from favd.predictor import TunedModel, classify
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
 from favd.synth import MAX_NAMES, MAX_WORDS
 from favd.tuner import SearchGrid, search_weights
+import cli_surface
+from bruteforce import oracle_counts, oracle_loo, oracle_rank, oracle_sweep
 from gridcells import grid_cells
 from test_predictor import _textbook
 
@@ -74,6 +77,15 @@ def test_usage_error_exits_one():
     # There is no corpus label.
     assert main(["train", "--vuln", "v.txt", "--benign", "b.txt", "--out", "m.json",
                  "--label", "x"]) == 1
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch):
+    # The pins are argparse's wording on 3.10-3.12; see tests/cli_surface.py to regenerate them.
+    pins = json.loads(cli_surface.PINS.read_text()).get(cli_surface.version())
+    if pins is None:
+        pytest.skip(f"no CLI surface pins for Python {cli_surface.version()}")
+    monkeypatch.setenv("COLUMNS", cli_surface.COLUMNS)
+    assert cli_surface.surface() == pins
 
 
 def test_train_predict_roundtrip(tmp_path, corpus_files, capsys):
@@ -293,6 +305,41 @@ def test_eval_loo_over_project_dirs(tmp_path):
     assert [f["fold"] for f in report["folds"]] == ["projA", "projB", "projC"]
 
 
+def test_eval_loo_agrees_with_the_oracle(tmp_path):
+    """Each fold's sizes, model and counts, recomputed from the lists by tests/bruteforce.py."""
+    projects = {
+        # read_buf is vulnerable in alpha and benign in beta; copy_net is vulnerable in beta
+        # and gamma. So gamma's and alpha's train sides each hold a name of two projects.
+        "alpha": (["read_buf", "read_net", "parse_hdr", "__"], ["ui_draw", "log_msg", "read_log"]),
+        "beta": (["copy_net", "parse_buf", "read_hdr"], ["read_buf", "ui_open", "log_net"]),
+        "gamma": (["copy_net", "net_recv", "parse_len", "copy_len"],
+                  ["ui_close", "log_len", "draw_buf"]),
+    }
+    for name, lists in projects.items():
+        (tmp_path / name).mkdir()
+        for file, names in zip(("vulnerable.txt", "benign.txt"), lists):
+            (tmp_path / name / file).write_text("".join(f"{n}\n" for n in names))
+    weights = [Weight(1, 1), Weight(2, 1), Weight(1, 2)]
+    thresholds = [Fraction(k, 4) for k in range(5)]
+    assert main(["eval", "--loo", *(str(tmp_path / name) for name in projects),
+                 "--weights", ",".join(w.tag() for w in weights), "--cutoff-step", "1",
+                 "--threshold-step", "1/4", "--out-dir", str(tmp_path / "ev")]) == 0
+    folds = json.loads((tmp_path / "ev" / "eval_report.json").read_text())["folds"]
+    expected = oracle_loo(projects.values())
+    assert len(folds) == len(expected) == 3
+    for fold, (train_v, train_b, test_v, test_b) in zip(folds, expected):
+        assert fold["train"] == {"vulnerable": len(train_v), "benign": len(train_b)}
+        assert fold["test"] == {"vulnerable": len(test_v), "benign": len(test_b)}
+        (f2, w, cutoff, threshold), _ = oracle_sweep(
+            SimpleNamespace(vulnerable=train_v, benign=train_b), weights, 1, thresholds)
+        assert f2 > 0, fold["fold"]  # a model that flags something, so the counts tell
+        words = oracle_rank(sorted(train_v), sorted(train_b), weights[w], keep_all=False)
+        assert [fold["model"][key] for key in ("weight", "cutoff", "threshold")] == [
+            weights[w].tag(), cutoff, float(threshold)]
+        tp, fp, fn, tn = oracle_counts(test_v, test_b, set(words[:cutoff]), threshold)
+        assert [fold["metrics"][key] for key in ("tp", "fp", "fn", "tn")] == [tp, fp, fn, tn]
+
+
 def _loo_projects(root: Path, names=("projA", "projB", "projC")) -> list[Path]:
     """Project directories whose names are all distinct, across projects too."""
     for i, name in enumerate(names):
@@ -345,15 +392,15 @@ def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monke
     # Live name-set corpora at each tuning: a fold's train side is an encoding alone, so
     # k-fold holds only the running fold's test side, leave-one-out only its inputs (one of
     # them the test side), and train none: it tunes on the input's encoding.
-    import favd.cli
+    import favd.tuner
 
-    seen, real_tune = [], favd.cli._tune
+    seen, real_search = [], favd.tuner.search_weights
 
-    def tune(*args):
+    def search_weights(*args, **kwargs):
         seen.append(live_corpora() - before)
-        return real_tune(*args)
+        return real_search(*args, **kwargs)
 
-    monkeypatch.setattr(favd.cli, "_tune", tune)
+    monkeypatch.setattr(favd.tuner, "search_weights", search_weights)
     corpus = ["--vuln", str(corpus_files[0]), "--benign", str(corpus_files[1])]
     out_dir = ["--out-dir", str(tmp_path / "ev")]
     if protocol == "kfold":
@@ -489,6 +536,38 @@ def test_eval_records_the_score_file_digest(tmp_path, corpus_files):
     assert set(inputs) == {"vulnerable", "benign", "scores"}
     assert inputs["scores"] == {"path": str(scores),
                                 "sha256": hashlib.sha256(scores.read_bytes()).hexdigest()}
+
+
+def test_eval_loads_and_ranks_external_scores_once(tmp_path, monkeypatch):
+    # The table's ranking does not depend on the fold, so every fold tunes the same one.
+    import favd.ranking
+
+    calls = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("rank", "load_external_scores"):
+        monkeypatch.setattr(favd.ranking, name, counting(name, getattr(favd.ranking, name)))
+    (tmp_path / "v.txt").write_text("danger_read\ndanger_net\nread_buf\n")
+    (tmp_path / "b.txt").write_text("log_write\nui_draw\nui_read\n")
+    (tmp_path / "s.csv").write_text("danger,0.9\nread,0.5\nui,1/3\n")
+    assert main(["eval", "--vuln", str(tmp_path / "v.txt"), "--benign", str(tmp_path / "b.txt"),
+                 "--kfold", "3", "--scores", str(tmp_path / "s.csv"), "--cutoff-step", "1",
+                 "--out-dir", str(tmp_path / "ev")]) == 0
+    assert calls == {"rank": 1, "load_external_scores": 1}
+
+
+def test_eval_checks_the_external_policy_before_reading_the_corpus(tmp_path, capsys):
+    (tmp_path / "s.csv").write_text("danger,0.9\n")
+    missing = str(tmp_path / "missing.txt")
+    assert main(["eval", "--vuln", missing, "--benign", missing, "--scores", str(tmp_path / "s.csv"),
+                 "--policy", "2", "--out-dir", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err == (
+        "favd: data error: external policy threshold must lie in [0, 1], got 2\n")
 
 
 def test_empty_corpus_error_names_its_files(tmp_path, monkeypatch, capsys):

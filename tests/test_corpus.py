@@ -359,6 +359,20 @@ class TestLeaveOneOut:
         assert (train_for_a.n_vulnerable, train_for_a.n_benign) == (2, 3)
         assert _term_count(train_for_a, "n") == (0, 1)
 
+    def test_joins_only_the_folds_whose_train_projects_share_no_name(self, monkeypatch):
+        # n is in A and B, so C's fold encodes the cleaned union anew; A's and B's folds join.
+        import favd.corpus
+
+        joined, real_joined = [], favd.corpus._joined
+
+        def counting_joined(parts):
+            joined.append(len(parts))
+            return real_joined(parts)
+
+        monkeypatch.setattr(favd.corpus, "_joined", counting_joined)
+        folds = list(make_leave_one_out(self._corpora()).folds)
+        assert len(folds) == 3 and joined == [2, 2]
+
     def test_needs_two_corpora(self):
         a, _, _ = self._corpora()
         with pytest.raises(InfeasibleError):
