@@ -6,15 +6,13 @@ either way; a bad value exits 2.
 All reports embed the tool version, the effective configuration, and SHA-256
 digests of the inputs; given identical inputs and flags the written files are
 byte-identical across runs.
-
-Each command imports the favd modules it runs, and no other: `harvest` loads
-only `errors` and `harvest`, `split` only `errors` and `splitter`, and
-`predict` neither `corpus`, `tuner` nor `metrics`. `predict` streams: it
-holds one block of its names file at a time, splits each name on its
-way to the CSV writer, and hands to `predictor.classify` only the names that
-hold a deployed word; a name that holds none is benign at 0 by the rule.
-Every output file is written whole or not at all (`errors.writing`).
 """
+# The docstring is `favd --help`'s description. Each command imports the favd modules it runs,
+# and no other: `harvest` loads only `errors` and `harvest`, `split` only `errors` and
+# `splitter`, and `predict` neither `corpus`, `tuner` nor `metrics`. `predict` streams: it holds
+# one block of its names file at a time, splits each name once, and hands its terms to
+# `classify` only if they hold a deployed word (if none, the rule makes it benign at 0).
+# Every output file is written whole or not at all (`errors.writing`).
 
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP, __version__
-from .errors import DataError, InfeasibleError, csv_rows, iter_lines, reading, write_csv
+from .errors import DataError, InfeasibleError, csv_rows, iter_lines, reading, write_csv, writing
 # Every other favd module, and the SHA-256 module, json and fractions, is imported by the
 # commands that use it, so that each command loads only what it runs.
 
@@ -316,8 +314,10 @@ def cmd_eval(args, opts) -> int:
         "means": means,
     }
     out_dir = Path(args.out_dir)
-    save_model(report, out_dir / "eval_report.json")
-    write_csv(out_dir / "folds.csv", list(lines[0]), (line.values() for line in lines))
+    # Both new texts are whole in their temporary files before either report is replaced.
+    with writing(out_dir / "eval_report.json") as fh:
+        save_model(report, fh)
+        write_csv(out_dir / "folds.csv", list(lines[0]), (line.values() for line in lines))
     print(f"evaluated {n} folds; mean F2 {means['f2']} "
           f"(all-vulnerable {means['all_vulnerable_f2']}, random {means['random_f2']}); "
           f"reports in {out_dir}")
@@ -348,12 +348,12 @@ def cmd_predict(args, opts) -> int:
         # makes it benign at 0; only the others go through classify.
         nothing_deployed = model.top_terms.isdisjoint
         for name in names:
-            if nothing_deployed(split(name)):
+            if nothing_deployed(terms := split(name)):
                 yield [name, BENIGN, "0.000000", ""]
             else:
-                _, label, matched, terms = classify(name, model)
+                _, label, matched, unique = classify(name, model, terms)
                 # Int true division rounds correctly, so k / t equals float(percentage).
-                yield [name, label, f"{len(matched) / terms:.6f}", ";".join(sorted(matched))]
+                yield [name, label, f"{len(matched) / unique:.6f}", ";".join(sorted(matched))]
 
     write_csv(args.out, ["name", "label", "percentage", "matched_terms"], rows())
     return 0

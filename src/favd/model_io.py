@@ -10,6 +10,7 @@ number when that float reads back as the same Fraction, else as the text
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,10 +87,11 @@ def model_document(
     }
 
 
-def save_model(document: dict, path: str | Path) -> None:
-    """Write a model, or any other report document, as sorted, indented JSON."""
-    with writing(path) as fh:
-        fh.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+def save_model(document: dict, out) -> None:
+    """Write a model or any report as sorted, indented JSON, as encoded, to a path or open file."""
+    with nullcontext(out) if hasattr(out, "write") else writing(out) as fh:
+        fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(document))
+        fh.write("\n")
 
 
 def load_json_object(path: str | Path, what: str) -> dict:

@@ -75,9 +75,9 @@ class Prediction(NamedTuple):
         return Fraction(len(self.matched_terms), self.term_count or 1)
 
 
-def classify(identifier: str, model: TunedModel) -> Prediction:
-    """Label one identifier. Zero split terms means percentage 0 and benign."""
-    terms = frozenset(split(identifier))
+def classify(identifier: str, model: TunedModel, terms: list[str] | None = None) -> Prediction:
+    """Label one identifier, split here unless its `terms` are given; no terms is benign at 0."""
+    terms = frozenset(split(identifier) if terms is None else terms)
     matched = terms & model.top_terms
     p, q = model.threshold.numerator, model.threshold.denominator
     # |matched| / |terms| > p / q, cross-multiplied; false when terms is empty.

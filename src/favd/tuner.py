@@ -150,22 +150,30 @@ TRACE_HEADER = ["weight", "cutoff", "threshold", "tp", "fp", "fn", "tn", "f2"]
 
 
 def trace_text(trace: list, beta=DEFAULT_BETA):
-    """A trace's CSV rows as text, a chunk per weight: cutoff ascending, threshold descending.
+    """A trace's CSV rows as text, a chunk per cutoff of each weight, in `trace` order.
 
-    A ranking's lines are formatted once, and repeated under each weight's tag. Its class
-    sizes and beta fix a line's `tp,fp,fn,tn,f2` tail by (tp, fp): one format per pair.
+    Each ranking's columns are formatted once, tagged for each weight by one `str.replace`,
+    and held only until the last weight that shares them.
     """
     r, s = beta_squared(beta)
-    blocks: dict[int, list[str]] = {}  # id of a ranking's grid counts -> its lines less the tag
-    for weight, grid in trace:
-        if id(grid) not in blocks:
-            # Int true division rounds correctly, as float(Fraction) does.
-            tails = {(t, f): f"{t},{f},{grid.n_pos - t},{grid.n_neg - f},{num / den:.6f}\n"
-                     for t, f in set(zip(chain(*grid.tp), chain(*grid.fp)))
-                     for num, den in [f_beta_terms(t, f, grid.n_pos - t, r, s)]}
-            labels = [f"{float(threshold)}," for threshold in grid.thresholds]
-            columns = zip(grid.cutoffs, zip(*grid.tp), zip(*grid.fp))
-            blocks[id(grid)] = [head + label + tails[pair] for cutoff, tps, fps in columns
-                                for head in [f",{cutoff},"]
-                                for label, pair in zip(labels, zip(tps, fps))]
-        yield "".join(map((weight.tag() if weight else "").__add__, blocks[id(grid)]))
+    last = {id(grid): i for i, (_, grid) in enumerate(trace)}  # each ranking's last weight
+    held = {}  # id of a ranking's counts -> its columns less the tag, until its last weight
+    for i, (weight, grid) in enumerate(trace):
+        columns = held.pop(id(grid), None) or _columns(grid, r, s)  # formatted as it is written
+        if last[id(grid)] > i:  # a later weight shares the ranking: keep its text till then
+            held[id(grid)] = columns = list(columns)
+        tag = weight.tag() if weight else ""
+        for column in columns:
+            yield tag + column[:-1].replace("\n", "\n" + tag) + "\n"
+
+
+def _columns(grid: GridCounts, r: int, s: int):
+    """Yield a ranking's trace lines less the tag, cutoff ascending, a cutoff's lines (threshold
+    descending) at a time. Class sizes and beta fix a `tp,fp,fn,tn,f2` tail by (tp, fp)."""
+    # Int true division rounds correctly, as float(Fraction) does.
+    tails = {(t, f): f"{t},{f},{grid.n_pos - t},{grid.n_neg - f},{num / den:.6f}\n"
+             for t, f in set(zip(chain(*grid.tp), chain(*grid.fp)))
+             for num, den in [f_beta_terms(t, f, grid.n_pos - t, r, s)]}
+    labels = [f"{float(threshold)}," for threshold in grid.thresholds]
+    for head, tps, fps in zip(map(",{},".format, grid.cutoffs), zip(*grid.tp), zip(*grid.fp)):
+        yield "".join([head + label + tails[pair] for label, pair in zip(labels, zip(tps, fps))])

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from favd.cli import OPTIONS, build_parser, main
 from favd.corpus import clean, load_lists
+from favd.errors import DataError
 from favd.model_io import load_model, model_document, save_model
 from favd.predictor import TunedModel, classify
 from favd.ranking import DangerousWordList, MinScorePolicy, Weight
@@ -197,6 +198,28 @@ def test_external_scores_trace_has_an_empty_tag(tmp_path, corpus_files):
     assert tag == "" and len(rows) == 3 * 21  # 3 cutoffs x the 21 default thresholds
 
 
+def test_a_trace_that_fails_midway_leaves_the_old_trace(tmp_path, mixed_corpus_files,
+                                                        monkeypatch, capsys):
+    import favd.tuner
+
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("old trace\n")
+    real_trace_text = favd.tuner.trace_text
+
+    def failing_trace_text(trace, beta):
+        chunks = real_trace_text(trace, beta)
+        yield next(chunks)  # a column already in the temporary file
+        raise DataError("cannot format the trace")
+
+    monkeypatch.setattr(favd.tuner, "trace_text", failing_trace_text)
+    assert main(_train_argv(mixed_corpus_files, "--weights", "1-1,3-1", "--out",
+                            str(tmp_path / "m.json"), "--trace", str(trace_path))) == 2
+    assert "cannot format the trace" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["m.json", "mixed_benign.txt",
+                                            "mixed_vulnerable.txt", "trace.csv"]
+    assert trace_path.read_text() == "old trace\n"
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--words-csv"])
 def test_csv_on_stdout_is_the_files_bytes_and_the_status_goes_to_stderr(tmp_path, corpus_files,
                                                                         capsys, flag):
@@ -236,6 +259,36 @@ def test_eval_reports_are_deterministic(tmp_path, corpus_files):
     assert len(report["folds"]) == 2
     for fold in report["folds"]:
         assert set(fold["baselines"]) == {"all_vulnerable_f2", "random_f2"}
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+def test_eval_reports_are_replaced_together(tmp_path, corpus_files, monkeypatch, capsys, exc):
+    """A failed second report leaves both old reports, byte for byte, and no temporary file."""
+    import favd.errors
+
+    vuln, benign = corpus_files
+    out = tmp_path / "ev"
+    args = ["eval", "--vuln", str(vuln), "--benign", str(benign), "--kfold", "2",
+            "--cutoff-step", "1", "--out-dir", str(out)]
+    assert main([*args, "--seed", "1"]) == 0
+    old = {name: (out / name).read_bytes() for name in ("eval_report.json", "folds.csv")}
+    real_replace = os.replace
+
+    def replace(source, target):  # folds.csv's new text is whole, but cannot take its place
+        if Path(target).name == "folds.csv":
+            raise exc
+        real_replace(source, target)
+
+    monkeypatch.setattr(favd.errors.os, "replace", replace)
+    if isinstance(exc, OSError):
+        assert main([*args, "--seed", "2"]) == 2
+        assert "folds.csv" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main([*args, "--seed", "2"])
+    assert sorted(os.listdir(out)) == sorted(old)
+    assert {name: (out / name).read_bytes() for name in old} == old
 
 
 # folds.csv's columns, in order, and the field of a fold in eval_report.json
@@ -716,6 +769,26 @@ def test_predict_rows_follow_the_rule_with_and_without_a_deployed_word(tmp_path,
         label, percentage, matched = _textbook(name, DEPLOYED, threshold)
         expected.append(f"{name},{label},{float(percentage):.6f},{';'.join(sorted(matched))}")
     assert _predict(tmp_path, names, _deployed(DEPLOYED, threshold)) == expected
+
+
+def test_predict_splits_each_name_once(tmp_path, monkeypatch):
+    """A name that holds a deployed word reaches classify with the terms predict split."""
+    import favd.predictor
+    import favd.splitter
+
+    calls, real_split = Counter(), favd.splitter.split
+
+    def counting_split(name):
+        calls[name] += 1
+        return real_split(name)
+
+    for module in (favd.splitter, favd.predictor):
+        monkeypatch.setattr(module, "split", counting_split)
+    names = ["write_log", "___", "read_buf", "readNet_x", "buf_buf", "données_ⅰ"]
+    rows = _predict(tmp_path, names, _deployed(DEPLOYED, Fraction(1, 3)))
+    assert [row.split(",")[2] != "0.000000" for row in rows] == [False, False, True, True,
+                                                                  True, True]
+    assert calls == Counter(names)
 
 
 @settings(max_examples=60, deadline=None)

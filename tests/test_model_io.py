@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from favd import DEFAULT_THRESHOLD_STEP
 from favd.corpus import clean
@@ -128,3 +130,21 @@ def test_wrong_schema_version_rejected(tmp_path):
     p.write_text('{"schema_version": 99}')
     with pytest.raises(DataError, match="schema"):
         load_model(p)
+
+
+# JSON documents as favd writes them: non-ASCII terms, floats, "p/q" texts, empty lists and dicts.
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+            | st.text() | st.sampled_from(["p/q", "2/3", "données", "ǅx", "\u2028"]))
+_DOCUMENTS = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(max_size=8), inner, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=st.dictionaries(st.text(max_size=8), _DOCUMENTS, max_size=6)
+       | st.just({"dangerous": [], "inputs": {}, "score": 0.1, "threshold": "2/3",
+                  "term": "lecture_écriture"}))
+def test_saved_bytes_are_the_json_dumps_text(tmp_path_factory, document):
+    """save_model writes as it encodes; the bytes are still json.dumps's and a line end."""
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    save_model(document, path)
+    assert path.read_bytes() == (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()

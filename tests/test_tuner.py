@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from favd.metrics import MAX_THRESHOLDS, all_vulnerable_f2, f_beta
 from favd.predictor import classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.synth import SynthSpec, generate
-from favd.tuner import SearchGrid, find_best, search_weights, threshold_values
+from favd.tuner import (GridCounts, SearchGrid, find_best, search_weights, threshold_values,
+                        trace_text)
 from gridcells import grid_cells
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
@@ -344,6 +347,56 @@ def test_find_best_runs_once_per_distinct_ranking(monkeypatch, policy):
     assert search_weights(corpus, policy, grid, trace=trace) == untraced
     assert tuned == firsts
     assert [weight for weight, _ in trace] == list(grid.weights)
+
+
+def _random_counts(seed: int, n_cutoffs: int = 300) -> GridCounts:
+    """A ranking's counts at 21 thresholds and `n_cutoffs` cutoffs, for formatting only."""
+    rng = random.Random(seed)
+    thresholds = SearchGrid().thresholds
+    tp, fp = ([[rng.randint(0, n) for _ in range(n_cutoffs)] for _ in thresholds]
+              for n in (10, 60))
+    return GridCounts(tuple(range(1, n_cutoffs + 1)), thresholds, tp, fp, 10, 60)
+
+
+def _traced_peak(chunks, stop_at: str | None = None) -> int:
+    """Bytes traced at the peak of drawing `chunks`; with `stop_at`, those still held when the
+    first chunk that starts with it is drawn."""
+    tracemalloc.start()
+    try:
+        for chunk in chunks:
+            if stop_at is not None and chunk.startswith(stop_at):
+                return tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_text_holds_only_the_rankings_still_to_be_written():
+    trace = [(Weight(1, i), _random_counts(i)) for i in range(1, 9)]  # 8 distinct rankings
+    one_ranking = sum(map(len, trace_text(trace[:1])))
+    assert one_ranking > 150_000
+    peak = _traced_peak(trace_text(trace))
+    # Holding all 8 rankings' lines until the last weight peaked at 27 times one_ranking.
+    assert peak < 2 * one_ranking, (peak, one_ranking)
+
+
+def test_a_ranking_shared_by_a_later_weight_is_repeated_byte_for_byte_then_freed():
+    a, b = _random_counts(1), _random_counts(2)
+    trace = [(Weight(1, 1), a), (Weight(2, 1), b), (Weight(3, 1), a),
+             (Weight(4, 1), _random_counts(3, n_cutoffs=1))]
+    rows = {}
+    for line in "".join(trace_text(trace, Fraction(3, 2))).splitlines():
+        tag, rest = line.split(",", 1)
+        rows.setdefault(tag, []).append(rest)
+    assert list(rows) == ["1-1", "2-1", "3-1", "4-1"]
+    assert rows["3-1"] == rows["1-1"] != rows["2-1"]
+    assert rows["1-1"] == [f"{cell.cutoff},{float(cell.threshold)},"
+                           f"{','.join(map(str, cell.counts))},{float(cell.f2):.6f}"
+                           for cell in grid_cells(a, Fraction(3, 2))]
+    # By the last weight, a is written for good and b was never held.
+    one_ranking = sum(map(len, trace_text(trace[:1])))
+    held = _traced_peak(trace_text(trace), stop_at="4-1,")
+    assert held < one_ranking / 4, (held, one_ranking)
 
 
 class TestUpperBound:
