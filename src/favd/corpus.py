@@ -5,8 +5,8 @@ benign. Cleaning removes duplicates within each list and resolves names
 present on both lists by keeping them vulnerable (the conservative reading),
 leaving two disjoint name sets. K-fold plans are stratified and seeded, so a
 given (corpus, k, seed) always yields the same folds regardless of hash
-randomization. A plan, k-fold or leave-one-out, encodes its parts once when
-it is made, so a name is split once, and builds each fold when it is reached.
+randomization. A plan, k-fold or leave-one-out, encodes its names in groups
+when it is made, each name once, and joins each fold's groups when it is reached.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from array import array
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import chain, compress, count
-from operator import add
+from itertools import chain, count
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError, InfeasibleError, csv_rows, read_lines
+from .errors import DataError, InfeasibleError, csv_rows, iter_lines
 from .splitter import split
 
 
@@ -37,25 +36,23 @@ class LabeledCorpus(namedtuple("LabeledCorpus", "vulnerable benign")):
 
     @cached_property
     def encoded(self) -> "EncodedCorpus":
-        """The corpus split into term ids, computed on first use and kept."""
-        return encode(self)
+        """The corpus split into term ids, each name once, computed on first use and kept."""
+        vocabulary, groups = _encode([(1, self.vulnerable), (2, self.benign)])  # see `_folds`
+        return _joined(vocabulary, groups, 3, 1)  # one part: bit 0 vulnerable, bit 1 benign
 
 
-class EncodedCorpus(namedtuple("EncodedCorpus", "vocabulary vulnerable benign vulnerable_counts "
-                                                "benign_counts n_vulnerable n_benign")):
+class EncodedCorpus(namedtuple("EncodedCorpus", "vocabulary vulnerable benign n_vulnerable n_benign")):
     """Each name's unique terms as ids into the vocabulary, grouped by term count.
 
     `vulnerable[t]` holds the term ids of every vulnerable name with t unique
     terms as one flat `array('i')`, t ids per name, name after name (in no
     fixed order, so no result may read row or term-id order; each name's
     terms in order of appearance); `benign` does the same for the benign names.
-    The vocabulary lists its terms in id order. The folds of one plan share
-    one vocabulary (bar a leave-one-out train side encoded anew), so a fold's
-    vocabulary may hold terms that its own rows lack. `vulnerable_counts[i]`
-    and `benign_counts[i]` count the vulnerable and benign names holding term
-    id i. A name with no terms (`__`) has no row, so `n_vulnerable` and
-    `n_benign`, the names of each class, are counted from the names as they
-    are encoded, not from the rows.
+    The vocabulary lists its terms in id order. Both sides of every fold of
+    one plan share one vocabulary, so a fold's vocabulary may hold terms that
+    its own rows lack. A name with no terms (`__`) has no row, so
+    `n_vulnerable` and `n_benign`, the names of each class, are counted from
+    the names as they are encoded, not from the rows.
     """
 
     @property
@@ -70,25 +67,21 @@ class EncodedCorpus(namedtuple("EncodedCorpus", "vocabulary vulnerable benign vu
         In ranking's tie-break order: more vulnerable names first, then text.
         They do not depend on the weight, so they are ordered once for every weight's scores.
         """
-        v, b = self.vulnerable_counts, self.benign_counts
+        v, b = (Counter(chain.from_iterable(rows.values())) for rows in (self.vulnerable, self.benign))
         terms = list(self.vocabulary)  # in id order
-        ids = sorted(compress(range(len(terms)), map(add, v, b)), key=terms.__getitem__)
+        ids = sorted(v.keys() | b.keys(), key=terms.__getitem__)
         ids.sort(key=v.__getitem__, reverse=True)  # stable: equal counts stay in text order
         return [terms[i] for i in ids], [v[i] for i in ids], [b[i] for i in ids]
 
 
-def encode(corpus: LabeledCorpus) -> EncodedCorpus:
-    """Split every name once; see EncodedCorpus for the layout."""
-    return _encode_parts([(corpus.vulnerable, corpus.benign)])[0]
+_Group = namedtuple("_Group", "memberships rows size")  # see `_folds`
 
 
-def _encode_parts(parts: Iterable[tuple[Collection[str], Collection[str]]]) -> list[EncodedCorpus]:
-    """The encoding of each (vulnerable, benign) pair of names, over one shared vocabulary."""
+def _encode(groups: Iterable[tuple[int, Collection[str]]]) -> tuple[dict[str, int], list[_Group]]:
+    """Split each group's names once, over one shared vocabulary; see EncodedCorpus."""
     vocabulary: defaultdict[str, int] = defaultdict(count().__next__)  # new term: next id
-    rows = [(_rows(v, vocabulary), _rows(b, vocabulary), len(v), len(b)) for v, b in parts]
-    shared, ids = dict(vocabulary), range(len(vocabulary))
-    return [EncodedCorpus(shared, v, b, _counts(v, ids), _counts(b, ids), n_v, n_b)
-            for v, b, n_v, n_b in rows]
+    encoded = [_Group(bits, _rows(names, vocabulary), len(names)) for bits, names in groups]
+    return dict(vocabulary), encoded
 
 
 def _rows(names: Iterable[str], vocabulary: defaultdict[str, int]) -> dict[int, array]:
@@ -100,9 +93,26 @@ def _rows(names: Iterable[str], vocabulary: defaultdict[str, int]) -> dict[int, 
     return dict(rows)
 
 
-def _counts(rows: dict[int, array], ids: range) -> list[int]:
-    counts = Counter(chain.from_iterable(rows.values()))
-    return list(map(counts.__getitem__, ids))
+def _joined(vocabulary: dict[str, int], groups: list[_Group], parts: int,
+            vulnerable: int) -> EncodedCorpus:
+    """The encoding of the groups' names that hold a membership bit of `parts`: a name is
+    vulnerable when one of those bits is a `vulnerable` bit, as `clean` keeps it."""
+    sides: tuple[list[_Group], list[_Group]] = [], []
+    for group in groups:
+        if group.memberships & parts:
+            sides[not group.memberships & parts & vulnerable].append(group)
+    (v, n_v), (b, n_b) = map(_side, sides)
+    return EncodedCorpus(vocabulary, v, b, n_v, n_b)
+
+
+def _side(groups: list[_Group]) -> tuple[dict[int, array], int]:
+    """One label's rows and size, joined from its groups."""
+    if len(groups) == 1:  # a lone group's rows are the side's, shared, not copied
+        return groups[0][1:]
+    rows: defaultdict[int, array] = defaultdict(lambda: array("i"))
+    for t, ids in chain.from_iterable(group.rows.items() for group in groups):
+        rows[t].extend(ids)
+    return dict(rows), sum(group.size for group in groups)
 
 
 class FoldPlan(NamedTuple):
@@ -113,7 +123,7 @@ class FoldPlan(NamedTuple):
 
 def load_lists(vulnerable_path: str | Path, benign_path: str | Path) -> tuple[list[str], list[str]]:
     """The names of two list files; duplicates and overlaps are left for `clean`."""
-    return read_lines(Path(vulnerable_path)), read_lines(Path(benign_path))
+    return list(iter_lines(Path(vulnerable_path))), list(iter_lines(Path(benign_path)))
 
 
 def load_csv(path: str | Path) -> tuple[list[str], list[str]]:
@@ -168,50 +178,46 @@ def make_kfold(corpus: LabeledCorpus, k: int, seed: int) -> FoldPlan:
             f"{len(corpus.benign)} benign names; both must be >= k={k}"
         )
     rng = random.Random(seed)  # the full sorted lists are freed before the chunks are encoded
-    return _folds(list(zip(_chunks(corpus.vulnerable, k, rng), _chunks(corpus.benign, k, rng))))
+    chunks = list(zip(_chunks(corpus.vulnerable, k, rng), _chunks(corpus.benign, k, rng)))
+    # No name is in two chunks, so each chunk is a group.
+    return _folds(chunks, ((1 << j, names) for j, names in enumerate(chain.from_iterable(chunks))))
 
 
 def make_leave_one_out(corpora: Sequence[LabeledCorpus]) -> FoldPlan:
     """One fold per corpus, which is its test side; see `_folds`."""
     if len(corpora) < 2:
         raise InfeasibleError("leave-one-out needs at least two corpora")
-    return _folds(corpora, may_share=True)
+    memberships: defaultdict[str, int] = defaultdict(int)  # a name's, freed before encoding
+    for j, names in enumerate(chain.from_iterable(corpora)):
+        for name in names:
+            memberships[name] |= 1 << j
+    groups: defaultdict[int, list[str]] = defaultdict(list)
+    for name, bits in memberships.items():
+        groups[bits].append(name)
+    del memberships
+    return _folds(corpora, groups.items())
 
 
-def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]], may_share=False) -> FoldPlan:
+def _folds(parts: Sequence[tuple[Collection[str], Collection[str]]],
+           groups: Iterable[tuple[int, Collection[str]]]) -> FoldPlan:
     """Fold i tests on part i and trains on the union of the other parts.
 
-    Every part is encoded here, once, over one shared vocabulary, and test
-    side i carries part i's encoding (a part that is a LabeledCorpus is its
-    own test side). Train side i joins the other parts' rows and sums their
-    counts and sizes: the union's encoding when no name is in two of them,
-    as for k-fold chunks. Leave-one-out projects `may_share` a name, so each
-    fold first takes `clean` of their union (a name vulnerable anywhere stays
-    so); if it is smaller than the parts, the train side encodes it anew and
-    joins nothing.
+    `groups` holds every name of the parts once, in (memberships, names)
+    pairs. A group's memberships are a bit set: bit 2j says vulnerable in
+    part j, bit 2j + 1 benign in part j. Each group is encoded here, once,
+    over one vocabulary. Test side i joins the rows of the groups in part
+    i, with part i's label; train side i joins the rows of the groups in
+    another part, vulnerable when any other part says so. So no fold splits
+    a name again or calls `clean`.
     """
-    return FoldPlan(map(partial(_fold, parts, _encode_parts(parts), may_share), range(len(parts))))
+    vocabulary, encoded = _encode(groups)
+    return FoldPlan(map(partial(_fold, parts, vocabulary, encoded), range(len(parts))))
 
 
-def _fold(parts: Sequence[tuple[Collection[str], Collection[str]]], encodings: list[EncodedCorpus],
-          may_share: bool, i: int) -> tuple[EncodedCorpus, LabeledCorpus]:
+def _fold(parts: Sequence[tuple[Collection[str], Collection[str]]], vocabulary: dict[str, int],
+          groups: list[_Group], i: int) -> tuple[EncodedCorpus, LabeledCorpus]:
     # Built in the call and handed on unbound by map, so a fold is freed before the next one is built.
-    rest, part = parts[:i] + parts[i + 1:], parts[i]
-    test = part if isinstance(part, LabeledCorpus) else LabeledCorpus(*map(frozenset, part))
-    test.encoded = encodings[i]
-    if may_share:
-        union = clean(chain.from_iterable(v for v, _ in rest), chain.from_iterable(b for _, b in rest))
-        if len(union.vulnerable) + len(union.benign) < sum(map(len, chain.from_iterable(rest))):
-            return union.encoded, test  # a name is in two of the other parts
-    return _joined(encodings[:i] + encodings[i + 1:]), test
-
-
-def _joined(parts: list[EncodedCorpus]) -> EncodedCorpus:
-    """The encoding of disjoint parts' names, from the parts' encodings over one vocabulary."""
-    vocabulary, vulnerable, benign, *counts, n_vulnerable, n_benign = zip(*parts)
-    rows = defaultdict(lambda: array("i")), defaultdict(lambda: array("i"))
-    for joined, groups in zip(rows, (vulnerable, benign)):
-        for t, ids in chain.from_iterable(group.items() for group in groups):
-            joined[t].extend(ids)
-    return EncodedCorpus(vocabulary[0], *map(dict, rows), *(list(map(sum, zip(*c))) for c in counts),
-                         sum(n_vulnerable), sum(n_benign))
+    own, vulnerable = 3 << 2 * i, int("01" * len(parts), 2)  # part i's bits; every vulnerable bit
+    test = LabeledCorpus(*map(frozenset, parts[i]))  # a corpus's own sets, a chunk's new ones
+    test.encoded = _joined(vocabulary, groups, own, vulnerable)
+    return _joined(vocabulary, groups, ~own, vulnerable), test

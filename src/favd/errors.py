@@ -5,10 +5,9 @@ Every file favd reads is opened by `reading`, and every file it writes by
 `writing`, so these two alone decide the text format. Each turns the ways a
 file can fail into one DataError whose one-line message names the path.
 `writing` replaces a file only once its new text is whole. `iter_lines` is
-the one list-file reader, holding one block of the file at a time
-(`read_lines` lists what it yields), and `csv_rows` and `write_csv` are the
-one CSV reader and writer; the writer also takes rows that are CSV text
-already.
+the one list-file reader, holding one block of the file at a time, and
+`csv_rows` and `write_csv` are the one CSV reader and writer; the writer
+also takes rows that are CSV text already.
 """
 
 from __future__ import annotations
@@ -130,11 +129,6 @@ def iter_lines(path, block: int = BLOCK) -> Iterator[str]:
             yield from filter(None, map(str.rstrip, lines))
         if rest := rest.rstrip():
             yield rest
-
-
-def read_lines(path) -> list[str]:
-    """A list file's names, as `iter_lines` yields them."""
-    return list(iter_lines(path))
 
 
 def csv_rows(path, what: str, key: str = "name"):

@@ -17,7 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from favd.cli import OPTIONS, build_parser, main
 from favd.corpus import clean, load_lists
@@ -358,6 +358,35 @@ def test_eval_loo_over_project_dirs(tmp_path):
     assert [f["fold"] for f in report["folds"]] == ["projA", "projB", "projC"]
 
 
+def _eval_loo_against_the_oracle(root: Path, projects: dict, weights: list[Weight]) -> list:
+    """Run `eval --loo` over `projects`, {name: (vulnerable list, benign list)}, in `root`, check
+    each fold's sizes, model and counts against tests/bruteforce.py, and return the folds' F2s."""
+    for name, lists in projects.items():
+        (root / name).mkdir()
+        for file, names in zip(("vulnerable.txt", "benign.txt"), lists):
+            (root / name / file).write_text("".join(f"{n}\n" for n in names), encoding="utf-8")
+    thresholds = [Fraction(k, 4) for k in range(5)]
+    assert main(["eval", "--loo", *(str(root / name) for name in projects),
+                 "--weights", ",".join(w.tag() for w in weights), "--cutoff-step", "1",
+                 "--threshold-step", "1/4", "--out-dir", str(root / "ev")]) == 0
+    folds = json.loads((root / "ev" / "eval_report.json").read_text())["folds"]
+    expected = oracle_loo(projects.values())
+    assert len(folds) == len(expected) == len(projects)
+    f2s = []
+    for fold, (train_v, train_b, test_v, test_b) in zip(folds, expected):
+        assert fold["train"] == {"vulnerable": len(train_v), "benign": len(train_b)}
+        assert fold["test"] == {"vulnerable": len(test_v), "benign": len(test_b)}
+        (f2, w, cutoff, threshold), _ = oracle_sweep(
+            SimpleNamespace(vulnerable=train_v, benign=train_b), weights, 1, thresholds)
+        words = oracle_rank(sorted(train_v), sorted(train_b), weights[w], keep_all=False)
+        assert [fold["model"][key] for key in ("weight", "cutoff", "threshold", "train_f2")] == [
+            weights[w].tag(), cutoff, float(threshold), round(float(f2), 3)]
+        tp, fp, fn, tn = oracle_counts(test_v, test_b, set(words[:cutoff]), threshold)
+        assert [fold["metrics"][key] for key in ("tp", "fp", "fn", "tn")] == [tp, fp, fn, tn]
+        f2s.append(f2)
+    return f2s
+
+
 def test_eval_loo_agrees_with_the_oracle(tmp_path):
     """Each fold's sizes, model and counts, recomputed from the lists by tests/bruteforce.py."""
     projects = {
@@ -368,42 +397,57 @@ def test_eval_loo_agrees_with_the_oracle(tmp_path):
         "gamma": (["copy_net", "net_recv", "parse_len", "copy_len"],
                   ["ui_close", "log_len", "draw_buf"]),
     }
-    for name, lists in projects.items():
-        (tmp_path / name).mkdir()
-        for file, names in zip(("vulnerable.txt", "benign.txt"), lists):
-            (tmp_path / name / file).write_text("".join(f"{n}\n" for n in names))
-    weights = [Weight(1, 1), Weight(2, 1), Weight(1, 2)]
-    thresholds = [Fraction(k, 4) for k in range(5)]
-    assert main(["eval", "--loo", *(str(tmp_path / name) for name in projects),
-                 "--weights", ",".join(w.tag() for w in weights), "--cutoff-step", "1",
-                 "--threshold-step", "1/4", "--out-dir", str(tmp_path / "ev")]) == 0
-    folds = json.loads((tmp_path / "ev" / "eval_report.json").read_text())["folds"]
-    expected = oracle_loo(projects.values())
-    assert len(folds) == len(expected) == 3
-    for fold, (train_v, train_b, test_v, test_b) in zip(folds, expected):
-        assert fold["train"] == {"vulnerable": len(train_v), "benign": len(train_b)}
-        assert fold["test"] == {"vulnerable": len(test_v), "benign": len(test_b)}
-        (f2, w, cutoff, threshold), _ = oracle_sweep(
-            SimpleNamespace(vulnerable=train_v, benign=train_b), weights, 1, thresholds)
-        assert f2 > 0, fold["fold"]  # a model that flags something, so the counts tell
-        words = oracle_rank(sorted(train_v), sorted(train_b), weights[w], keep_all=False)
-        assert [fold["model"][key] for key in ("weight", "cutoff", "threshold")] == [
-            weights[w].tag(), cutoff, float(threshold)]
-        tp, fp, fn, tn = oracle_counts(test_v, test_b, set(words[:cutoff]), threshold)
-        assert [fold["metrics"][key] for key in ("tp", "fp", "fn", "tn")] == [tp, fp, fn, tn]
+    f2s = _eval_loo_against_the_oracle(tmp_path, projects, [Weight(1, 1), Weight(2, 1), Weight(1, 2)])
+    assert all(f2s)  # models that flag something, so the counts tell
 
 
-def _loo_projects(root: Path, names=("projA", "projB", "projC")) -> list[Path]:
-    """Project directories whose names are all distinct, across projects too."""
+# Few words, so that projects share names, under mixed labels too. `__` has no terms; digits,
+# case and the non-ASCII letters cut terms; a list may repeat a name or share one with the other.
+loo_cli_name = st.lists(st.sampled_from(["read", "buf", "netRecv", "x9", "2", "é", "Ünï"]),
+                        max_size=2).map("_".join).map(lambda name: name or "__")
+loo_cli_project = st.lists(st.tuples(loo_cli_name, st.booleans()), min_size=1, max_size=8).map(
+    lambda rows: ([name for name, vulnerable in rows if vulnerable],
+                  [name for name, vulnerable in rows if not vulnerable]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(projects=st.lists(loo_cli_project, min_size=2, max_size=4),
+       weights=st.lists(st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3), Weight(10, 1)]),
+                        min_size=1, max_size=3, unique=True))
+@example(projects=[(["read_buf", "x9"], ["é"]), (["2"], ["read_buf", "é"]), (["é", "__"], ["buf"])],
+         weights=[Weight(1, 1), Weight(1, 3)])
+def test_eval_loo_agrees_with_the_oracle_on_generated_projects(projects, weights):
+    """`eval --loo` through the command line equals the oracle, fold by fold."""
+    labels = {}
+    for vulnerable, benign in projects:
+        for name in set(vulnerable) | set(benign):
+            labels.setdefault(name, set()).add(name in vulnerable)
+    event(f"a name under mixed labels in two projects: {any(len(v) == 2 for v in labels.values())}")
+    with tempfile.TemporaryDirectory() as tmp:
+        f2s = _eval_loo_against_the_oracle(Path(tmp), {f"p{i}": p for i, p in enumerate(projects)},
+                                           weights)
+    event(f"a fold's model flags a name: {any(f2s)}")
+
+
+# With `shared`, read_buf is vulnerable in the first project and benign in the second and
+# third, and log_msg is benign in the first two: every train side holds a name of two projects.
+SHARED = [("read_buf\n", "log_msg\n"), ("", "read_buf\nlog_msg\n"), ("", "read_buf\n")]
+
+
+def _loo_projects(root: Path, names=("projA", "projB", "projC"), shared=False) -> list[Path]:
+    """Project directories whose names are all distinct, across projects too, unless `shared`."""
     for i, name in enumerate(names):
         d = root / name
         d.mkdir(parents=True)
-        (d / "vulnerable.txt").write_text(f"danger_read_{i}\ndanger_netRecv{i}\n{'_' * (i + 2)}\n")
-        (d / "benign.txt").write_text(f"log_write_{i}\nuiDraw{i}\ndanger_{i}\n")
+        more_vulnerable, more_benign = SHARED[i] if shared else ("", "")
+        (d / "vulnerable.txt").write_text(
+            f"danger_read_{i}\ndanger_netRecv{i}\n{'_' * (i + 2)}\n{more_vulnerable}")
+        (d / "benign.txt").write_text(f"log_write_{i}\nuiDraw{i}\ndanger_{i}\n{more_benign}")
     return [root / name for name in names]
 
 
 def test_eval_loo_splits_each_name_once(tmp_path, monkeypatch):
+    """Names shared under mixed labels and under one label are split once too."""
     import favd.corpus
 
     calls, real_split = Counter(), favd.corpus.split
@@ -413,12 +457,12 @@ def test_eval_loo_splits_each_name_once(tmp_path, monkeypatch):
         return real_split(name)
 
     monkeypatch.setattr(favd.corpus, "split", counting_split)
-    dirs = _loo_projects(tmp_path)
+    dirs = _loo_projects(tmp_path, shared=True)
     assert main(["eval", "--loo", *map(str, dirs), "--cutoff-step", "1",
                  "--out-dir", str(tmp_path / "out")]) == 0
     names = [n for d in dirs for f in ("vulnerable.txt", "benign.txt")
              for n in (d / f).read_text().split()]
-    assert calls == Counter(set(names)) and len(calls) == 18
+    assert len(names) == 23 and calls == Counter(set(names)) and len(calls) == 20
 
 
 def test_eval_loo_names_each_directory_by_its_absolute_path(tmp_path, monkeypatch, capsys):
@@ -443,25 +487,38 @@ def test_eval_loo_names_each_directory_by_its_absolute_path(tmp_path, monkeypatc
 def test_eval_holds_only_the_running_folds_corpora(tmp_path, corpus_files, monkeypatch,
                                                    live_corpora, protocol):
     # Live name-set corpora at each tuning: a fold's train side is an encoding alone, so
-    # k-fold holds only the running fold's test side, leave-one-out only its inputs (one of
-    # them the test side), and train none: it tunes on the input's encoding.
+    # k-fold holds only the running fold's test side, leave-one-out its inputs and the test
+    # side, and train none: it tunes on the input's encoding. Before each fold's tuning, `seen`
+    # takes the records that hold the test side's own sets: a leave-one-out test side is a
+    # new record over its project's sets, so it holds no second copy of them.
+    import gc
+
+    import favd.cli
+    import favd.corpus
     import favd.tuner
 
-    seen, real_search = [], favd.tuner.search_weights
+    seen, real_search, real_eval_fold = [], favd.tuner.search_weights, favd.cli._eval_fold
 
     def search_weights(*args, **kwargs):
         seen.append(live_corpora() - before)
         return real_search(*args, **kwargs)
 
+    def eval_fold(fold_id, fold, **kwargs):  # the records that hold the test side's own sets
+        test = fold[1]
+        seen.append(sum(isinstance(o, favd.corpus.LabeledCorpus) and o.vulnerable is test.vulnerable
+                        and o.benign is test.benign for o in gc.get_objects()))
+        return real_eval_fold(fold_id, fold, **kwargs)
+
     monkeypatch.setattr(favd.tuner, "search_weights", search_weights)
+    monkeypatch.setattr(favd.cli, "_eval_fold", eval_fold)
     corpus = ["--vuln", str(corpus_files[0]), "--benign", str(corpus_files[1])]
     out_dir = ["--out-dir", str(tmp_path / "ev")]
     if protocol == "kfold":
-        argv, expected = ["eval", *corpus, "--kfold", "4", *out_dir], [1] * 4
+        argv, expected = ["eval", *corpus, "--kfold", "4", *out_dir], [1, 1] * 4
     elif protocol == "train":
         argv, expected = ["train", *corpus, "--out", str(tmp_path / "m.json")], [0]
     else:
-        argv, expected = ["eval", *out_dir, "--loo"], [3] * 3
+        argv, expected = ["eval", *out_dir, "--loo"], [2, 4] * 3
         for i in range(3):
             d = tmp_path / f"p{i}"
             d.mkdir()
@@ -519,9 +576,8 @@ def test_roc_without_a_benign_name_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("protocol", ["kfold", "loo"])
-def test_eval_cleans_each_input_once_and_each_loo_fold_once(tmp_path, corpus_files, monkeypatch,
-                                                            protocol):
-    """No k-fold fold calls `clean`; a leave-one-out fold cleans its union, splitting nothing."""
+def test_eval_cleans_each_input_once_and_no_fold(tmp_path, corpus_files, monkeypatch, protocol):
+    """No fold calls `clean`: a leave-one-out train side joins its projects' encoded groups."""
     import favd.corpus
 
     cleans, splits = [], Counter()
@@ -541,10 +597,10 @@ def test_eval_cleans_each_input_once_and_each_loo_fold_once(tmp_path, corpus_fil
         vuln, benign = corpus_files
         lists = [load_lists(vuln, benign)]
         argv, expected = ["--vuln", str(vuln), "--benign", str(benign), "--kfold", "4"], 1
-    else:  # one call per project and one per fold
-        dirs = _loo_projects(tmp_path)
+    else:  # one call per project
+        dirs = _loo_projects(tmp_path, shared=True)
         lists = [load_lists(d / "vulnerable.txt", d / "benign.txt") for d in dirs]
-        argv, expected = ["--loo", *map(str, dirs)], 3 + 3
+        argv, expected = ["--loo", *map(str, dirs)], 3
     assert main(["eval", *argv, "--cutoff-step", "1", "--out-dir", str(tmp_path / "out")]) == 0
     assert len(cleans) == expected
     assert splits == Counter({name for pair in lists for names in pair for name in names})

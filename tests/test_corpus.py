@@ -7,9 +7,9 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 import favd.corpus
 from favd.corpus import (
     EncodedCorpus,
+    _Group,
     LabeledCorpus,
     clean,
-    encode,
     load_csv,
     load_lists,
     make_kfold,
@@ -167,22 +167,31 @@ def _union(corpora) -> LabeledCorpus:
 
 def test_fold_plans_build_each_fold_when_iterated(live_corpora):
     corpus = _numbered_corpus(8, 12)
-    before, encodings = live_corpora(), live_corpora(EncodedCorpus)
+    before, encodings, groups = live_corpora(), live_corpora(EncodedCorpus), live_corpora(_Group)
     kfold = make_kfold(corpus, 4, seed=0)
     a, b, c = clean(("a1",), ("a2",)), clean(("b1",), ("b2",)), clean(("c1",), ("c2",))
     loo = make_leave_one_out([a, b, c])
     assert live_corpora() == before + 3  # only a, b and c
-    assert live_corpora(EncodedCorpus) == encodings + 4 + 3  # each plan's parts, encoded
+    assert live_corpora(EncodedCorpus) == encodings  # no fold is built yet
+    assert live_corpora(_Group) == groups + 8 + 6  # each plan's groups, encoded
     folds = iter(kfold.folds)
     fold = next(folds)
     assert isinstance(fold[0], EncodedCorpus) and isinstance(fold[1], LabeledCorpus)
     assert live_corpora() == before + 4  # the test side; the train side holds no name set
-    assert live_corpora(EncodedCorpus) == encodings + 4 + 3 + 1  # and the joined train side
+    assert live_corpora(EncodedCorpus) == encodings + 2  # the joined train and test sides
     del fold
     assert live_corpora() == before + 3
-    assert live_corpora(EncodedCorpus) == encodings + 4 + 3
+    assert live_corpora(EncodedCorpus) == encodings
     assert len(list(folds)) == 3
-    assert len(list(loo.folds)) == 3
+    # A project's test side is a new record over the project's own sets, which keeps its encoding.
+    loo_folds = iter(loo.folds)
+    train, test = next(loo_folds)
+    assert test == a and test is not a and "encoded" not in vars(a)
+    assert test.vulnerable is a.vulnerable and test.benign is a.benign
+    assert train.vocabulary is test.encoded.vocabulary
+    assert live_corpora() == before + 4
+    del train, test
+    assert len(list(loo_folds)) == 2
     assert list(kfold.folds) == [] and list(loo.folds) == []  # read once
 
 
@@ -263,14 +272,11 @@ def test_kfold_splits_each_name_once(monkeypatch):
     assert calls == Counter(corpus.vulnerable | corpus.benign)
 
 
-def _terms_and_rows(encoded: EncodedCorpus) -> tuple[dict, list]:
-    """(V, B) per term the rows hold, and each label's multiset of rows per t, by term text."""
+def _rows(encoded: EncodedCorpus) -> list:
+    """Each label's multiset of rows per t, by term text."""
     terms = list(encoded.vocabulary)
-    counts = {terms[i]: (v, b) for i, (v, b) in
-              enumerate(zip(encoded.vulnerable_counts, encoded.benign_counts)) if v or b}
-    rows = [{t: Counter(tuple(map(terms.__getitem__, ids[j:j + t])) for j in range(0, len(ids), t))
+    return [{t: Counter(tuple(map(terms.__getitem__, ids[j:j + t])) for j in range(0, len(ids), t))
              for t, ids in group.items()} for group in (encoded.vulnerable, encoded.benign)]
-    return counts, rows
 
 
 fold_name = st.lists(st.sampled_from(["read", "file", "net", "buf", "x", "2", "_"]),
@@ -294,10 +300,10 @@ def test_fold_encodings_equal_a_fresh_encode_up_to_term_ids(vuln, benign, k, see
 
 def _assert_encodes(encoded: EncodedCorpus, corpus: LabeledCorpus) -> None:
     """`encoded` equals a fresh encode of `corpus`: sizes, term counts, rows up to term ids."""
-    fresh = encode(corpus)
+    fresh = LabeledCorpus(*corpus).encoded  # a new record, so no kept encoding
     assert (encoded.n_vulnerable, encoded.n_benign) == (len(corpus.vulnerable), len(corpus.benign))
     assert (fresh.n_vulnerable, fresh.n_benign) == (len(corpus.vulnerable), len(corpus.benign))
-    assert _terms_and_rows(encoded) == _terms_and_rows(fresh)
+    assert _rows(encoded) == _rows(fresh)
     assert encoded.term_counts == fresh.term_counts
     assert set(fresh.vocabulary) <= set(encoded.vocabulary)
 
@@ -313,16 +319,15 @@ loo_project = st.tuples(st.sets(loo_name, max_size=4), st.sets(loo_name, max_siz
 @given(projects=st.lists(loo_project, min_size=2, max_size=4))
 @example(projects=[clean(("n", "a1"), ("a2",)), clean(("b1",), ("n", "b2")), clean(("c1",), ("c2",))])
 def test_loo_fold_encodings_equal_a_fresh_encode_up_to_term_ids(projects):
-    """Trains on the cleaned union of the rest, joining their rows when no name is in two."""
+    """Trains on the cleaned union of the rest, joined from the plan's groups, shared names or not."""
     for i, (train, test) in enumerate(make_leave_one_out(projects).folds):
         rest = projects[:i] + projects[i + 1:]
-        assert test is projects[i]
+        assert test == projects[i] and test.vulnerable is projects[i].vulnerable
         names = [name for p in rest for name in chain(p.vulnerable, p.benign)]
-        joined = train.vocabulary is test.encoded.vocabulary  # the plan's; the union gets its own
-        event(f"joined rows: {joined}")
-        assert joined == (len(set(names)) == len(names))
+        event(f"train projects share a name: {len(set(names)) < len(names)}")
+        assert train.vocabulary is test.encoded.vocabulary  # the plan's, on every fold
         _assert_encodes(train, _union(rest))
-        _assert_encodes(test.encoded, LabeledCorpus(test.vulnerable, test.benign))
+        _assert_encodes(test.encoded, test)
 
 
 def _term_count(encoded: EncodedCorpus, term: str) -> tuple[int, int]:
@@ -359,19 +364,18 @@ class TestLeaveOneOut:
         assert (train_for_a.n_vulnerable, train_for_a.n_benign) == (2, 3)
         assert _term_count(train_for_a, "n") == (0, 1)
 
-    def test_joins_only_the_folds_whose_train_projects_share_no_name(self, monkeypatch):
-        # n is in A and B, so C's fold encodes the cleaned union anew; A's and B's folds join.
+    def test_every_fold_joins_the_plans_groups(self, monkeypatch):
+        # n is in A and B, so C's train side holds a name of two projects; it is joined all
+        # the same, from the plan's groups, with no `clean` and no split once the plan is made.
         import favd.corpus
 
-        joined, real_joined = [], favd.corpus._joined
-
-        def counting_joined(parts):
-            joined.append(len(parts))
-            return real_joined(parts)
-
-        monkeypatch.setattr(favd.corpus, "_joined", counting_joined)
-        folds = list(make_leave_one_out(self._corpora()).folds)
-        assert len(folds) == 3 and joined == [2, 2]
+        plan = make_leave_one_out(self._corpora())
+        calls = []
+        for name in ("clean", "split", "_encode"):
+            monkeypatch.setattr(favd.corpus, name, lambda *args, name=name: calls.append(name))
+        folds = list(plan.folds)
+        assert calls == []
+        assert len({id(side.vocabulary) for train, test in folds for side in (train, test.encoded)}) == 1
 
     def test_needs_two_corpora(self):
         a, _, _ = self._corpora()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from favd.errors import BLOCK, DataError, csv_rows, iter_lines, read_lines, write_csv, writing
+from favd.errors import BLOCK, DataError, csv_rows, iter_lines, write_csv, writing
 
 SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # Separators, whitespace that ends no line (\x1f, \t, space), a byte-order mark
@@ -36,19 +36,18 @@ def test_block_reader_equals_splitlines_at_every_block_size(text, bom):
         expected = reference(data)
         for block in (1, 2, 3, 7, BLOCK):
             assert list(iter_lines(path, block=block)) == expected, block
-        assert read_lines(path) == expected
 
 
 def test_a_crlf_split_across_two_blocks_ends_one_line(tmp_path):
     path = tmp_path / "names.txt"
     path.write_bytes(b"a" * (BLOCK - 1) + b"\r\nb\r\n")
-    assert read_lines(path) == ["a" * (BLOCK - 1), "b"]
+    assert list(iter_lines(path)) == ["a" * (BLOCK - 1), "b"]
 
 
 def test_a_line_longer_than_many_blocks_is_read_whole(tmp_path):
     path = tmp_path / "names.txt"
     path.write_text("x" * (10 * BLOCK + 3) + "\ny\n")
-    assert read_lines(path) == ["x" * (10 * BLOCK + 3), "y"]
+    assert list(iter_lines(path)) == ["x" * (10 * BLOCK + 3), "y"]
 
 
 # The bad byte's file offset, past the first block of the reader and of the
@@ -59,7 +58,7 @@ def test_a_bad_byte_past_the_first_block_is_reported_at_its_file_offset(tmp_path
     head = bom + b"name_x\n" * 50_000
     path.write_bytes(head + b"bad\xffname\n" + b"tail\n" * 10)
     with pytest.raises(DataError, match=rf"position {len(head) + 3}: invalid start byte"):
-        read_lines(path)
+        list(iter_lines(path))
 
 
 def test_a_bad_byte_in_a_csv_is_reported_at_its_file_offset(tmp_path):
