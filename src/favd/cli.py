@@ -384,15 +384,18 @@ def cmd_roc(args, opts) -> int:
                             f"the dangerous list's length, got {args.cutoffs!r}")
     else:
         cutoffs = grid.cutoff_values(size)
-    curves = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds,
-                 include_zero_endpoint=bool(args.include_zero_endpoint))
-    rows = (
-        [curve.cutoff, str(float(point.threshold)), f"{float(point.tpr):.6f}",
-         f"{float(point.fpr):.6f}"]
-        for curve in curves
-        for point in curve.points
-    )
-    write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows)
+    counts = roc(dangerous, cutoffs, corpus, thresholds=grid.thresholds)
+    labels = [str(float(threshold)) for threshold in counts.thresholds]
+
+    def rows():
+        # Int true division rounds correctly, as float(Fraction) does.
+        for cutoff, tps, fps in counts.columns():
+            for label, t, f in zip(labels, tps, fps):
+                yield [cutoff, label, f"{t / counts.n_pos:.6f}", f"{f / counts.n_neg:.6f}"]
+            if args.include_zero_endpoint:
+                yield [cutoff, "0.0", "1.000000", "1.000000"]
+
+    write_csv(args.out, ["cutoff", "threshold", "tpr", "fpr"], rows())
     return 0
 
 

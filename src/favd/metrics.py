@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics, the two baselines, and ROC curves.
+"""Confusion-matrix metrics, the two baselines, and ROC counts.
 
 Everything is computed in exact rational arithmetic. The zero-denominator
 convention is: precision, recall, and F-scores are 0 whenever TP is 0, which
@@ -11,13 +11,13 @@ numerator and denominator, which the tuner compares by cross-multiplying;
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import DEFAULT_THRESHOLD_STEP
 from .errors import DataError
-from .predictor import ConfusionCounts, count_flagged
+from .predictor import ConfusionCounts, GridCounts, count_flagged
 from .rational import exact_fraction
 
 if TYPE_CHECKING:
@@ -103,50 +103,26 @@ def random_baseline_f2(p) -> Fraction:
     return f_beta(ConfusionCounts(tp=p / 2, fp=(1 - p) / 2, fn=p / 2), 2)
 
 
-class RocPoint(NamedTuple):
-    threshold: Fraction
-    tpr: Fraction
-    fpr: Fraction
-
-
-class RocCurve(NamedTuple):
-    points: tuple[RocPoint, ...]
-    cutoff: int
-
-
 def roc(
     dangerous: DangerousWordList,
     cutoffs: Sequence[int],
     corpus: EncodedCorpus | LabeledCorpus,
     thresholds: Sequence[Fraction] = threshold_values(DEFAULT_THRESHOLD_STEP),
-    include_zero_endpoint: bool = False,
-) -> Iterator[RocCurve]:
-    """One curve per cutoff, in the given order: TPR/FPR per threshold, descending.
+) -> GridCounts:
+    """Names flagged at each cutoff, in the given order, and each threshold above 0, descending.
 
-    Cutoffs may repeat and may exceed the list length; one `count_flagged`
-    call counts every (threshold, cutoff) pair, and the curves are built one
-    at a time as they are iterated. Bad arguments raise at the call, not on
-    iteration. The threshold-0 point is the degenerate all-vulnerable anchor
-    (1, 1); it clutters plots, so it is only emitted when explicitly requested.
+    Cutoff j's TPR and FPR at thresholds[i] are tp[i][j] / n_pos and fp[i][j] / n_neg.
+    Cutoffs may repeat and may exceed the list length. Threshold 0 is left out: a
+    curve's all-vulnerable anchor (1, 1) is the caller's to add. A corpus without
+    both classes has no rates, a DataError.
     """
     bad = [cutoff for cutoff in cutoffs if cutoff < 1]
     if bad:
         raise ValueError(f"cutoffs must be >= 1, got {bad}")
     if not all(0 <= threshold <= 1 for threshold in thresholds):
         raise ValueError(f"thresholds {[str(t) for t in thresholds]} not all in [0, 1]")
-    n_pos, n_neg = corpus.encoded.n_vulnerable, corpus.encoded.n_benign
-    if not n_pos or not n_neg:
-        raise DataError("ROC rates need at least one vulnerable and one benign name")
     kept = [t for t in sorted(set(thresholds), reverse=True) if t != 0]
-    tp, fp = count_flagged(dangerous, corpus, cutoffs, kept)
-    tail = (RocPoint(Fraction(0), Fraction(1), Fraction(1)),) if include_zero_endpoint else ()
-    return (
-        RocCurve(
-            points=tuple(
-                RocPoint(threshold, Fraction(t[j], n_pos), Fraction(f[j], n_neg))
-                for threshold, t, f in zip(kept, tp, fp)
-            ) + tail,
-            cutoff=cutoff,
-        )
-        for j, cutoff in enumerate(cutoffs)
-    )
+    counts = count_flagged(dangerous, corpus, cutoffs, kept)
+    if not counts.n_pos or not counts.n_neg:
+        raise DataError("ROC rates need at least one vulnerable and one benign name")
+    return counts

@@ -8,8 +8,9 @@ threshold of 1.0 unsatisfiable and anchors ROC curves at (0, 0).
 `classify` applies the rule to one name: a split, one set intersection with
 the top terms that the model prepares once, and one integer comparison by
 the threshold's numerator and denominator. `count_flagged` applies it to a
-whole corpus at many (cutoff, threshold) pairs at once; tuning, ROC curves
-and corpus evaluation all go through it.
+whole corpus at many (cutoff, threshold) pairs at once, and returns one
+`GridCounts` record; tuning, its trace, ROC curves and corpus evaluation all
+read that record.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from functools import cached_property
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ranking import DangerousWordList, Weight
 from .splitter import split
 
 if TYPE_CHECKING:
     from .corpus import EncodedCorpus, LabeledCorpus
+    from .ranking import DangerousWordList, Weight
 
 VULNERABLE = "vulnerable"
 BENIGN = "benign"
@@ -85,19 +86,34 @@ def classify(identifier: str, model: TunedModel, terms: list[str] | None = None)
     return Prediction(identifier, label, matched, len(terms))
 
 
+class GridCounts(NamedTuple):
+    """Names flagged over a grid: tp[i][j] of the n_pos vulnerable names and fp[i][j] of the
+    n_neg benign ones at thresholds[i] and cutoffs[j], a row per threshold."""
+
+    cutoffs: Sequence[int]
+    thresholds: Sequence[Fraction]
+    tp: list[list[int]]
+    fp: list[list[int]]
+    n_pos: int
+    n_neg: int
+
+    def columns(self):
+        """(cutoff, tp column, fp column) per cutoff in order; a column runs over the thresholds."""
+        return zip(self.cutoffs, zip(*self.tp), zip(*self.fp))
+
+
 def count_flagged(
     dangerous: DangerousWordList,
     corpus: EncodedCorpus | LabeledCorpus,
     cutoffs: Sequence[int],
     thresholds: Sequence[Fraction],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Vulnerable (tp) and benign (fp) names flagged at each threshold and cutoff.
+) -> GridCounts:
+    """Vulnerable (tp) and benign (fp) names flagged at each threshold and cutoff, as classify()
+    flags them name by name, and the corpus's class sizes.
 
-    Both are lists of len(thresholds) rows of len(cutoffs) ints, tp[i][j]
-    for thresholds[i] and cutoffs[j], and hold what classify() gives name by
-    name. A name with t unique terms is flagged at threshold p/q once more
-    than p*t/q of its terms rank within the cutoff, that is from the rank of
-    its (floor(p*t/q) + 1)-th best-ranked term on. Thresholds are trusted to lie
+    A name with t unique terms is flagged at threshold p/q once more than p*t/q
+    of its terms rank within the cutoff, that is from the rank of its
+    (floor(p*t/q) + 1)-th best-ranked term on. Thresholds are trusted to lie
     in [0, 1]: `tuner.SearchGrid`, `TunedModel` and `metrics.roc` check them.
     """
     encoded = corpus.encoded
@@ -115,7 +131,7 @@ def count_flagged(
             parts = [flagged[t][p * t // q] for t in flagged if p * t // q < t]
             rows.append(list(map(sum, zip(*parts))) if parts else [0] * len(cutoffs))
         counts.append(rows)
-    return counts[0], counts[1]
+    return GridCounts(cutoffs, thresholds, *counts, encoded.n_vulnerable, encoded.n_benign)
 
 
 def _flagged_at(
@@ -141,6 +157,6 @@ def _flagged_at(
 
 def classify_corpus(corpus: EncodedCorpus | LabeledCorpus, model: TunedModel) -> ConfusionCounts:
     """Confusion counts of the model over the corpus, vulnerable as positive."""
-    encoded = corpus.encoded
-    [[tp]], [[fp]] = count_flagged(model.dangerous, encoded, [model.cutoff], [model.threshold])
-    return ConfusionCounts(tp=tp, fp=fp, fn=encoded.n_vulnerable - tp, tn=encoded.n_benign - fp)
+    grid = count_flagged(model.dangerous, corpus, [model.cutoff], [model.threshold])
+    [[tp]], [[fp]] = grid.tp, grid.fp
+    return ConfusionCounts(tp=tp, fp=fp, fn=grid.n_pos - tp, tn=grid.n_neg - fp)

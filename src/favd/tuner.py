@@ -17,8 +17,9 @@ terms in the same order as an earlier one reuses that weight's cells, and
 cannot win, because ties go to the earlier weight.
 
 A trace, when asked for, is a list that receives, for each ranked list tuned
-or reused, its weight (None for external scores) and its `GridCounts` (the
-count matrices, no record per cell), which `trace_text` writes as CSV rows.
+or reused, its weight (None for external scores) and the `GridCounts` that
+`count_flagged` returned for it (count matrices, no record per cell), which
+`trace_text` writes as CSV rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from . import DEFAULT_BETA, DEFAULT_CUTOFF_STEP, DEFAULT_THRESHOLD_STEP
 from .corpus import EncodedCorpus, LabeledCorpus
 from .metrics import beta_squared, f_beta, f_beta_terms, threshold_values
-from .predictor import ConfusionCounts, TunedModel, count_flagged
+from .predictor import ConfusionCounts, GridCounts, TunedModel, count_flagged
 from .ranking import (
     DangerousWordList,
     MinScorePolicy,
@@ -65,17 +66,6 @@ class SearchGrid(namedtuple("SearchGrid", "cutoff_step thresholds weights")):
         return (*range(1, list_length, self.cutoff_step), list_length) if list_length >= 1 else ()
 
 
-class GridCounts(NamedTuple):
-    """A ranking's tp[i][j] and fp[i][j], the names flagged at thresholds[i] and cutoffs[j]."""
-
-    cutoffs: tuple[int, ...]
-    thresholds: tuple[Fraction, ...]
-    tp: list[list[int]]
-    fp: list[list[int]]
-    n_pos: int
-    n_neg: int
-
-
 class TuneResult(NamedTuple):
     model: TunedModel
     train_f2: Fraction
@@ -93,23 +83,23 @@ def find_best(
     An empty dangerous list yields the degenerate all-benign model with
     score 0. A `trace` list receives (dangerous.weight, the grid's counts).
     """
-    cutoffs, thresholds = grid.cutoff_values(len(dangerous.words)), grid.thresholds
-    tp, fp = count_flagged(dangerous, train, cutoffs, thresholds)
-    n_pos, n_neg = train.encoded.n_vulnerable, train.encoded.n_benign
+    counts = count_flagged(dangerous, train, grid.cutoff_values(len(dangerous.words)),
+                           grid.thresholds)
+    n_pos, n_neg = counts.n_pos, counts.n_neg
     r, s = beta_squared(beta)
     best_cutoff, best_threshold, best_tp, best_fp = 0, Fraction(1), 0, 0
     best_num, best_den = 0, 1
     # Canonical order (cutoff ascending, threshold descending) plus strict
     # improvement gives the tie-break: smaller cutoff, then larger threshold.
     # Cutoff 0 means no cell yet, and stays for an empty list.
-    for cutoff, tp_column, fp_column in zip(cutoffs, zip(*tp), zip(*fp)):
-        for threshold, t, f in zip(thresholds, tp_column, fp_column):
+    for cutoff, tp_column, fp_column in counts.columns():
+        for threshold, t, f in zip(counts.thresholds, tp_column, fp_column):
             num, den = f_beta_terms(t, f, n_pos - t, r, s)
             if not best_cutoff or num * best_den > best_num * den:
                 best_cutoff, best_threshold, best_tp, best_fp = cutoff, threshold, t, f
                 best_num, best_den = num, den
     if trace is not None:
-        trace.append((dangerous.weight, GridCounts(cutoffs, thresholds, tp, fp, n_pos, n_neg)))
+        trace.append((dangerous.weight, counts))
     model = TunedModel(dangerous, best_cutoff, best_threshold)
     train_f2 = f_beta(ConfusionCounts(best_tp, best_fp, n_pos - best_tp, n_neg - best_fp), beta)
     return TuneResult(model, train_f2)
@@ -175,5 +165,6 @@ def _columns(grid: GridCounts, r: int, s: int):
              for t, f in set(zip(chain(*grid.tp), chain(*grid.fp)))
              for num, den in [f_beta_terms(t, f, grid.n_pos - t, r, s)]}
     labels = [f"{float(threshold)}," for threshold in grid.thresholds]
-    for head, tps, fps in zip(map(",{},".format, grid.cutoffs), zip(*grid.tp), zip(*grid.fp)):
+    for cutoff, tps, fps in grid.columns():
+        head = f",{cutoff},"
         yield "".join([head + label + tails[pair] for label, pair in zip(labels, zip(tps, fps))])

@@ -185,6 +185,16 @@ def oracle_cutoffs(length: int, step: int) -> list[int]:
     return values
 
 
+def oracle_thresholds(step: Fraction) -> list[Fraction]:
+    """The threshold grid of a step: 0, step, 2 step, ... while at most 1, then 1 if missing."""
+    values = []
+    while len(values) * step <= 1:
+        values.append(len(values) * step)
+    if values[-1] != 1:
+        values.append(Fraction(1))
+    return values
+
+
 def oracle_rank_external(scores: dict[str, Fraction], min_score) -> list[str]:
     items = [(t, s) for t, s in scores.items() if min_score is None or s >= min_score]
     items.sort(key=lambda x: (-x[1], x[0]))

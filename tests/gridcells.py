@@ -1,9 +1,10 @@
 """The cells of a trace's grid counts, one at a time, for the tests.
 
-`tuner.find_best` traces a ranking as one `GridCounts` (its count matrices,
-axes and class sizes), not as a record per cell. `grid_cells` reads it back
-cell by cell, and scores each cell with the textbook F-beta formula over
-Fractions, sharing no scoring code with favd.
+`tuner.find_best` traces a ranking as the `predictor.GridCounts` that
+`count_flagged` returned (its count matrices, axes and class sizes), not as a
+record per cell. `grid_cells` reads it back cell by cell, and scores each cell
+with the textbook F-beta formula over Fractions, sharing no scoring code with
+favd.
 """
 
 from __future__ import annotations

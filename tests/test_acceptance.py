@@ -169,7 +169,13 @@ def test_criterion_5_baseline_predictor_identity():
 # --- 6 -----------------------------------------------------------------
 
 
-def test_criterion_6_roc_properties():
+def _roc_rows(out: Path, *argv: str) -> list[tuple[float, float, float]]:
+    """(threshold, tpr, fpr) of each row that `favd roc ARGV --out OUT` writes for one cutoff."""
+    assert cli_main(["roc", *argv, "--out", str(out)]) == 0
+    return [tuple(map(float, line.split(",")[1:])) for line in out.read_text().splitlines()[1:]]
+
+
+def test_criterion_6_roc_properties(tmp_path):
     with criterion(6, "ROC monotonicity, anchors, and cutoff monotonicity"):
         started = time.time()
         for seed in range(10):
@@ -180,14 +186,16 @@ def test_criterion_6_roc_properties():
             )
             corpus, _ = generate(spec)
             words = rank(score_frequency(corpus, Weight(1, 1)), POLICY_ALL)
-            curve = next(roc(words, [max(1, len(words.words) // 2)], corpus,
-                             include_zero_endpoint=True))
-            first, last = curve.points[0], curve.points[-1]
-            assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
-            assert (last.threshold, last.tpr, last.fpr) == (0, 1, 1)
-            for a, b in zip(curve.points, curve.points[1:]):
-                assert a.threshold > b.threshold
-                assert b.tpr >= a.tpr and b.fpr >= a.fpr
+            vuln, benign = write_corpus(corpus, tmp_path / str(seed))
+            rows = _roc_rows(tmp_path / str(seed) / "roc.csv", "--vuln", str(vuln),
+                             "--benign", str(benign), "--weight", "1-1", "--policy", "none",
+                             "--cutoffs", str(max(1, len(words.words) // 2)),
+                             "--include-zero-endpoint")
+            assert rows[0] == (1, 0, 0)
+            assert rows[-1] == (0, 1, 1)
+            for a, b in zip(rows, rows[1:]):
+                assert a[0] > b[0]
+                assert b[1] >= a[1] and b[2] >= a[2]
 
         import random as _random
 
@@ -316,14 +324,24 @@ def test_criterion_external_adapter_drives_identical_path(tmp_path):
             assert (result.train_f2, result.model.cutoff) == (f2, cutoff)
             assert result.model.threshold == threshold
 
-        # ROC anchors and monotonicity on the external list
+        # ROC anchors and monotonicity on the external list, and the same rates from a model
+        # that `train --scores` saved
         words = rank(table, POLICY_ALL)
-        curve = next(roc(words, [max(1, len(words.words) // 2)], corpus,
-                         include_zero_endpoint=True))
-        assert (curve.points[0].tpr, curve.points[0].fpr) == (0, 0)
-        assert (curve.points[-1].tpr, curve.points[-1].fpr) == (1, 1)
-        for a, b in zip(curve.points, curve.points[1:]):
-            assert b.tpr >= a.tpr and b.fpr >= a.fpr
+        cutoff = max(1, len(words.words) // 2)
+        counts = roc(words, [cutoff], corpus)
+        assert (counts.n_pos, counts.n_neg) == (len(corpus.vulnerable), len(corpus.benign))
+        [(_, tps, fps)] = counts.columns()
+        assert (tps[0], fps[0]) == (0, 0)
+        assert list(tps) == sorted(tps) and list(fps) == sorted(fps)
+        vuln, benign = write_corpus(corpus, tmp_path)
+        assert cli_main(["train", "--vuln", str(vuln), "--benign", str(benign), "--scores",
+                         str(path), "--policy", "none", "--out", str(tmp_path / "m.json")]) == 0
+        rows = _roc_rows(tmp_path / "roc.csv", "--vuln", str(vuln), "--benign", str(benign),
+                         "--model", str(tmp_path / "m.json"), "--cutoffs", str(cutoff),
+                         "--include-zero-endpoint")
+        assert rows == [(float(threshold), float(f"{t / counts.n_pos:.6f}"),
+                         float(f"{f / counts.n_neg:.6f}"))
+                        for threshold, t, f in zip(counts.thresholds, tps, fps)] + [(0, 1, 1)]
 
         # degenerate identity: full list, threshold 0 equals all-vulnerable
         model = TunedModel(

@@ -17,7 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
 from favd.cli import OPTIONS, build_parser, main
 from favd.corpus import clean, load_lists
@@ -28,7 +28,8 @@ from favd.ranking import DangerousWordList, MinScorePolicy, Weight
 from favd.synth import MAX_NAMES, MAX_WORDS
 from favd.tuner import SearchGrid, search_weights
 import cli_surface
-from bruteforce import oracle_counts, oracle_loo, oracle_rank, oracle_sweep
+from bruteforce import (oracle_counts, oracle_cutoffs, oracle_loo, oracle_rank, oracle_sweep,
+                        oracle_thresholds)
 from gridcells import grid_cells
 from test_predictor import _textbook
 
@@ -427,6 +428,61 @@ def test_eval_loo_agrees_with_the_oracle_on_generated_projects(projects, weights
         f2s = _eval_loo_against_the_oracle(Path(tmp), {f"p{i}": p for i, p in enumerate(projects)},
                                            weights)
     event(f"a fold's model flags a name: {any(f2s)}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(vulnerable=st.lists(loo_cli_name, min_size=1, max_size=6),
+       benign=st.lists(loo_cli_name, min_size=1, max_size=6),
+       weight=st.sampled_from([Weight(1, 1), Weight(2, 1), Weight(1, 3), Weight(10, 1)]),
+       policy=st.sampled_from(["zero", "none"]), from_model=st.booleans(),
+       picks=st.none() | st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       cutoff_step=st.integers(1, 3), threshold_step=st.sampled_from(["1/4", "1/3", "2/7", "0.5"]),
+       endpoint=st.booleans())
+@example(vulnerable=["read_buf", "x9", "read_buf"], benign=["buf", "2", "read_buf", "__"],
+         weight=Weight(1, 1), policy="none", from_model=False, picks=[3, 1], cutoff_step=1,
+         threshold_step="1/4", endpoint=True)
+def test_roc_agrees_with_the_oracle_on_generated_lists(vulnerable, benign, weight, policy,
+                                                        from_model, picks, cutoff_step,
+                                                        threshold_step, endpoint):
+    """`roc` through the command line, row by row: a cutoff's rows run threshold descending,
+    threshold 0 only as the (1, 1) endpoint after them when asked for, rates to six decimals."""
+    vuln = set(vulnerable)
+    ben = set(benign) - vuln  # a name on both lists is vulnerable
+    assume(ben)
+    words = oracle_rank(sorted(vuln), sorted(ben), weight, keep_all=policy == "none")
+    cutoffs = (list(dict.fromkeys(1 + (k - 1) % max(len(words), 1) for k in picks)) if picks
+               else oracle_cutoffs(len(words), cutoff_step))
+    event(f"--cutoffs: {picks is not None}; --model: {from_model}; words: {bool(words)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file, names in (("v.txt", vulnerable), ("b.txt", benign)):
+            (root / file).write_text("".join(f"{n}\n" for n in names), encoding="utf-8")
+        pair = ["--vuln", str(root / "v.txt"), "--benign", str(root / "b.txt")]
+        if from_model:
+            assert main(["train", *pair, "--weights", weight.tag(), "--policy", policy,
+                         "--out", str(root / "m.json")]) == 0
+            source = ["--model", str(root / "m.json")]
+        else:
+            source = ["--weight", weight.tag(), "--policy", policy]
+        rc = main(["roc", *pair, *source, "--cutoff-step", str(cutoff_step),
+                   "--threshold-step", threshold_step, "--out", str(root / "roc.csv"),
+                   *(["--cutoffs", ",".join(map(str, cutoffs))] if picks else []),
+                   *(["--include-zero-endpoint"] if endpoint else [])])
+        if not words:
+            assert rc == 2  # an empty dangerous list has no cutoff to sweep
+            return
+        assert rc == 0
+        rows = (root / "roc.csv").read_text(encoding="utf-8").splitlines()
+    thresholds = sorted(oracle_thresholds(Fraction(threshold_step)), reverse=True)
+    expected = ["cutoff,threshold,tpr,fpr"]
+    for cutoff in cutoffs:
+        for threshold in thresholds[:-1]:  # all but 0
+            tp, fp, _, _ = oracle_counts(vuln, ben, set(words[:cutoff]), threshold)
+            expected.append(f"{cutoff},{float(threshold)},{float(Fraction(tp, len(vuln))):.6f},"
+                            f"{float(Fraction(fp, len(ben))):.6f}")
+        if endpoint:
+            expected.append(f"{cutoff},0.0,1.000000,1.000000")
+    assert rows == expected
 
 
 # With `shared`, read_buf is vulnerable in the first project and benign in the second and
@@ -1376,6 +1432,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, every_command)
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
     interpreter = modules_after("")  # loaded before favd is, by site for one
+    # The counting kernel names ranked lists and weights only in annotations.
+    assert "favd.ranking" not in modules_after("import favd.metrics\n")
     # OpenSSL's hash module costs each digesting command megabytes of peak memory.
     builtin_sha256 = any(map(importlib.util.find_spec, ("_sha2", "_sha256")))
     for name, argv in every_command.items():

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
+from favd.cli import main
 from favd.corpus import clean
 from favd.errors import DataError
 from favd.metrics import (
     DEFAULT_THRESHOLD_STEP,
-    RocPoint,
     all_vulnerable_f2,
     f_beta,
     precision,
@@ -122,30 +122,44 @@ class TestBaselines:
             assert random_baseline_f2(p) == Fraction(5, 2) * p / (4 * p + Fraction(1, 2)), p
 
 
+def _curves(counts):
+    """A `roc` record as (cutoff, [(threshold, TPR, FPR), ...]) per cutoff, in Fractions."""
+    return [(cutoff, [(threshold, Fraction(t, counts.n_pos), Fraction(f, counts.n_neg))
+                      for threshold, t, f in zip(counts.thresholds, tps, fps)])
+            for cutoff, tps, fps in counts.columns()]
+
+
 class TestRoc:
     def _ranked(self, corpus):
         return rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
 
     def test_threshold_one_anchors_origin(self, separable_corpus):
-        curve = next(roc(self._ranked(separable_corpus), [3], separable_corpus))
-        first = curve.points[0]
-        assert (first.threshold, first.tpr, first.fpr) == (1, 0, 0)
+        [(_, points)] = _curves(roc(self._ranked(separable_corpus), [3], separable_corpus))
+        assert points[0] == (1, 0, 0)
 
-    def test_zero_endpoint_only_when_flagged(self, separable_corpus):
-        words = self._ranked(separable_corpus)
-        plain = next(roc(words, [3], separable_corpus))
-        assert all(p.threshold > 0 for p in plain.points)
-        flagged = next(roc(words, [3], separable_corpus, include_zero_endpoint=True))
-        last = flagged.points[-1]
-        assert (last.threshold, last.tpr, last.fpr) == (0, 1, 1)
+    def test_zero_endpoint_only_when_flagged(self, separable_corpus, tmp_path):
+        counts = roc(self._ranked(separable_corpus), [3], separable_corpus)
+        assert list(counts.thresholds) == sorted(counts.thresholds, reverse=True)
+        assert all(threshold > 0 for threshold in counts.thresholds)
+        # The command line writes the (0, 1, 1) anchor only when asked to.
+        for label, names in (("v", separable_corpus.vulnerable), ("b", separable_corpus.benign)):
+            (tmp_path / f"{label}.txt").write_text("".join(f"{name}\n" for name in names))
+        argv = ["roc", "--vuln", str(tmp_path / "v.txt"), "--benign", str(tmp_path / "b.txt"),
+                "--weight", "1-1", "--policy", "none", "--cutoffs", "3"]
+        assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+        assert main(argv + ["--include-zero-endpoint", "--out", str(tmp_path / "flagged.csv")]) == 0
+        plain = (tmp_path / "plain.csv").read_text().splitlines()
+        assert plain[1:] == [f"3,{float(threshold)},{float(tpr):.6f},{float(fpr):.6f}"
+                             for threshold, tpr, fpr in _curves(counts)[0][1]]
+        flagged = (tmp_path / "flagged.csv").read_text().splitlines()
+        assert flagged == plain + ["3,0.0,1.000000,1.000000"]
 
     def test_rates_monotone_as_threshold_decreases(self, separable_corpus):
-        curve = next(roc(self._ranked(separable_corpus), [2], separable_corpus,
-                         include_zero_endpoint=True))
-        for a, b in zip(curve.points, curve.points[1:]):
-            assert a.threshold > b.threshold
-            assert b.tpr >= a.tpr
-            assert b.fpr >= a.fpr
+        [(_, points)] = _curves(roc(self._ranked(separable_corpus), [2], separable_corpus))
+        for a, b in zip(points, points[1:]):
+            assert a[0] > b[0]
+            assert b[1] >= a[1]
+            assert b[2] >= a[2]
 
     def test_five_name_toy_curve_matches_hand_enumeration(self):
         # Scores: read +2, net +2-1, file +1, others -1, so the top-2 words
@@ -155,9 +169,9 @@ class TestRoc:
         corpus = clean(("net_read_file", "net_read"), ("net_dump", "write_log", "alloc"))
         words = rank(score_frequency(corpus, Weight(1, 1)), MinScorePolicy.all_terms())
         assert [t for t, _ in words.words][:2] == ["read", "net"]
-        curve = next(roc(words, [2], corpus, thresholds=(
+        counts = roc(words, [2], corpus, thresholds=(
             Fraction(1), Fraction(3, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 4),
-        )))
+        ))
         expected = [
             (Fraction(1), Fraction(0), Fraction(0)),
             (Fraction(3, 4), Fraction(1, 2), Fraction(0)),  # only pct 1 passes
@@ -165,36 +179,33 @@ class TestRoc:
             (Fraction(1, 2), Fraction(1), Fraction(0)),     # 1/2 not > 1/2
             (Fraction(1, 4), Fraction(1), Fraction(1, 3)),  # net_dump crosses
         ]
-        assert [(p.threshold, p.tpr, p.fpr) for p in curve.points] == expected
+        assert (counts.n_pos, counts.n_neg) == (2, 3)
+        assert _curves(counts) == [(2, expected)]
 
     def test_roc_agrees_with_classifier_counts(self, separable_corpus):
         words = self._ranked(separable_corpus)
-        curve = next(roc(words, [2], separable_corpus))
+        [(_, points)] = _curves(roc(words, [2], separable_corpus))
         n_pos = len(separable_corpus.vulnerable)
         n_neg = len(separable_corpus.benign)
-        for point in curve.points:
+        for threshold, tpr, fpr in points:
             model = TunedModel(
-                dangerous=words, cutoff=2, threshold=point.threshold,
+                dangerous=words, cutoff=2, threshold=threshold,
             )
             tp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.vulnerable)
             fp = sum(classify(n, model).label == VULNERABLE for n in separable_corpus.benign)
-            assert point.tpr == Fraction(tp, n_pos)
-            assert point.fpr == Fraction(fp, n_neg)
+            assert tpr == Fraction(tp, n_pos)
+            assert fpr == Fraction(fp, n_neg)
 
     def test_many_cutoffs_in_one_call_equal_single_calls(self, separable_corpus):
         words = self._ranked(separable_corpus)
         cutoffs = [3, 1, 3, len(words.words) + 5]
-        for include_zero in (False, True):
-            curves = list(
-                roc(words, cutoffs, separable_corpus, include_zero_endpoint=include_zero)
-            )
-            assert [curve.cutoff for curve in curves] == cutoffs
-            assert curves == [
-                next(roc(words, [cutoff], separable_corpus, include_zero_endpoint=include_zero))
-                for cutoff in cutoffs
-            ]
-        past_end, full = roc(words, [len(words.words) + 5, len(words.words)], separable_corpus)
-        assert past_end.points == full.points
+        counts = roc(words, cutoffs, separable_corpus)
+        assert list(counts.cutoffs) == cutoffs
+        singles = [roc(words, [cutoff], separable_corpus) for cutoff in cutoffs]
+        assert list(counts.columns()) == [column for one in singles for column in one.columns()]
+        (_, *past_end), (_, *full) = roc(
+            words, [len(words.words) + 5, len(words.words)], separable_corpus).columns()
+        assert past_end == full
 
     def test_one_sided_corpus_rejected(self):
         corpus = clean(("read_file",), ())
@@ -213,7 +224,3 @@ class TestRoc:
         assert grid[0] == 0 and grid[-1] == 1
         assert grid[1] == Fraction(1, 20)
 
-
-def test_roc_point_is_plain_data():
-    p = RocPoint(Fraction(1, 2), Fraction(1), Fraction(0))
-    assert p.threshold == Fraction(1, 2)

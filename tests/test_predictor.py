@@ -304,7 +304,9 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
     for words in lists:
         # Every cutoff from 0 to past the end of the list, in one call.
         cutoffs = list(range(len(words.words) + 3))
-        tp, fp = count_flagged(words, corpus, cutoffs, thresholds)
+        counts = count_flagged(words, corpus, cutoffs, thresholds)
+        assert (counts.n_pos, counts.n_neg) == (len(corpus.vulnerable), len(corpus.benign))
+        tp, fp = counts.tp, counts.fp
         for i, threshold in enumerate(thresholds):
             for j, cutoff in enumerate(cutoffs):
                 counts = _looped_counts(corpus, _rule(words, cutoff, threshold))
@@ -320,8 +322,8 @@ def test_batch_counts_equal_classify_loop(corpus, weight, table, thresholds):
             assert cell.f2 == f_beta(counts, 2)
         if not corpus.benign:
             continue
-        for cutoff in range(1, len(words.words) + 3):
-            for point in next(roc(words, [cutoff], corpus, thresholds=thresholds)).points:
-                counts = _looped_counts(corpus, _rule(words, cutoff, point.threshold))
-                assert point.tpr == Fraction(counts.tp, len(corpus.vulnerable))
-                assert point.fpr == Fraction(counts.fp, len(corpus.benign))
+        swept = roc(words, range(1, len(words.words) + 3), corpus, thresholds=thresholds)
+        assert list(swept.thresholds) == sorted(set(thresholds) - {0}, reverse=True)
+        for cutoff, tps, fps in swept.columns():
+            for threshold, t, f in zip(swept.thresholds, tps, fps):
+                assert (t, f) == _looped_counts(corpus, _rule(words, cutoff, threshold))[:2]

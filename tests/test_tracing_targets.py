@@ -2,8 +2,9 @@
 
 `bench/run.py --trace 1` looks up every `TARGETS` name with `getattr`, so a
 renamed or deleted function breaks traced benchmark runs, and a function that
-the commands stop calling leaves its per-layer metric reading 0. The
-benchmark's own tests are not collected with these, hence these checks here.
+the commands stop calling leaves its per-layer metric reading 0. `testpaths`
+collects `bench/test_bench.py` with these; they check what it does not, every
+traced name against the commands that call it.
 """
 
 import importlib

@@ -10,11 +10,10 @@ from favd import tuner
 from favd.corpus import LabeledCorpus, clean
 from favd.errors import DataError
 from favd.metrics import MAX_THRESHOLDS, all_vulnerable_f2, f_beta
-from favd.predictor import classify_corpus
+from favd.predictor import GridCounts, classify_corpus
 from favd.ranking import MinScorePolicy, Weight, rank, score_frequency
 from favd.synth import SynthSpec, generate
-from favd.tuner import (GridCounts, SearchGrid, find_best, search_weights, threshold_values,
-                        trace_text)
+from favd.tuner import SearchGrid, find_best, search_weights, threshold_values, trace_text
 from gridcells import grid_cells
 
 POLICY_ZERO = MinScorePolicy.at_least(0)
