@@ -25,9 +25,8 @@ class Cell(NamedTuple):
 def grid_cells(grid, beta=2):
     """Yield each cell of `grid`, cutoff ascending, then threshold in the grid's (descending) order."""
     b2 = Fraction(beta) ** 2
-    for j, cutoff in enumerate(grid.cutoffs):
-        for i, threshold in enumerate(grid.thresholds):
-            tp, fp = grid.tp[i][j], grid.fp[i][j]
+    for cutoff, tps, fps in grid.columns():
+        for threshold, tp, fp in zip(grid.thresholds, tps, fps):
             fn = grid.n_pos - tp
             f2 = (1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp) if tp else Fraction(0)
             yield Cell(cutoff, threshold, ConfusionCounts(tp, fp, fn, grid.n_neg - fp), f2)
